@@ -30,11 +30,12 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.fpir.compiler import CompiledProgram, compile_program
+from repro.fpir.compiler import CompiledProgram, CompiledRuntime, compile_program
 from repro.fpir.instrument import InstrumentedProgram
 from repro.fpir.interpreter import (
     ExecutionContext,
     ExecutionResult,
+    HaltExecution,
     Interpreter,
     StepLimitExceeded,
 )
@@ -91,7 +92,6 @@ class WeakDistance:
         }
         #: Events observed during the most recent evaluation.
         self.last_events: Dict[str, str] = {}
-        self.last_result: Optional[ExecutionResult] = None
 
     # -- execution ------------------------------------------------------------
 
@@ -100,20 +100,21 @@ class WeakDistance:
             self._compiled = compile_program(self.program)
         return self._compiled
 
+    def _ensure_runtime(self) -> CompiledRuntime:
+        if self._runtime is None:
+            self._runtime = self._ensure_compiled().new_runtime(self.max_loop_steps)
+            self._runtime.sets = self.label_sets
+        return self._runtime
+
     def execute(self, x: Sequence[float]) -> ExecutionResult:
         """Run the instrumented program on ``x`` and return the raw result."""
         if self.use_compiler:
-            compiled = self._ensure_compiled()
-            if self._runtime is None:
-                self._runtime = compiled.new_runtime(self.max_loop_steps)
-                self._runtime.sets = self.label_sets
-            rt = self._runtime
-            rt.events.clear()
-            result = compiled.run(x, rt=rt)
+            rt = self._ensure_runtime()
+            rt.events = {}
+            result = self._compiled.run(x, rt=rt)
         else:
             result = self._interpret(x)
         self.last_events = dict(result.events)
-        self.last_result = result
         return result
 
     def _make_interpreter(self) -> Interpreter:
@@ -135,11 +136,28 @@ class WeakDistance:
     def __call__(self, x: Sequence[float]) -> float:
         """Evaluate W(x): the final value of ``w`` (inf when the run
         diverges past the step budget or ``w`` ends up NaN)."""
+        if self.use_compiler:
+            # The hot path: :meth:`execute` without its result record.
+            rt = self._runtime or self._ensure_runtime()
+            rt.g.update(self.program.globals)
+            rt.loop_steps = 0
+            rt.events = events = {}
+            try:
+                self._compiled.entry(rt, *x)
+            except HaltExecution:
+                pass
+            except StepLimitExceeded:
+                return math.inf
+            self.last_events = events
+            try:
+                value = float(rt.g.get(self.w_var, math.inf))
+            except (TypeError, ValueError, OverflowError):
+                return math.inf
+            return math.inf if value != value else value
         try:
-            result = self.execute(x)
+            raw = self.execute(x).globals.get(self.w_var, math.inf)
         except StepLimitExceeded:
             return math.inf
-        raw = result.globals.get(self.w_var, math.inf)
         exact_nonzero = False
         if self.exact:
             from fractions import Fraction
@@ -241,15 +259,11 @@ class WeakDistance:
         speed; this method isolates one run.
         """
         if self.use_compiler:
-            compiled = self._ensure_compiled()
-            if self._runtime is None:
-                self._runtime = compiled.new_runtime(self.max_loop_steps)
-                self._runtime.sets = self.label_sets
-            self._runtime.counters.clear()
-            self._runtime.events.clear()
+            rt = self._ensure_runtime()
+            rt.counters.clear()
             result = self.execute(x)
-            counters = dict(self._runtime.counters)
-            self._runtime.counters.clear()
+            counters = dict(rt.counters)
+            rt.counters.clear()
             return result, counters
         ctx = ExecutionContext(
             label_sets=self.label_sets, max_steps=self.max_loop_steps
@@ -258,7 +272,6 @@ class WeakDistance:
             self._interpreter = self._make_interpreter()
         result = self._interpreter.run(x, ctx)
         self.last_events = dict(result.events)
-        self.last_result = result
         return result, dict(ctx.counters)
 
     # -- Definition 3.1 law checking -------------------------------------------

@@ -89,11 +89,6 @@ class CompiledRuntime:
     def label_set(self, name: str) -> Set[str]:
         return self.sets.setdefault(name, set())
 
-    def record(self, kind: str, label: str) -> None:
-        self.events[kind] = label
-        key = (kind, label)
-        self.counters[key] = self.counters.get(key, 0) + 1
-
     def check_loop(self) -> None:
         self.loop_steps += 1
         if self.loop_steps > self.max_loop_steps:
@@ -151,9 +146,32 @@ class _FunctionEmitter:
         self.compiler = compiler
         self.fn_name = fn_name
         self.lines: List[str] = []
+        #: Label set name -> the local it is bound to at function entry.
+        self.set_locals: Dict[str, str] = {}
+        self.records = False
+        self.globals_used = False
 
     def emit(self, line: str, depth: int) -> None:
         self.lines.append("    " * depth + line)
+
+    def global_ref(self, name: str) -> str:
+        self.globals_used = True
+        return f"__g[{name!r}]"
+
+    def prologue(self) -> List[str]:
+        """Function-entry bindings of the runtime state the body uses.
+
+        A run never rebinds the runtime's dicts, and label sets only
+        grow between runs (Algorithm 3's ``L``), never during one, so
+        binding each once per call is exact.  The ``__`` prefix cannot
+        clash with a mangled FPIR name.
+        """
+        lines = ["__g = _rt.g"] if self.globals_used else []
+        if self.records:
+            lines += ["__ev = _rt.events", "__ct = _rt.counters"]
+        for name, local in self.set_locals.items():
+            lines.append(f"{local} = _rt.label_set({name!r})")
+        return ["    " + line for line in lines]
 
     # -- expressions --------------------------------------------------------
 
@@ -163,7 +181,7 @@ class _FunctionEmitter:
             return repr(e.value)
         if cls is Var:
             if e.name in self.compiler.global_names:
-                return f"_rt.g[{e.name!r}]"
+                return self.global_ref(e.name)
             return _mangle(e.name)
         if cls is BinOp:
             fmt = _BIN_FMT.get(e.op)
@@ -199,7 +217,10 @@ class _FunctionEmitter:
                 raise CompilationError(f"unknown constant array {e.name!r}")
             return f"_arr_{_mangle(e.name)}[{self.expr(e.index)}]"
         if cls is InLabelSet:
-            return f"({e.label!r} in _rt.label_set({e.set_name!r}))"
+            local = self.set_locals.setdefault(
+                e.set_name, f"__ls{len(self.set_locals)}"
+            )
+            return f"({e.label!r} in {local})"
         raise CompilationError(f"unknown expression {e!r}")
 
     # -- statements ---------------------------------------------------------
@@ -215,7 +236,7 @@ class _FunctionEmitter:
         cls = s.__class__
         if cls is Assign:
             target = (
-                f"_rt.g[{s.name!r}]"
+                self.global_ref(s.name)
                 if s.name in self.compiler.global_names
                 else _mangle(s.name)
             )
@@ -238,7 +259,11 @@ class _FunctionEmitter:
         elif cls is Block:
             self.block(s, depth)
         elif cls is RecordEvent:
-            self.emit(f"_rt.record({s.kind!r}, {s.label!r})", depth)
+            # The last label per event kind, and a count per (kind, label).
+            self.records = True
+            key = (s.kind, s.label)
+            self.emit(f"__ev[{s.kind!r}] = {s.label!r}", depth)
+            self.emit(f"__ct[{key!r}] = __ct.get({key!r}, 0) + 1", depth)
         elif cls is Halt:
             self.emit("raise _HaltExecution()", depth)
         else:
@@ -265,6 +290,7 @@ class ProgramCompiler:
             else:
                 emitter.emit("pass", 1)
             emitter.emit("return None", 1)
+            emitter.lines[1:1] = emitter.prologue()
             pieces.append("\n".join(emitter.lines))
         source = "\n\n".join(pieces)
 
@@ -288,7 +314,8 @@ class CompiledProgram:
 
     program: Program
     source: str
-    _entry: Any
+    #: The entry function: ``entry(rt, *args)`` runs against ``rt``.
+    entry: Any
 
     def new_runtime(self, max_loop_steps: int = 2_000_000) -> CompiledRuntime:
         """A fresh runtime with globals seeded to their initial values."""
@@ -311,7 +338,7 @@ class CompiledProgram:
         halted = False
         value = None
         try:
-            value = self._entry(rt, *args)
+            value = self.entry(rt, *args)
         except HaltExecution:
             halted = True
         return ExecutionResult(

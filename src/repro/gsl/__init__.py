@@ -10,8 +10,10 @@
 
 All ports follow the GSL status + ``gsl_sf_result`` convention through
 the globals ``status`` / ``result_val`` / ``result_err``.
-"""
 
-from repro.gsl import airy, bessel, cheb, hyperg, machine, trig
+The ports are not imported with the package: ``airy`` loads
+``scipy.special`` and fits Chebyshev tables at import, a cost only its
+own users should pay.  ``from repro.gsl import airy`` imports one port.
+"""
 
 __all__ = ["airy", "bessel", "cheb", "hyperg", "machine", "trig"]

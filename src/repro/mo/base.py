@@ -96,7 +96,10 @@ class Objective:
         self.best_f = math.inf
 
     def __call__(self, x) -> float:
-        xs = tuple(float(v) for v in np.atleast_1d(x))
+        if isinstance(x, (list, tuple)):
+            xs = tuple(map(float, x))
+        else:  # scalars and arrays
+            xs = tuple(float(v) for v in np.atleast_1d(x))
         return self._absorb(xs, self.fn(xs))
 
     @property
@@ -131,7 +134,9 @@ class Objective:
         self.n_evals += 1
         if self.record_samples:
             self.samples.append((xs, value))
-        if value < self.best_f:
+        if value < self.best_f or self.best_x is None:
+            # The first point counts even when it is inf, so a run that
+            # never sees a finite value still has a result.
             self.best_f = value
             self.best_x = xs
         if self.stop_at_zero and value <= 0.0:

@@ -1,9 +1,17 @@
-"""SciPy-based MO backends: the three the paper evaluates in Table 1.
+"""The MO backends the paper evaluates in Table 1.
 
 * **Basinhopping** [23, 37] — MCMC sampling over local minimum points;
   the paper's workhorse (used by CoverMe, XSat, and all experiments).
-* **Differential Evolution** [35] — population-based direct search.
-* **Powell** [30] — derivative-free local search.
+  An in-tree reimplementation of SciPy's ``basinhopping`` with a
+  Nelder–Mead local search, over plain float lists: it evaluates the
+  same points in the same order and draws the same random numbers as
+  ``scipy.optimize.basinhopping`` (checked bit for bit in
+  ``tests/mo/test_basinhopping_parity.py``), without the per-call
+  array bookkeeping that dominates on 1–3-dimensional weak distances.
+* **Differential Evolution** [35] — population-based direct search
+  (SciPy, imported on first use).
+* **Powell** [30] — derivative-free local search (SciPy, imported on
+  first use).
 
 All three are used strictly as black boxes, per Section 4.1.
 """
@@ -11,10 +19,10 @@ All three are used strictly as black boxes, per Section 4.1.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+import operator
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.mo.base import MOBackend, Objective
 
@@ -31,30 +39,242 @@ class _MagnitudeStep:
 
     def __init__(self, rng: np.random.Generator, stepsize: float = 1.0):
         self.rng = rng
-        self.stepsize = stepsize  # mutated by basinhopping's adaptor
+        self.stepsize = stepsize  # mutated by the adaptive step size
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).copy()
-        with np.errstate(all="ignore"):
-            return self._propose(x)
-
-    def _propose(self, x: np.ndarray) -> np.ndarray:
-        for i in range(x.size):
-            mode = self.rng.random()
+    def __call__(self, x: Sequence[float]) -> List[float]:
+        """A proposal from ``x`` (a new list; ``x`` is not modified)."""
+        rng = self.rng
+        out = [float(v) for v in x]
+        for i, xi in enumerate(out):
+            mode = rng.random()
             if mode < 0.5:
-                x[i] += self.rng.uniform(-self.stepsize, self.stepsize)
+                xi += rng.uniform(-self.stepsize, self.stepsize)
             elif mode < 0.9:
-                factor = 10.0 ** self.rng.uniform(-2.0, 2.0)
-                x[i] *= factor
+                xi *= 10.0 ** rng.uniform(-2.0, 2.0)
             else:
-                x[i] = -x[i] * 10.0 ** self.rng.uniform(-1.0, 1.0)
-            if not math.isfinite(x[i]):
-                x[i] = math.copysign(1e308, x[i])
-        return x
+                xi = -xi * 10.0 ** rng.uniform(-1.0, 1.0)
+            if not math.isfinite(xi):
+                xi = math.copysign(1e308, xi)
+            out[i] = xi
+        return out
+
+
+class _Exhausted(Exception):
+    """Nelder–Mead's own evaluation budget (``maxfev``) ran out."""
+
+
+def _order(sim: list, fsim: List[float]) -> Tuple[list, List[float]]:
+    """``sim``/``fsim`` reordered by ``np.argsort(fsim)``, as SciPy does.
+
+    Without ties the sorting permutation is unique, so a plain sort
+    finds it.  NumPy's default sort is not stable, so tied values
+    (plateaus, ``inf``, ``0.0`` vs ``-0.0``) are ordered by NumPy
+    itself.  ``fsim`` never holds NaN: :class:`Objective` maps it to
+    ``inf``.
+    """
+    if all(map(operator.lt, fsim, fsim[1:])):
+        return sim, fsim
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    if any(map(operator.eq, values, values[1:])):
+        order = np.argsort(fsim).tolist()
+        values = [fsim[i] for i in order]
+    return [sim[i] for i in order], values
+
+
+def _nelder_mead(
+    f: Callable[[List[float]], float],
+    x0: List[float],
+    maxiter: int,
+    maxfev: int,
+) -> Tuple[List[float], float, bool]:
+    """SciPy's ``minimize(method="Nelder-Mead")`` with ``xatol=fatol=0``.
+
+    Returns ``(x, fun, success)``.  Every arithmetic step is SciPy's,
+    in its order (standard coefficients rho=1, chi=2, psi=sigma=0.5),
+    so the evaluated points are bit-identical.  Zero tolerances let the
+    search collapse onto *exact* zeros of a weak distance (its minima
+    are exact doubles, and Theorem 3.3 needs ``W(x*) == 0``, not
+    ``W(x*) ≈ 0``): "converged" means every vertex and value equals the
+    best one, the only way to succeed, and a NaN difference (``inf -
+    inf``) never converges.  One-dimensional starts, the common case,
+    run the same steps on scalars (:func:`_nelder_mead_1d`).
+    """
+    n = len(x0)
+    if n == 1:
+        return _nelder_mead_1d(f, x0[0], maxiter, maxfev)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    fcalls = 0
+
+    def call(x: List[float]) -> float:
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _Exhausted
+        fcalls += 1
+        return f(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Exhausted:
+        pass
+    # SciPy orders the initial simplex twice (which matters on ties).
+    sim, fsim = _order(*_order(sim, fsim))
+    iterations = 1
+    if n == 0 and fcalls < maxfev and iterations < maxiter:
+        # SciPy's first convergence test takes NumPy's max over the
+        # (empty) vertex differences.
+        raise ValueError(
+            "zero-size array to reduction operation maximum which has no identity"
+        )
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            s0 = sim[0]
+            # Best vs worst value first: it rejects most iterations.
+            if fsim[0] - fsim[n] == 0.0 and _collapsed(sim, fsim):
+                return s0, fsim[0], True
+            # np.add.reduce: rows summed in order onto the identity
+            # +0.0 (so a -0.0 column sums to +0.0), then divided by n.
+            xbar = [0.0] * n
+            for row in sim[:n]:
+                xbar = list(map(operator.add, xbar, row))
+            xbar = [a / n for a in xbar]
+            last = sim[n]
+            xr = [2.0 * b - s for b, s in zip(xbar, last)]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = [3.0 * b - 2.0 * s for b, s in zip(xbar, last)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[n], fsim[n] = xe, fxe
+                else:
+                    sim[n], fsim[n] = xr, fxr
+            elif fxr < fsim[n - 1]:
+                sim[n], fsim[n] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[n]:
+                    xc = [1.5 * b - 0.5 * s for b, s in zip(xbar, last)]
+                    fxc = call(xc)
+                    if fxc <= fxr:
+                        sim[n], fsim[n] = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = [0.5 * b + 0.5 * s for b, s in zip(xbar, last)]
+                    fxcc = call(xcc)
+                    if fxcc < fsim[n]:
+                        sim[n], fsim[n] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        # The vertex moves before it is evaluated, so a
+                        # budget stop here leaves it with a stale value.
+                        sim[j] = [a + 0.5 * (c - a) for a, c in zip(s0, sim[j])]
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        sim, fsim = _order(sim, fsim)
+    return sim[0], fsim[0], False
+
+
+def _collapsed(sim: list, fsim: List[float]) -> bool:
+    """SciPy's convergence test at zero tolerances: every vertex and
+    every value minus the first is exactly zero (NaN never is)."""
+    s0, f0 = sim[0], fsim[0]
+    same_x = all(a - b == 0.0 for row in sim[1:] for a, b in zip(row, s0))
+    return same_x and all(f0 - fj == 0.0 for fj in fsim[1:])
+
+
+def _nelder_mead_1d(
+    f: Callable[[List[float]], float],
+    x0: float,
+    maxiter: int,
+    maxfev: int,
+) -> Tuple[List[float], float, bool]:
+    """:func:`_nelder_mead` for ``n == 1``: the same steps on scalars.
+
+    The simplex is ``(s0, f0)``, ``(s1, f1)`` with ``f0 <= f1``, the
+    centroid is ``0.0 + s0``, and SciPy's "reflection beats the
+    second-worst vertex" branch never runs (that vertex is the best).
+    """
+    s0, s1 = x0, ((1 + 0.05) * x0 if x0 != 0 else 0.00025)
+    f0 = f1 = math.inf
+    fcalls = 0
+
+    def call(x: float) -> float:
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _Exhausted
+        fcalls += 1
+        return f([x])
+
+    try:
+        f0 = call(s0)
+        f1 = call(s1)
+    except _Exhausted:
+        pass
+    # SciPy orders the initial simplex twice (which matters on ties).
+    for _ in range(2):
+        if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
+            s0, f0, s1, f1 = s1, f1, s0, f0
+    iterations = 1
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            if s1 - s0 == 0.0 and f0 - f1 == 0.0:
+                return [s0], f0, True
+            xbar = 0.0 + s0
+            xr = 2.0 * xbar - s1
+            fxr = call(xr)
+            if fxr < f0:
+                xe = 3.0 * xbar - 2.0 * s1
+                fxe = call(xe)
+                s1, f1 = (xe, fxe) if fxe < fxr else (xr, fxr)
+            else:
+                shrink = False
+                if fxr < f1:
+                    xc = 1.5 * xbar - 0.5 * s1
+                    fxc = call(xc)
+                    if fxc <= fxr:
+                        s1, f1 = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = 0.5 * xbar + 0.5 * s1
+                    fxcc = call(xcc)
+                    if fxcc < f1:
+                        s1, f1 = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    s1 = s0 + 0.5 * (s1 - s0)
+                    f1 = call(s1)
+            iterations += 1
+        except _Exhausted:
+            pass
+        if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
+            s0, f0, s1, f1 = s1, f1, s0, f0
+    return [s0], f0, False
 
 
 class BasinhoppingBackend(MOBackend):
-    """SciPy ``basinhopping`` with a magnitude-aware step proposal."""
+    """Basinhopping + Nelder–Mead with a magnitude-aware step proposal.
+
+    Runs exactly what ``scipy.optimize.basinhopping(objective, start,
+    niter, take_step=_MagnitudeStep(rng, stepsize), seed=...,
+    minimizer_kwargs={"method": "Nelder-Mead", "options": {"maxiter":
+    local_maxiter, "maxfev": 2 * local_maxiter, "xatol": 0, "fatol":
+    0}})`` runs (SciPy 1.17): Metropolis acceptance at T=1 on a
+    ``RandomState`` seeded from ``rng``, and the adaptive step size
+    (every 50 steps, scale by 0.9 towards a 0.5 acceptance rate).
+    """
 
     name = "basinhopping"
 
@@ -62,50 +282,38 @@ class BasinhoppingBackend(MOBackend):
         self,
         niter: int = 100,
         stepsize: float = 1.0,
-        local_method: str = "Nelder-Mead",
         local_maxiter: int = 200,
     ) -> None:
         self.niter = niter
         self.stepsize = stepsize
-        self.local_method = local_method
         self.local_maxiter = local_maxiter
 
     def minimize(self, objective, start, rng):
         return self._guarded(objective, start, rng)
 
-    def _local_options(self) -> dict:
-        # Zero tolerances let the local search collapse onto *exact*
-        # zeros of the weak distance (W's minima are exact doubles, and
-        # Theorem 3.3 needs W(x*) == 0, not W(x*) ≈ 0).
-        options = {
-            "maxiter": self.local_maxiter,
-            "maxfev": self.local_maxiter * 2,
-        }
-        if self.local_method == "Nelder-Mead":
-            options.update(xatol=0.0, fatol=0.0)
-        elif self.local_method == "Powell":
-            options.update(xtol=0.0, ftol=0.0)
-        return options
-
     def _run(self, objective: Objective, start, rng) -> None:
-        x0 = np.asarray(start, dtype=float)
-        # Weak distances legitimately live near 1e308; silence numpy's
-        # overflow chatter from SciPy's internal simplex arithmetic.
-        with np.errstate(all="ignore"):
-            self._basinhop(objective, x0, rng)
-
-    def _basinhop(self, objective, x0, rng) -> None:
-        optimize.basinhopping(
-            objective,
-            x0,
-            niter=self.niter,
-            take_step=_MagnitudeStep(rng, self.stepsize),
-            seed=int(rng.integers(0, 2**31 - 1)),
-            minimizer_kwargs={
-                "method": self.local_method,
-                "options": self._local_options(),
-            },
-        )
+        take_step = _MagnitudeStep(rng, self.stepsize)
+        accept = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
+        x0 = np.atleast_1d(np.asarray(start, dtype=float))
+        if x0.ndim != 1:
+            raise ValueError("'x0' must only have one dimension.")
+        maxiter = self.local_maxiter
+        maxfev = 2 * maxiter
+        x, energy, success = _nelder_mead(objective, x0.tolist(), maxiter, maxfev)
+        naccept = 0
+        for nstep in range(1, self.niter + 1):
+            if nstep % 50 == 0:
+                if naccept / nstep > 0.5:
+                    take_step.stepsize /= 0.9
+                else:
+                    take_step.stepsize *= 0.9
+            trial, f_trial, ok = _nelder_mead(objective, take_step(x), maxiter, maxfev)
+            # Metropolis at T=1: one uniform draw per step, and a failed
+            # local search never replaces a successful incumbent.
+            w = math.exp(min(0, -(f_trial - energy)))
+            if w >= accept.uniform() and (ok or not success):
+                x, energy, success = trial, f_trial, ok
+                naccept += 1
 
 
 class DifferentialEvolutionBackend(MOBackend):
@@ -129,22 +337,21 @@ class DifferentialEvolutionBackend(MOBackend):
         return self._guarded(objective, start, rng)
 
     def _run(self, objective: Objective, start, rng) -> None:
-        with np.errstate(all="ignore"):
-            self._evolve(objective, rng)
+        from scipy import optimize
 
-    def _evolve(self, objective, rng) -> None:
         bounds = list(self.bounds)
         if len(bounds) == 1 and objective.n_dims > 1:
             bounds = bounds * objective.n_dims
-        optimize.differential_evolution(
-            objective,
-            bounds,
-            maxiter=self.maxiter,
-            popsize=self.popsize,
-            tol=self.tol,
-            seed=int(rng.integers(0, 2**31 - 1)),
-            polish=False,
-        )
+        with np.errstate(all="ignore"):
+            optimize.differential_evolution(
+                objective,
+                bounds,
+                maxiter=self.maxiter,
+                popsize=self.popsize,
+                tol=self.tol,
+                seed=int(rng.integers(0, 2**31 - 1)),
+                polish=False,
+            )
 
 
 class PowellBackend(MOBackend):
@@ -159,6 +366,8 @@ class PowellBackend(MOBackend):
         return self._guarded(objective, start, rng)
 
     def _run(self, objective: Objective, start, rng) -> None:
+        from scipy import optimize
+
         # NOTE: unlike Nelder-Mead, zero tolerances make Powell's Brent
         # line searches burn the whole budget without returning their
         # best point; the default tolerances actually land on exact

@@ -261,22 +261,19 @@ class Scheduler:
         job = self.get(job_id, tenant)
         if job is None:
             return None
+        dropped = False
         with self._lock:
             if job.state == QUEUED:
                 queue = self._queues.get(job.tenant)
                 if queue is not None and job in queue:
                     queue.remove(job)
-                job.state = CANCELLED
-                job.finished = time.time()
+                dropped = True
             elif job.state == RUNNING and job.handle is not None:
                 job.handle.cancel()
-        if job.state == CANCELLED and job.handle is None:
+        if dropped:
             # Dropped straight from the queue: close out here (the
             # finalizer only sees jobs that reached the session).
-            job.events.close()
-            if self.journal is not None:
-                self.journal.record_done(job.job_id, CANCELLED)
-            return job
+            self._settle(job, CANCELLED)
         # Running (or racing completion): the driver emits JobFinished
         # and the finalizer settles it; wait for that.  Re-deliver the
         # cancel each lap — submit() may still be assigning the handle
@@ -391,10 +388,14 @@ class Scheduler:
         report: Optional[Dict[str, Any]] = None,
         error: Optional[str] = None,
     ) -> None:
+        """Close a job out.  The terminal ``state`` is what readers
+        (``settled``, the job endpoint, ``ServeClient.wait``) check, so
+        it is set last: a settled job always has its report, a closed
+        event log and its journal ``done`` record.  ``finished`` marks
+        that settling has begun, so a job settles once."""
         with self._lock:
-            if job.settled:
+            if job.settled or job.finished is not None:
                 return
-            job.state = state
             job.report = report
             job.error = error
             job.finished = time.time()
@@ -405,9 +406,12 @@ class Scheduler:
                     self._running[job.tenant] = left
                 else:
                     self._running.pop(job.tenant, None)
-        job.events.close()
-        if self.journal is not None:
-            self.journal.record_done(job.job_id, state, report, error)
+        try:
+            job.events.close()
+            if self.journal is not None:
+                self.journal.record_done(job.job_id, state, report, error)
+        finally:
+            job.state = state
 
     # -- shutdown ----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import importlib
 import json
 import threading
 import time
@@ -43,6 +44,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.engine import EngineConfig
+from repro.api.registry import available_analyses, get_analysis
 from repro.api.session import Session
 from repro.serve.checkpoint import DEFAULT_STORE_DIR, CheckpointJournal
 from repro.serve.scheduler import DEFAULT_QUOTA, Scheduler
@@ -55,6 +57,24 @@ HEARTBEAT_SECONDS = 15.0
 #: How long ``--resume`` waits for a SIGKILLed predecessor's orphaned
 #: workers to release the listening port (see ``ReproServer._bind``).
 BIND_RETRY_SECONDS = 10.0
+
+#: Target frontends a submission would otherwise import on first use.
+_FRONTEND_MODULES = ("repro.cfront", "repro.fpir.frontend", "repro.programs")
+
+
+def _import_request_modules() -> None:
+    """Import everything a request would otherwise import lazily.
+
+    The analysis registry and the target frontends load on first use.
+    Two request threads doing that at once can deadlock on Python's
+    per-module import locks (``_DeadlockError``, a ``RuntimeError``
+    the submit route answers with 503), so a server imports them all
+    before it serves a request.
+    """
+    for name in available_analyses():
+        get_analysis(name)
+    for module in _FRONTEND_MODULES:
+        importlib.import_module(module)
 
 
 @dataclasses.dataclass
@@ -250,7 +270,8 @@ class _Handler(BaseHTTPRequestHandler):
 class ReproServer:
     """One warm Session + journal + scheduler + HTTP listener.
 
-    Binds at construction time (so ``port=0`` resolves immediately and
+    Imports every lazily loaded analysis and frontend, then binds, at
+    construction time (so ``port=0`` resolves immediately and
     :attr:`address` is valid before :meth:`start`); ``start()`` serves
     on a daemon thread, ``serve_forever()`` serves in the caller's
     thread, ``close()`` tears everything down in dependency order.
@@ -258,6 +279,7 @@ class ReproServer:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
+        _import_request_modules()
         self.session = Session(EngineConfig(n_workers=self.config.n_workers))
         self.journal = CheckpointJournal(self.config.store_dir)
         self.scheduler = Scheduler(

@@ -20,6 +20,7 @@ from repro.api import (
     coerce_target,
     parse_target_spec,
 )
+from repro.core.batch import BatchJob, job_request
 from repro.fpir.program import Program
 from repro.sat.formula import Formula
 
@@ -233,8 +234,17 @@ class TestFrontendEngineParity:
 
 class TestSessionTargetIntake:
     def test_submit_accepts_callable(self):
+        # Target intake, not search: the analysis's smoke budget will do.
+        request = job_request(
+            BatchJob("coverage", sum_of_sines, seed=5, params=(("smoke", True),))
+        )
         with Session(EngineConfig(seed=5)) as session:
-            handle = session.submit("coverage", sum_of_sines)
+            handle = session.submit(
+                request.analysis,
+                request.target,
+                config=request.config,
+                **request.options,
+            )
             report = handle.result()
         assert handle.target == "sum_of_sines"
         assert report.target == "sum_of_sines"

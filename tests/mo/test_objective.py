@@ -75,3 +75,41 @@ class TestTermination:
         obj = Objective(lambda x: x[0], n_dims=1, stop_at_zero=False)
         obj([1.0])
         assert obj.samples == []
+
+
+class TestNeverFinite:
+    """A run whose every sample is inf (or NaN) still has a result."""
+
+    def test_first_point_is_kept(self):
+        obj = Objective(lambda x: math.inf, n_dims=1, stop_at_zero=False)
+        obj([2.0])
+        obj([3.0])
+        assert obj.best_x == (2.0,)
+        assert obj.result("b").f_star == math.inf
+
+    def test_nan_only_run_has_a_result(self):
+        obj = Objective(lambda x: float("nan"), n_dims=1,
+                        stop_at_zero=False)
+        obj([4.0])
+        result = obj.result("b")
+        assert result.x_star == (4.0,)
+        assert result.f_star == math.inf
+        assert not result.stopped_at_zero
+
+    def test_basinhopping_on_an_all_inf_half_line(self):
+        from repro.mo.scipy_backends import BasinhoppingBackend
+        from repro.util.rng import make_rng
+
+        # Every sample of this run lands on the inf half-line.
+        obj = Objective(
+            lambda x: math.inf if x[0] > 0 else 1 + x[0] ** 2,
+            n_dims=1,
+            stop_at_zero=False,
+            max_samples=3000,
+        )
+        result = BasinhoppingBackend(niter=20).minimize(
+            obj, (6.771296247390712,), make_rng(4)
+        )
+        assert result.n_evals == 3000
+        assert result.f_star == math.inf
+        assert result.x_star == (6.771296247390712,)

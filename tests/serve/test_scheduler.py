@@ -1,5 +1,6 @@
 """Scheduler: tenant fairness, quotas, cancellation, finalization."""
 
+import threading
 import time
 
 import pytest
@@ -44,6 +45,37 @@ class TestLifecycle:
             assert entry.settled and entry.state == "done"
             assert len(entry.outcomes()) == job.report["rounds"]
         finally:
+            scheduler.close()
+
+    def test_not_settled_until_journaled(self, session, tmp_path):
+        """The terminal state is observable last: while the journal's
+        ``done`` record is being written the job reads as unsettled,
+        so a kill -9 in that window cannot lose a job a client already
+        saw finish."""
+
+        class BlockingJournal(CheckpointJournal):
+            entered = threading.Event()
+            release = threading.Event()
+
+            def record_done(self, *args, **kwargs):
+                self.entered.set()
+                assert self.release.wait(60)
+                super().record_done(*args, **kwargs)
+
+        journal = BlockingJournal(tmp_path / "store")
+        scheduler = Scheduler(session, journal=journal)
+        try:
+            job = scheduler.submit("t", payload())
+            assert journal.entered.wait(60)
+            time.sleep(0.05)
+            assert not job.settled
+            assert job.report is not None and job.events.closed
+            journal.release.set()
+            wait_settled(job)
+            assert job.state == "done"
+            assert journal.load()[job.job_id].settled
+        finally:
+            journal.release.set()
             scheduler.close()
 
     def test_bad_payload_rejected_without_journaling(
