@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import keyword
+import math
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fp import arith
@@ -178,7 +179,11 @@ class _FunctionEmitter:
     def expr(self, e: Expr) -> str:
         cls = e.__class__
         if cls is Const:
-            return repr(e.value)
+            value = e.value
+            if isinstance(value, float) and not math.isfinite(value):
+                # repr() would emit a bare `inf`/`nan`: bind the object.
+                return self.compiler.constant(value)
+            return repr(value)
         if cls is Var:
             if e.name in self.compiler.global_names:
                 return self.global_ref(e.name)
@@ -277,6 +282,12 @@ class ProgramCompiler:
         self.program = program
         self.global_names = set(program.globals)
         self.used_externals: Set[str] = set()
+        #: Non-finite constants, bound as ``_k<i>`` in the namespace.
+        self.constants: List[float] = []
+
+    def constant(self, value: float) -> str:
+        self.constants.append(value)
+        return f"_k{len(self.constants) - 1}"
 
     def compile(self) -> "CompiledProgram":
         pieces: List[str] = []
@@ -303,6 +314,8 @@ class ProgramCompiler:
             namespace[f"_ext_{_mangle(name)}"] = externals.lookup(name)
         for name, values in self.program.arrays.items():
             namespace[f"_arr_{_mangle(name)}"] = tuple(values)
+        for i, value in enumerate(self.constants):
+            namespace[f"_k{i}"] = value
         exec(compile(source, "<fpir>", "exec"), namespace)
         entry = namespace[f"_fn_{_mangle(self.program.entry)}"]
         return CompiledProgram(self.program, source, entry)

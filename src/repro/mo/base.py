@@ -47,6 +47,13 @@ class StopMinimization(Exception):
     """Raised inside an objective once a zero has been reached."""
 
 
+def _as_point(x) -> Tuple[float, ...]:
+    """A candidate point as a tuple of Python floats."""
+    if isinstance(x, (list, tuple)):
+        return tuple(map(float, x))
+    return tuple(float(v) for v in np.atleast_1d(x))  # scalars and arrays
+
+
 @dataclasses.dataclass
 class MOResult:
     """Outcome of one minimization run."""
@@ -96,6 +103,7 @@ class Objective:
         self.best_f = math.inf
 
     def __call__(self, x) -> float:
+        # _as_point, inlined: this is the scalar search's hot path.
         if isinstance(x, (list, tuple)):
             xs = tuple(map(float, x))
         else:  # scalars and arrays
@@ -121,10 +129,11 @@ class Objective:
         identical in both paths, so batch-native backends behave the
         same in every ``eval_mode``.
         """
-        coerced = [tuple(float(v) for v in np.atleast_1d(p)) for p in points]
+        coerced = [_as_point(p) for p in points]
         if self.supports_batch and len(coerced) > 1:
             values = self.fn.evaluate_batch(np.asarray(coerced, dtype=np.float64))
-            return [self._absorb(xs, float(v)) for xs, v in zip(coerced, values)]
+            values = np.asarray(values, dtype=np.float64).tolist()
+            return [self._absorb(xs, v) for xs, v in zip(coerced, values)]
         return [self._absorb(xs, float(self.fn(xs))) for xs in coerced]
 
     def _absorb(self, xs: Tuple[float, ...], value: float) -> float:

@@ -37,9 +37,9 @@ def _fingerprint(report: AnalysisReport):
     )
 
 
-def _run(name, target, options, eval_mode, n_workers=1):
+def _run(name, target, options, eval_mode, n_workers=1, backend=None):
     config = EngineConfig(seed=23, n_workers=n_workers,
-                          eval_mode=eval_mode)
+                          eval_mode=eval_mode, backend=backend)
     return Engine(config).run(name, target, **options)
 
 
@@ -51,6 +51,28 @@ def test_cases_cover_registry():
 def test_vectorized_matches_interpreter_serial(name, target, options):
     vec = _run(name, target, options, "vectorized")
     ref = _run(name, target, options, "interpreter")
+    assert _fingerprint(vec) == _fingerprint(ref)
+
+
+@pytest.mark.parametrize("name,target,options", CASES)
+def test_vectorized_matches_interpreter_population(name, target, options,
+                                                   monkeypatch):
+    """The default backend scores one point at a time, so the legs
+    above never reach the batch kernel; the batch-native population
+    backend does, through ``Objective.evaluate_batch``."""
+    from repro.fpir.batch_eval import BatchProgram
+
+    kernel_calls = []
+    run = BatchProgram.run
+
+    def counting_run(self, *args, **kwargs):
+        kernel_calls.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchProgram, "run", counting_run)
+    vec = _run(name, target, options, "vectorized", backend="population")
+    assert kernel_calls, "the vectorized leg never ran the batch kernel"
+    ref = _run(name, target, options, "interpreter", backend="population")
     assert _fingerprint(vec) == _fingerprint(ref)
 
 

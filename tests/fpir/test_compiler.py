@@ -125,3 +125,17 @@ class TestCompilerSpecifics:
         fb = FunctionBuilder("f", params=["x"], return_type=None)
         prog = Program([fb.build()], entry="f")
         assert compile_program(prog).run([1.0]).value is None
+
+    def test_non_finite_constants(self):
+        """inf/nan literals have no Python source spelling: the compiled
+        tier must still produce the interpreter's exact values."""
+        import math
+
+        from repro.fpir.builder import fmul, neg
+
+        for value in (math.inf, -math.inf, math.nan):
+            fb = FunctionBuilder("f", params=["x"])
+            fb.ret(fadd(fmul(v("x"), num(value)), neg(num(value))))
+            prog = Program([fb.build()], entry="f")
+            for x in (2.0, -0.0):
+                run_both(prog, [x])

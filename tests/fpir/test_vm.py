@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import (
     FunctionBuilder,
     call,
@@ -13,10 +14,15 @@ from repro.fpir.builder import (
     fmul,
     fsub,
     gt,
+    iadd,
     idiv,
+    imul,
     intc,
+    isub,
     lt,
     num,
+    shl,
+    shr,
     ternary,
     v,
 )
@@ -24,7 +30,9 @@ from repro.fpir.batch_eval import (
     BatchExecutionError,
     compile_batch,
 )
+from repro.fpir.instrument import InstrumentationSpec, InstrumentedProgram
 from repro.fpir.interpreter import Interpreter
+from repro.fpir.labels import assign_labels
 from repro.fpir.program import Program
 from repro.fpir.vm import (
     BatchCompilationError,
@@ -43,6 +51,41 @@ def one_function(fb: FunctionBuilder, globals_=None, arrays=None) -> Program:
 def interpret_each(program: Program, X) -> list:
     interp = Interpreter(program)
     return [interp.run(tuple(map(float, x))).value for x in X]
+
+
+def w_tiers(program: Program, X) -> dict:
+    """W (the global ``w``) per point on every tier; the vectorized
+    entry falls back to the scalar loop when the batch faults."""
+    out = {}
+    for mode in ("interpreter", "compiled", "vectorized"):
+        prog = program.clone()
+        wd = WeakDistance(
+            InstrumentedProgram(
+                program=prog,
+                index=assign_labels(prog),
+                spec=InstrumentationSpec(w_var="w", w_init=0.0),
+            ),
+            eval_mode=mode,
+        )
+        if mode == "vectorized":
+            out[mode] = list(wd.evaluate_batch(X))
+        else:
+            out[mode] = [wd(tuple(x)) for x in X]
+    return out
+
+
+def hi_word_program(make_m, compare_negative: bool = True) -> Program:
+    """``n = __hi(x); m = make_m(n)``, then w records the sign of m."""
+    fb = FunctionBuilder("f", params=["x"])
+    fb.let("n", call("__hi", v("x")))
+    fb.let("m", make_m(v("n")))
+    with fb.if_(gt(v("m"), intc(0))):
+        fb.let("w", num(1.0))
+    if compare_negative:
+        with fb.if_(lt(v("m"), intc(0))):
+            fb.let("w", num(2.0))
+    fb.ret(v("w"))
+    return one_function(fb, globals_={"w": 0.0})
 
 
 def assert_lanes_equal(got: np.ndarray, want: list) -> None:
@@ -190,6 +233,56 @@ class TestEdgeCases:
             assert_lanes_equal(
                 result.values, interpret_each(program, [point])
             )
+
+    def test_shl_int64_overflow_is_batch_fault(self):
+        """``__hi(x) << 32`` leaves int64 for negative x: the scalar
+        tiers compute on Python ints (m > 0), so the batch must not
+        wrap (it used to read m < 0 and set w = 2)."""
+        program = hi_word_program(lambda n: shl(n, intc(32)))
+        X = [[-1.5], [1.5], [-0.0]]
+        assert w_tiers(program, X) == dict.fromkeys(
+            ("interpreter", "compiled", "vectorized"), [1.0, 1.0, 1.0]
+        )
+        with pytest.raises(BatchExecutionError):
+            compile_batch(program).run(np.array(X))
+
+    def test_imul_int64_overflow_is_batch_fault(self):
+        program = hi_word_program(
+            lambda n: imul(n, n), compare_negative=False
+        )
+        X = [[-1.5], [1.5], [-0.0], [3.0]]
+        assert w_tiers(program, X) == dict.fromkeys(
+            ("interpreter", "compiled", "vectorized"), [1.0] * 4
+        )
+        with pytest.raises(BatchExecutionError):
+            compile_batch(program).run(np.array(X))
+
+    def test_in_range_int_ops_stay_on_the_batch_tier(self):
+        """Exact int64 results (including the edges) never fault, and
+        an overflowing lane that is masked off does not either."""
+        fb = FunctionBuilder("f", params=["x"])
+        fb.let("n", call("__hi", v("x")))
+        fb.let("a", iadd(shl(intc(2**31 - 1), intc(32)), intc(2**32 - 1)))
+        fb.let("b", isub(intc(-(2**62)), intc(2**62)))
+        fb.let("c", imul(v("n"), intc(-3)))
+        with fb.if_(gt(v("x"), num(0.0))):
+            fb.let("c", shl(v("n"), intc(32)))  # overflows for x <= 0
+        fb.ret(
+            fadd(
+                fadd(call("__i2d", shr(v("a"), intc(70))), call("__i2d", v("b"))),
+                call("__i2d", iadd(v("c"), idiv(intc(-7), intc(2)))),
+            )
+        )
+        program = one_function(fb)
+        X = [[-1e-300], [-0.0], [2.0]]
+        result = compile_batch(program).run(np.array(X))
+        assert_lanes_equal(result.values, interpret_each(program, X))
+
+    def test_negative_shift_count_is_batch_fault(self):
+        fb = FunctionBuilder("f", params=["x"])
+        fb.ret(call("__i2d", shr(call("__hi", v("x")), intc(-1))))
+        with pytest.raises(BatchExecutionError):
+            compile_batch(one_function(fb)).run(np.array([[1.0]]))
 
     def test_huge_int_constant_rejected(self):
         fb = FunctionBuilder("f", params=[])

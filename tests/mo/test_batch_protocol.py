@@ -102,6 +102,30 @@ class TestEvaluateBatch:
                         stop_at_zero=False)
         assert obj.evaluate_batch([[1.0], [2.0]]) == [math.inf, math.inf]
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_point_containers_record_identical_samples(self, batched):
+        """Tuple, list and ndarray populations coerce to the same Python
+        floats, so samples and values do not depend on the container."""
+        rows = [(0.5, -2.0), (3.0, 1e300), (-0.0, 7.25)]
+        populations = [
+            [tuple(np.float64(v) for v in row) for row in rows],
+            [list(row) for row in rows],
+            np.array(rows),
+        ]
+        fn = _VectorizedSquare() if batched else (lambda x: (x[0] - 2.0) ** 2)
+        results = []
+        for population in populations:
+            obj = Objective(fn, n_dims=2, record_samples=True,
+                            stop_at_zero=False)
+            values = obj.evaluate_batch(population)
+            assert all(type(v) is float for v in values)
+            for xs, _ in obj.samples:
+                assert all(type(v) is float for v in xs)
+            results.append((values, obj.samples, obj.best_x))
+        assert results[0] == results[1] == results[2]
+        if batched:
+            assert fn.batch_calls == len(populations)
+
 
 class TestProposeBatch:
     def test_default_raises(self):
