@@ -1,9 +1,9 @@
-"""Project-scan benchmarks: prescan throughput and incremental replay.
+"""Project-scan benchmarks: discovery throughput and incremental replay.
 
 Two questions, quantified:
 
-* How cheap is discovery?  The AST prescan must stay negligible next
-  to one analysis run, or "classify before lowering" buys nothing —
+* How cheap is discovery?  Classification (one real lowering per
+  function) must stay negligible next to one analysis run —
   `test_prescan_throughput` walks and classifies the repository's own
   ``examples/`` tree and gates on a sane discovery count.
 
@@ -36,7 +36,7 @@ def _config(store_dir: str) -> ScanConfig:
 
 
 def test_prescan_throughput(once):
-    """Walk + classify the examples tree; no lowering, no engine."""
+    """Walk + classify the examples tree; no engine."""
 
     def prescan():
         files = walk_python_files(EXAMPLES)

@@ -14,11 +14,11 @@ Decides the paper's Section 1 motivating constraints:
 Run: python examples/fp_satisfiability.py
 """
 
+from repro.api import Engine, EngineConfig
 from repro.fpir.builder import call, fadd, num, v
 from repro.mo import uniform_sampler
 from repro.sat import (
     RandomSamplingSolver,
-    XSatSolver,
     atom,
     conjunction,
     evaluate_formula,
@@ -26,16 +26,21 @@ from repro.sat import (
 
 
 def main() -> None:
-    solver = XSatSolver(
-        n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0)
-    )
+    def solve(formula, seed):
+        """Decide ``formula`` with the engine's ``sat`` analysis."""
+        config = EngineConfig(
+            seed=seed,
+            n_starts=30,
+            start_sampler=uniform_sampler(-10.0, 10.0),
+        )
+        return Engine(config).run("sat", formula).detail
 
     print("== x < 1  ∧  x + 1 >= 2  (Fig. 1a) ==")
     f1 = conjunction(
         atom("lt", v("x"), num(1.0)),
         atom("ge", fadd(v("x"), num(1.0)), num(2.0)),
     )
-    r1 = solver.solve(f1, seed=5)
+    r1 = solve(f1, seed=5)
     print(f"verdict: {r1.verdict.value}, model: {r1.model}, "
           f"evals: {r1.n_evals}")
     assert r1.is_sat and r1.model["x"] == 0.9999999999999999
@@ -46,7 +51,7 @@ def main() -> None:
         atom("lt", v("x"), num(1.0)),
         atom("ge", fadd(v("x"), call("tan", v("x"))), num(2.0)),
     )
-    r2 = solver.solve(f2, seed=6)
+    r2 = solve(f2, seed=6)
     print(f"verdict: {r2.verdict.value}, model: {r2.model}")
     assert r2.is_sat
     assert evaluate_formula(f2, [r2.model["x"]])
@@ -56,7 +61,7 @@ def main() -> None:
     f3 = conjunction(
         atom("gt", v("x"), num(1.0)), atom("lt", v("x"), num(0.0))
     )
-    r3 = solver.solve(f3, seed=7)
+    r3 = solve(f3, seed=7)
     print(f"verdict: {r3.verdict.value}  (minimum found: {r3.r_star:.3g})")
     assert not r3.is_sat
 

@@ -12,7 +12,8 @@ Run: python examples/overflow_gsl.py [--bench bessel|hyperg|airy]
 
 import argparse
 
-from repro.analyses import InconsistencyChecker, OverflowDetection
+from repro.analyses import InconsistencyChecker
+from repro.api import Engine, EngineConfig
 from repro.gsl import airy, bessel, hyperg
 from repro.mo import BasinhoppingBackend
 from repro.util.tables import format_table
@@ -23,11 +24,13 @@ BENCHES = {"bessel": bessel, "hyperg": hyperg, "airy": airy}
 def run_bench(name: str, seed: int) -> None:
     module = BENCHES[name]
     print(f"=== {name} ===")
-    detector = OverflowDetection(
-        module.make_program(),
-        backend=BasinhoppingBackend(niter=40, local_maxiter=150),
+    engine = Engine(
+        EngineConfig(
+            seed=seed,
+            backend=BasinhoppingBackend(niter=40, local_maxiter=150),
+        )
     )
-    report = detector.run(seed=seed, retries_per_round=4)
+    report = engine.run("overflow", module.make_program(), n_starts=4).detail
     print(f"FP instructions: {report.n_fp_ops}, overflows triggered: "
           f"{report.n_overflows}, rounds: {report.rounds}, "
           f"time: {report.elapsed_seconds:.1f}s")

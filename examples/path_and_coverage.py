@@ -12,12 +12,8 @@ real(istic) numerical code rather than a toy:
 Run: python examples/path_and_coverage.py
 """
 
-from repro.analyses import (
-    BranchConstraint,
-    BranchCoverageTesting,
-    PathReachability,
-    PathSpec,
-)
+from repro.analyses import BranchConstraint, PathSpec
+from repro.api import Engine, EngineConfig
 from repro.libm import sin as glibc_sin
 from repro.mo import BasinhoppingBackend, uniform_sampler, wide_log_sampler
 from repro.programs import fig2
@@ -25,15 +21,17 @@ from repro.programs import fig2
 
 def coverage_on_sin() -> None:
     print("== Branch coverage on the Glibc sin port ==")
-    program = glibc_sin.make_program()
-    testing = BranchCoverageTesting(
-        program, backend=BasinhoppingBackend(niter=30, local_maxiter=120)
+    engine = Engine(
+        EngineConfig(
+            seed=3, backend=BasinhoppingBackend(niter=30, local_maxiter=120)
+        )
     )
-    report = testing.run(
+    report = engine.run(
+        "coverage",
+        glibc_sin.make_program(),
         max_rounds=40,
-        seed=3,
         start_sampler=wide_log_sampler(-12.0, 10.0),
-    )
+    ).detail
     print(f"coverage: {100.0 * report.coverage:.1f}% "
           f"({len(report.covered_arms)}/{report.total_arms} arms, "
           f"{report.rounds} rounds, {report.n_evals} evaluations)")
@@ -45,16 +43,17 @@ def coverage_on_sin() -> None:
 def path_on_fig2() -> None:
     print("== Path reachability on Fig. 2: first branch TRUE, "
           "second FALSE ==")
-    program = fig2.make_program()
     spec = PathSpec(
         [BranchConstraint("b1", True), BranchConstraint("b2", False)]
     )
-    analysis = PathReachability(
-        program, path=spec, backend=BasinhoppingBackend(niter=40)
-    )
-    result = analysis.run(
-        n_starts=8, seed=4, start_sampler=uniform_sampler(-50.0, 50.0)
-    )
+    engine = Engine(EngineConfig(seed=4, backend=BasinhoppingBackend(niter=40)))
+    result = engine.run(
+        "path",
+        fig2.make_program(),
+        spec=spec,
+        n_starts=8,
+        start_sampler=uniform_sampler(-50.0, 50.0),
+    ).detail
     # x <= 1, then (x+1)^2 > 4  =>  x in (1-eps ... actually x < -3.
     print(f"found: {result.found}, witness: {result.x_star}, "
           f"verified: {result.verified}")

@@ -26,7 +26,6 @@ The analysis driver mirrors the GNU ``sin`` case study:
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.base import Analysis, RoundPlan
@@ -50,10 +49,7 @@ from repro.fpir.nodes import (
     Var,
 )
 from repro.fpir.program import Program
-from repro.mo.base import MOBackend, Objective
-from repro.mo.scipy_backends import BasinhoppingBackend
-from repro.mo.starts import StartSampler, uniform_sampler
-from repro.util.rng import make_rng
+from repro.mo.starts import uniform_sampler
 
 #: Event kind recorded by the hits-instrumented program.
 HIT_EVENT = "boundary_hit"
@@ -206,9 +202,9 @@ def assemble_boundary_report(
 ) -> BoundaryReport:
     """Interpret a recorded sampling sequence as a BoundaryReport.
 
-    Shared by the legacy driver and the :class:`BoundaryAnalysis`
-    engine driver: filter the zero-valued samples (the ``BV`` set),
-    soundness-replay each one, and fold the per-condition statistics.
+    :class:`BoundaryAnalysis`'s interpretation step: filter the
+    zero-valued samples (the ``BV`` set), soundness-replay each one,
+    and fold the per-condition statistics.
     """
     boundary_values = [x for x, f in samples if f == 0.0]
     per_condition = {
@@ -237,86 +233,6 @@ def assemble_boundary_report(
         sound=sound,
         first_hit_at=first_hit_at,
     )
-
-
-class BoundaryValueAnalysis:
-    """Deprecated driver for Instance 1 (use ``Engine.run("boundary",
-    ...)`` — :class:`BoundaryAnalysis` — instead).
-
-    Kept as a shim for its serial shared-generator semantics; the
-    engine driver derives independent per-start generators so serial
-    and parallel runs agree.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        backend: Optional[MOBackend] = None,
-        characteristic: bool = False,
-        site_filter: Optional[SiteFilter] = None,
-    ) -> None:
-        warnings.warn(
-            "BoundaryValueAnalysis is deprecated; use "
-            "repro.api.Engine.run('boundary', program, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.program = program
-        self.backend = backend or BasinhoppingBackend()
-        self.site_filter = site_filter
-        spec = (
-            characteristic_spec(site_filter=site_filter)
-            if characteristic
-            else multiplicative_spec(site_filter=site_filter)
-        )
-        self.weak_distance = WeakDistance(instrument(program, spec))
-        self._hits = build_hits_distance(program, site_filter)
-        self.index = self.weak_distance.instrumented.index
-
-    # -- soundness replay -----------------------------------------------------
-
-    def replay_hits(self, x: Sequence[float]) -> List[str]:
-        """Labels of the boundary conditions that ``x`` triggers."""
-        return replay_hit_labels(self._hits, x)
-
-    # -- the analysis -----------------------------------------------------------
-
-    def run(
-        self,
-        n_starts: int = 20,
-        seed: Optional[int] = None,
-        start_sampler: Optional[StartSampler] = None,
-        max_samples: Optional[int] = None,
-    ) -> BoundaryReport:
-        """Multi-start minimization; every zero sample is a boundary value.
-
-        Unlike plain Algorithm 2 the driver does *not* stop at the first
-        zero — the goal is all reachable boundary conditions, so each
-        start runs to completion and all zero-valued samples are kept
-        (this is how the paper collects 945 314 BV samples for ``sin``).
-        """
-        rng = make_rng(seed)
-        sampler = start_sampler or uniform_sampler(-100.0, 100.0)
-        objective = Objective(
-            self.weak_distance,
-            n_dims=self.program.num_inputs,
-            record_samples=True,
-            stop_at_zero=False,
-            max_samples=max_samples,
-        )
-        for _ in range(n_starts):
-            if max_samples is not None and objective.n_evals >= max_samples:
-                break
-            start = sampler(rng, self.program.num_inputs)
-            self.backend.minimize(objective, start, rng)
-
-        return assemble_boundary_report(
-            objective.samples,
-            objective.n_evals,
-            self._hits,
-            self.index,
-            self.site_filter,
-        )
 
 
 # ---------------------------------------------------------------------------

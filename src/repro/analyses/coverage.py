@@ -24,7 +24,6 @@ round budget, and reports the classic branch-coverage percentage.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analyses.path import branch_distance
@@ -49,10 +48,7 @@ from repro.fpir.nodes import (
     Var,
 )
 from repro.fpir.program import Program
-from repro.mo.base import MOBackend, Objective
-from repro.mo.scipy_backends import BasinhoppingBackend
-from repro.mo.starts import StartSampler, uniform_sampler
-from repro.util.rng import make_rng
+from repro.mo.starts import uniform_sampler
 
 #: Name of the runtime set of covered branch arms.
 B_SET = "B"
@@ -131,68 +127,6 @@ class CoverageReport:
         if self.total_arms == 0:
             return 1.0
         return len(self.covered_arms) / self.total_arms
-
-
-class BranchCoverageTesting:
-    """Deprecated driver for Instance 4 (use ``Engine.run("coverage",
-    ...)`` — :class:`CoverageAnalysis` — instead)."""
-
-    def __init__(
-        self,
-        program: Program,
-        backend: Optional[MOBackend] = None,
-    ) -> None:
-        warnings.warn(
-            "BranchCoverageTesting is deprecated; use "
-            "repro.api.Engine.run('coverage', program) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.program = program
-        self.backend = backend or BasinhoppingBackend(niter=40)
-        self.weak_distance = WeakDistance(instrument(program, coverage_spec()))
-        self.index = self.weak_distance.instrumented.index
-        self.all_arms = all_branch_arms(self.index)
-
-    def _executed_arms(self, x: Sequence[float]) -> Set[str]:
-        """Replay ``x`` and collect the branch arms it covers."""
-        return executed_arms(self.weak_distance, x)
-
-    def run(
-        self,
-        max_rounds: int = 30,
-        seed: Optional[int] = None,
-        start_sampler: Optional[StartSampler] = None,
-    ) -> CoverageReport:
-        """The CoverMe loop: minimize, replay, grow B, repeat."""
-        rng = make_rng(seed)
-        sampler = start_sampler or uniform_sampler(-100.0, 100.0)
-        covered = self.weak_distance.label_sets.setdefault(B_SET, set())
-        covered.clear()
-        witnesses: Dict[str, Tuple[float, ...]] = {}
-        n_evals = 0
-        rounds = 0
-        while len(covered) < len(self.all_arms) and rounds < max_rounds:
-            rounds += 1
-            objective = Objective(self.weak_distance, n_dims=self.program.num_inputs)
-            start = sampler(rng, self.program.num_inputs)
-            result = self.backend.minimize(objective, start, rng)
-            n_evals += objective.n_evals
-            newly = self._executed_arms(result.x_star) - covered
-            if not newly:
-                # The round failed to reach anything new; try another
-                # random start next round (rounds budget bounds this).
-                continue
-            for arm in newly:
-                witnesses[arm] = result.x_star
-            covered |= newly
-        return CoverageReport(
-            total_arms=len(self.all_arms),
-            covered_arms=set(covered),
-            witnesses=witnesses,
-            rounds=rounds,
-            n_evals=n_evals,
-        )
 
 
 # ---------------------------------------------------------------------------

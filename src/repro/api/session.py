@@ -581,69 +581,52 @@ class Session:
         n_crash_retries = 0
         round_index = 0
         cancelled = False
-        # Replay checkpointed rounds: walk the driver loop with
-        # `run_multistart` replaced by the stored outcome.  plan_round
-        # and absorb are deterministic functions of the state, and the
-        # label-set write-back below mirrors what merge_reports did in
-        # the original run, so the state (and every later round's
-        # randomness, a pure function of (seed, round, start)) evolves
-        # exactly as it did before the restart.
-        for outcome in resume_rounds or ():
-            plan = instance.plan_round(state, round_index)
-            if plan is None:
-                break
+        # Checkpointed rounds replay through the same loop with the
+        # stored outcome in place of `run_multistart`: no stop check,
+        # no rng derivation, no checkpoint.  plan_round and absorb are
+        # deterministic functions of the state, and the label-set
+        # write-back mirrors what merge_reports did in the original
+        # run, so the state (and every later round's randomness, a pure
+        # function of (seed, round, start)) evolves exactly as before.
+        replay = list(resume_rounds or ())
+
+        def on_crash(notice) -> None:
+            # Called synchronously from the running round's
+            # run_multistart, so `round_index` is that round's index.
             emit(
-                RoundStarted(
+                StartCrashed(
                     job_id=handle.job_id,
                     analysis=name,
                     target=handle.target,
                     round_index=round_index,
-                    n_starts=plan.n_starts,
-                    note=plan.note,
-                )
-            )
-            for set_name, labels in outcome.label_sets.items():
-                plan.weak_distance.label_sets.setdefault(
-                    set_name, set()
-                ).update(labels)
-            instance.absorb(state, round_index, outcome)
-            n_crash_retries += outcome.n_crash_retries
-            best = outcome.best
-            trace.append(
-                RoundTrace(
-                    index=round_index,
-                    n_starts=plan.n_starts,
-                    n_evals=outcome.n_evals,
-                    best_w=math.inf if best is None else best.f_star,
-                    found_zero=best is not None and best.f_star == 0.0,
-                    note=plan.note,
+                    start_index=notice.start_index,
+                    error=notice.error,
                 )
             )
             emit(
-                RoundFinished(
+                RoundRetried(
                     job_id=handle.job_id,
                     analysis=name,
                     target=handle.target,
                     round_index=round_index,
-                    n_evals=outcome.n_evals,
-                    best_w=math.inf if best is None else best.f_star,
-                    found_zero=best is not None and best.f_star == 0.0,
-                    note=plan.note,
+                    n_lost=len(notice.lost),
+                    attempt=notice.attempt,
+                    max_attempts=notice.max_attempts,
+                    error=notice.error,
                 )
             )
-            n_evals += outcome.n_evals
-            if plan.record_samples:
-                samples.extend(outcome.samples)
-            round_index += 1
+
         while True:
-            if handle._stop.is_set():
+            replaying = round_index < len(replay)
+            if not replaying and handle._stop.is_set():
                 cancelled = True
                 break
             plan = instance.plan_round(state, round_index)
             if plan is None:
                 break
-            rngs = derive_round_rngs(cfg.seed, round_index, plan.n_starts)
-            starts = [(plan.sampler(rng, plan.n_inputs), rng) for rng in rngs]
+            if not replaying:
+                rngs = derive_round_rngs(cfg.seed, round_index, plan.n_starts)
+                starts = [(plan.sampler(rng, plan.n_inputs), rng) for rng in rngs]
             emit(
                 RoundStarted(
                     job_id=handle.job_id,
@@ -654,54 +637,37 @@ class Session:
                     note=plan.note,
                 )
             )
-
-            def on_crash(notice, _round: int = round_index) -> None:
-                emit(
-                    StartCrashed(
-                        job_id=handle.job_id,
-                        analysis=name,
-                        target=handle.target,
-                        round_index=_round,
-                        start_index=notice.start_index,
-                        error=notice.error,
-                    )
+            if replaying:
+                outcome = replay[round_index]
+                for set_name, labels in outcome.label_sets.items():
+                    plan.weak_distance.label_sets.setdefault(
+                        set_name, set()
+                    ).update(labels)
+                interrupted = False
+            else:
+                outcome = run_multistart(
+                    plan.weak_distance,
+                    plan.n_inputs,
+                    backend=backend,
+                    starts=starts,
+                    n_workers=cfg.n_workers,
+                    record_samples=plan.record_samples,
+                    max_evals_per_start=plan.max_evals_per_start,
+                    stop_at_zero=plan.stop_at_zero,
+                    early_cancel=not cfg.deterministic,
+                    pool=pool,
+                    stop_event=handle._stop,
+                    max_crash_retries=cfg.max_crash_retries,
+                    on_crash=on_crash,
                 )
-                emit(
-                    RoundRetried(
-                        job_id=handle.job_id,
-                        analysis=name,
-                        target=handle.target,
-                        round_index=_round,
-                        n_lost=len(notice.lost),
-                        attempt=notice.attempt,
-                        max_attempts=notice.max_attempts,
-                        error=notice.error,
-                    )
-                )
-
-            outcome = run_multistart(
-                plan.weak_distance,
-                plan.n_inputs,
-                backend=backend,
-                starts=starts,
-                n_workers=cfg.n_workers,
-                record_samples=plan.record_samples,
-                max_evals_per_start=plan.max_evals_per_start,
-                stop_at_zero=plan.stop_at_zero,
-                early_cancel=not cfg.deterministic,
-                pool=pool,
-                stop_event=handle._stop,
-                max_crash_retries=cfg.max_crash_retries,
-                on_crash=on_crash,
-            )
+                interrupted = outcome.interrupted or handle._stop.is_set()
             n_crash_retries += outcome.n_crash_retries
-            interrupted = outcome.interrupted or handle._stop.is_set()
             # A cancelled round is *partial*, not worthless: absorb
             # the starts that finished before the flag landed, so the
             # salvaged report keeps their findings (boundary's BV
             # samples, coverage's arms, sat label sets).
             instance.absorb(state, round_index, outcome)
-            if checkpoint is not None and not interrupted:
+            if checkpoint is not None and not replaying and not interrupted:
                 # Interrupted outcomes cover only the starts that
                 # finished; resuming must re-run that round in full, so
                 # only completed rounds are checkpointable.

@@ -14,11 +14,11 @@ Layers::
     lexer     comments/preprocessor stripping -> tokens (geometry kept)
     parser    tolerant top level, strict recursive-descent bodies
     lower     C AST -> FPIR, dataclass-equal with Python-twin lowerings
-    classify  exact prescan records for `repro scan`
+    classify  exact classification records for `repro scan`
 
 Entry points: :func:`lower_c_source`, :func:`lower_c_file` (the
 resolver behind ``file.c::fn`` target specs), and
-:func:`discover_c_functions` (the scan prescan).
+:func:`discover_c_functions` (the scan classifier).
 """
 
 from repro.cfront.errors import CFrontendError

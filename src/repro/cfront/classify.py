@@ -1,15 +1,14 @@
-"""Prescan classifier for ``.c`` files — the scan tier's C intake.
+"""Function classifier for ``.c`` files — the scan tier's C intake.
 
-Unlike the Python classifier (a pure-AST approximation tuned to be
-optimistic), the C classifier can afford to be *exact*: parsing
-already happened, so it simply attempts the lowering per candidate
-and reports the located error as the skip reason.  The one-sided
-invariant — never reject a function the frontend lowers — therefore
-holds by construction.
+Like the Python classifier (:mod:`repro.scan.classify`), it is
+*exact*: it parses each file once, attempts the lowering of every
+candidate, and reports the located error as a one-line skip reason,
+``line N: reason``.  A function is lowerable iff the C frontend
+lowers it, and its lowered program rides on the record.
 
 Produces the same :class:`~repro.scan.classify.DiscoveredFunction`
-records as the Python prescan, so the orchestrator, report, and store
-layers need no C-specific handling.
+records as the Python classifier, so the orchestrator, report, and
+store layers need no C-specific handling.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from typing import Iterable, List, Union
 from repro.cfront.errors import CFrontendError
 from repro.cfront.lower import c_ast_size, lower_unit_entry
 from repro.cfront.parser import parse_unit
-from repro.scan.classify import DiscoveredFunction
+from repro.scan.classify import DiscoveredFunction, skip_reason
 
 
 def discover_c_functions(
     files: Iterable[Union[str, Path]],
 ) -> List[DiscoveredFunction]:
-    """Prescan C ``files``; one record per recorded definition.
+    """Classify C ``files``; one record per recorded definition.
 
     Records come back in (path, line) order.  Unreadable or
     top-level-unparseable files yield a single file-level record
@@ -89,10 +88,11 @@ def _classify(
             n_params=0,
             size=0,
             lowerable=False,
-            skip_reason=f"line {err.lineno or entry.line}: {err.reason}",
+            skip_reason=skip_reason(err, entry.line),
         )
     fn = unit.functions[name]
     n_params = len(fn.params)
+    program = None
     reason = ""
     if n_params == 0:
         reason = (
@@ -101,9 +101,9 @@ def _classify(
         )
     else:
         try:
-            lower_unit_entry(unit, source_lines, name)
+            program = lower_unit_entry(unit, source_lines, name)
         except CFrontendError as exc:
-            reason = f"line {exc.lineno or fn.line}: {exc.reason}"
+            reason = skip_reason(exc, fn.line)
     return DiscoveredFunction(
         path=path,
         name=name,
@@ -112,4 +112,5 @@ def _classify(
         size=c_ast_size(fn, unit),
         lowerable=not reason,
         skip_reason=reason,
+        program=program,
     )

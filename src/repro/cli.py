@@ -51,9 +51,10 @@ Exit status: 0 = complete run, 1 = batch campaign with failed jobs
 2 = bad target/spec, 3 = a *partial* result (a run or campaign job
 whose report was salvaged from a cancelled job's completed starts).
 
-The historical per-analysis subcommands (``fpod``, ``boundary``,
-``coverage``, ``sat``) remain as deprecated aliases of
-``run <analysis>``.
+``repro run`` offers one subcommand per registered analysis, under
+its canonical name; registry aliases (``fpod``, the paper's name for
+``overflow``) are accepted where an analysis is named as a value, as
+in ``repro batch --analyses fpod,coverage``.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ import argparse
 import os
 import sys
 from typing import Any, Dict, List, Optional
-
-#: Deprecated top-level subcommands -> (registry name, forced options).
-#: ``fpod`` keeps its historical inconsistency sweep; ``boundary`` and
-#: ``coverage`` keep their historical magnitude-aware start sampling.
-_LEGACY_COMMANDS: Dict[str, str] = {
-    "fpod": "overflow",
-    "boundary": "boundary",
-    "coverage": "coverage",
-    "sat": "sat",
-}
 
 
 def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
@@ -136,22 +127,6 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _analysis_parser(sub, command: str, analysis_name: str) -> None:
-    from repro.api import get_analysis
-
-    cls = get_analysis(analysis_name)
-    help_text = cls.help
-    if command != analysis_name and command not in ("run",):
-        help_text = f"deprecated alias of `run {analysis_name}`"
-    cmd = sub.add_parser(command, help=help_text)
-    _engine_arguments(cmd)
-    cls.configure_parser(cmd)
-    if command == "sat":
-        # The historical sat subcommand sampled uniformly in [-R, R].
-        cmd.set_defaults(range=1e9)
-    cmd.set_defaults(analysis=analysis_name, legacy=command != "run")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     from repro.api import available_analyses, get_analysis
 
@@ -182,10 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = runsub.add_parser(name, help=cls.help)
         _engine_arguments(cmd)
         cls.configure_parser(cmd)
-        cmd.set_defaults(analysis=name, legacy=False)
-
-    for command, name in _LEGACY_COMMANDS.items():
-        _analysis_parser(sub, command, name)
+        cmd.set_defaults(analysis=name)
 
     batch = sub.add_parser(
         "batch",
@@ -198,13 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--targets",
-        "--programs",
-        dest="targets",
         default=None,
         help="comma-separated targets: suite program names and/or "
              "frontend specs pkg.mod:fn / file.py::fn / file.c::fn "
-             "(default: all registered programs; --programs is a "
-             "deprecated alias)",
+             "(default: all registered programs)",
     )
     batch.add_argument(
         "--workers",
@@ -477,27 +446,6 @@ def _cmd_targets(args) -> int:
     return 0
 
 
-#: Tuning the historical subcommands applied implicitly; restored for
-#: the deprecated aliases so they keep their old behavior.
-_LEGACY_TUNING: Dict[str, Dict[str, Any]] = {
-    "fpod": {"n_starts": 4},
-    "boundary": {"backend_options": {"niter": 60, "local_maxiter": 150}},
-    "coverage": {"backend_options": {"niter": 50, "local_maxiter": 150}},
-    "sat": {"n_starts": 30},
-}
-
-
-def _legacy_options(command: str) -> Dict[str, Any]:
-    """Engine.run options the historical subcommands forced implicitly."""
-    from repro.mo import wide_log_sampler
-
-    if command == "fpod":
-        return {"inconsistency": True}
-    if command in ("boundary", "coverage"):
-        return {"start_sampler": wide_log_sampler(-12.0, 10.0)}
-    return {}
-
-
 def _progress_printer():
     """A thread-safe event renderer writing one line per event."""
     import threading
@@ -525,14 +473,6 @@ def _cmd_run(args) -> int:
         backend_options["niter"] = args.niter
     n_starts = args.starts
     max_rounds = args.rounds
-    if args.legacy:
-        for key, value in _legacy_options(args.command).items():
-            options.setdefault(key, value)
-        tuning = _LEGACY_TUNING.get(args.command, {})
-        if n_starts is None:
-            n_starts = tuning.get("n_starts")
-        for key, value in tuning.get("backend_options", {}).items():
-            backend_options.setdefault(key, value)
     if args.smoke:
         smoke = dict(cls.smoke_options)
         smoke_niter = smoke.pop("niter", None)

@@ -14,7 +14,7 @@ backend, multi-start.  The kernel then interprets the outcome:
 Multi-start seeding derives one independent ``SeedSequence`` child per
 start, so every start's randomness is a pure function of
 ``(config.seed, start index)``.  Setting ``KernelConfig.n_workers > 1``
-fans the starts across a process pool (:mod:`repro.core.parallel`) with
+fans the starts across a worker pool (:mod:`repro.core.parallel`) with
 identical per-start randomness — serial and parallel runs with the same
 seed explore the same points and agree on the verdict.
 """
@@ -29,7 +29,7 @@ from repro.core.problem import AnalysisProblem
 from repro.core.result import ReductionOutcome, Verdict
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.instrument import InstrumentationSpec, instrument
-from repro.mo.base import MOBackend, MOResult, Objective
+from repro.mo.base import MOBackend, MOResult
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
 from repro.util.rng import derive_start_rngs
@@ -100,42 +100,17 @@ class ReductionKernel:
         weak_distance: WeakDistance,
         n_inputs: int,
         problem: Optional[AnalysisProblem] = None,
-        objective: Optional[Objective] = None,
     ) -> ReductionOutcome:
         """Multi-start minimization of ``weak_distance``.
 
         Stops early as soon as a zero is found (the weak-distance
         termination rule of Section 4.4).  With ``n_workers > 1`` the
-        starts race on a process pool instead, sharing an early-cancel
-        signal; a caller-supplied ``objective`` forces the serial path
-        (shared mutable objectives cannot cross process boundaries).
+        starts race on a worker pool instead, sharing an early-cancel
+        signal.
         """
-        cfg = self.config
-        if objective is not None:
-            attempts: List[MOResult] = []
-            for rng in derive_start_rngs(cfg.seed, cfg.n_starts):
-                start = cfg.start_sampler(rng, n_inputs)
-                saved = objective.max_samples
-                if cfg.max_evals_per_start is not None:
-                    budget = objective.n_evals + cfg.max_evals_per_start
-                    objective.max_samples = (
-                        budget if saved is None else min(saved, budget)
-                    )
-                try:
-                    result = self.backend.minimize(objective, start, rng)
-                finally:
-                    objective.max_samples = saved
-                attempts.append(result)
-                if result.stopped_at_zero:
-                    break
-            return self._interpret(
-                attempts,
-                n_evals=objective.n_evals,
-                samples=list(objective.samples),
-                problem=problem,
-            )
         from repro.core.parallel import run_multistart
 
+        cfg = self.config
         starts = []
         for rng in derive_start_rngs(cfg.seed, cfg.n_starts):
             starts.append((cfg.start_sampler(rng, n_inputs), rng))

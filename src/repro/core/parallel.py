@@ -10,10 +10,10 @@ the starts of one reduction across a pool of worker processes:
   is not picklable (its compiled form holds ``exec``-generated code
   objects), so the parent ships a :class:`WeakDistancePayload` — the
   instrumented FPIR program (hook-free, see
-  :class:`~repro.fpir.instrument.InstrumentationSpec`), the executor
-  settings, and the current label-set state.  Each worker rebuilds and
-  re-compiles W once, in its pool initializer, and reuses it for every
-  start it is handed.
+  :class:`~repro.fpir.instrument.InstrumentationSpec`) and the executor
+  settings — plus the current label-set state with every start.  Each
+  worker rebuilds and re-compiles W once per program and reuses it for
+  every start it is handed.
 
 * **Determinism.**  The parent derives one child generator per start
   (:func:`repro.util.rng.derive_start_rngs`), samples the starting
@@ -21,8 +21,8 @@ the starts of one reduction across a pool of worker processes:
   A worker therefore replays exactly the evaluation sequence the serial
   loop would have produced for that start.
 
-* **Early cancellation.**  Workers share a multiprocessing event; the
-  first worker to reach a zero sets it, every other worker's
+* **Early cancellation.**  The first worker to reach a zero sets the
+  round's cancel flag; every other worker's
   :class:`~repro.mo.base.Objective` polls it per evaluation and stops.
 
 * **Merged bookkeeping.**  Per-start label-set *deltas* (labels a
@@ -33,18 +33,19 @@ the starts of one reduction across a pool of worker processes:
   :class:`MultiStartOutcome`, so stateful analyses (Algorithm 3's set
   ``L``, coverage's set ``B``) keep converging across rounds.
 
-* **Self-healing rounds.**  A crash in any worker no longer discards
+* **Self-healing rounds.**  A crash in any worker does not discard
   the round: completed sibling reports are kept and only the lost
   starts are resubmitted to a fresh executor, replaying their shipped
   per-start generators byte-identically (bounded by
   ``max_crash_retries``; exhaustion raises :class:`WorkerCrashError`
   naming the start).
 
-One-shot pools pay process startup and payload rebuild on every call;
-``run_multistart(..., pool=...)`` routes the same tasks through a
-persistent :class:`repro.core.pool.WorkerPool` instead, whose warm
-workers cache rebuilt weak distances by payload content hash (see
-:mod:`repro.core.pool` and :class:`repro.api.session.Session`).
+There is one executor: :class:`repro.core.pool.WorkerPool`.
+``run_multistart(..., pool=...)`` fans a round across a persistent
+pool whose warm workers cache rebuilt weak distances by payload
+content hash (see :mod:`repro.core.pool` and
+:class:`repro.api.session.Session`); without a pool, ``n_workers > 1``
+runs the round on a transient pool that is closed when the round ends.
 """
 
 from __future__ import annotations
@@ -52,15 +53,8 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import pickle
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -77,8 +71,8 @@ from repro.mo.base import MOBackend, MOResult, Objective
 #: ``EngineConfig.max_crash_retries``.
 DEFAULT_CRASH_RETRIES = 2
 
-#: How often (seconds) a round waiting on its futures polls the
-#: parent-side stop event (shared with :mod:`repro.core.pool`).
+#: How often (seconds) a pooled round waiting on its futures polls
+#: the parent-side stop event (see :mod:`repro.core.pool`).
 STOP_POLL_SECONDS = 0.05
 
 #: How often (seconds) a worker's parent-death watchdog polls
@@ -121,7 +115,7 @@ class WorkerCrashError(RuntimeError):
     Raised only once ``max_crash_retries`` salvage cycles (resubmitting
     the lost starts to a fresh executor) have failed to complete the
     round; completed sibling starts are never the casualty of a single
-    crash anymore.
+    crash.
     """
 
     def __init__(self, start_index: int, cause: BaseException) -> None:
@@ -161,9 +155,9 @@ class WeakDistancePayload:
     exact: bool
     max_loop_steps: int
     #: Snapshot of the parent's runtime label sets (e.g. Algorithm 3's
-    #: ``L``) at fan-out time.  Persistent pools ship this per *task*
-    #: instead (the payload itself stays label-free so its content hash
-    #: only changes when the program does).
+    #: ``L``).  The worker pool ships label state per *task* instead
+    #: and keeps this empty, so the payload's content hash only changes
+    #: when the program does.
     label_state: Dict[str, FrozenSet[str]]
     #: Evaluation tier the rebuilt W runs in (``"compiled"``,
     #: ``"interpreter"`` or ``"vectorized"``).  Part of the payload —
@@ -287,21 +281,9 @@ class StartReport:
     label_state: Dict[str, Set[str]]
     samples: List[Sample]
     #: True when serving this start forced a worker-side payload
-    #: rebuild (a persistent-pool cache miss; always False on the
-    #: one-shot path, which rebuilds in the pool initializer).
+    #: rebuild (a worker-cache miss: the worker had not yet served this
+    #: program).
     rebuilt: bool = False
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(payload_blob: bytes, cancel_event) -> None:
-    watch_parent()
-    payload = pickle.loads(payload_blob)
-    _WORKER_STATE["weak_distance"] = rebuild_weak_distance(payload)
-    _WORKER_STATE["n_inputs"] = payload.n_inputs
-    _WORKER_STATE["base_labels"] = dict(payload.label_state)
-    _WORKER_STATE["cancel"] = cancel_event
 
 
 def run_task(
@@ -313,11 +295,11 @@ def run_task(
 ) -> Tuple[Optional[MOResult], int, List[Sample]]:
     """Run one start against ``weak_distance`` (any execution context).
 
-    Shared by the one-shot pool worker, the persistent-pool worker and
-    the in-process serial loop, so every path constructs the objective
-    identically — the heart of the serial == parallel determinism
-    contract.  Returns ``(result, n_evals, samples)``; ``result`` is
-    ``None`` when the start was cancelled before its first evaluation.
+    Shared by the pool worker and the in-process serial loop, so both
+    paths construct the objective identically — the heart of the
+    serial == parallel determinism contract.  Returns ``(result,
+    n_evals, samples)``; ``result`` is ``None`` when the start was
+    cancelled before its first evaluation.
     """
     if already_stopped:
         return None, 0, []
@@ -337,33 +319,6 @@ def run_task(
         # Cancelled between the pre-check and the first evaluation.
         result = None
     return result, objective.n_evals, list(objective.samples)
-
-
-def _run_start(task: StartTask) -> StartReport:
-    weak_distance: WeakDistance = _WORKER_STATE["weak_distance"]
-    cancel = _WORKER_STATE["cancel"]
-    should_stop = None if cancel is None else cancel.is_set
-    result, n_evals, samples = run_task(
-        weak_distance,
-        _WORKER_STATE["n_inputs"],
-        task,
-        should_stop=should_stop,
-        already_stopped=cancel is not None and cancel.is_set(),
-    )
-    if (
-        result is not None
-        and result.stopped_at_zero
-        and task.stop_at_zero
-        and cancel is not None
-    ):
-        cancel.set()
-    return StartReport(
-        index=task.index,
-        result=result,
-        n_evals=n_evals,
-        label_state=label_state_delta(weak_distance, _WORKER_STATE["base_labels"]),
-        samples=samples,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +341,8 @@ class MultiStartOutcome:
     samples: List[Sample]
     #: Starts that never ran because the race was already over.
     n_cancelled: int = 0
-    #: Worker-side payload rebuilds this round forced (persistent-pool
-    #: cache misses; 0 on the serial and one-shot paths).
+    #: Worker-side payload rebuilds this round forced (worker-cache
+    #: misses; 0 on the serial path).
     n_rebuilds: int = 0
     #: Crash-salvage cycles this round needed (lost starts resubmitted
     #: to a fresh executor; 0 = no worker ever crashed).
@@ -537,19 +492,19 @@ def run_multistart(
 ) -> MultiStartOutcome:
     """Run every ``(start, rng)`` pair through ``backend``.
 
-    With ``n_workers <= 1`` (or a single start) the starts run inline —
-    same per-start objectives, no pool — so every caller gets one code
-    path for both modes.  The backend and the weak distance must be
-    picklable for the pool path; analyses that thread a shared,
-    stateful :class:`~repro.mo.base.Objective` through every start must
-    stay on the kernel's serial path instead.
+    With ``n_workers <= 1`` (or a single start) and no ``pool`` the
+    starts run inline — same per-start objectives, no processes — so
+    every caller gets one code path for both modes.  The backend and
+    the weak distance must be picklable for the pooled path.
 
-    ``pool`` routes the starts through a persistent
-    :class:`repro.core.pool.WorkerPool` instead of a one-shot executor:
-    the pool's warm workers cache rebuilt weak distances by payload
-    content hash, so repeated rounds and jobs over the same program
-    skip the rebuild/re-compile entirely.  When a pool is given it owns
-    the worker budget and ``n_workers`` is ignored.
+    ``pool`` fans the starts across a persistent
+    :class:`repro.core.pool.WorkerPool`: its warm workers cache rebuilt
+    weak distances by payload content hash, so repeated rounds and jobs
+    over the same program skip the rebuild/re-compile entirely.  When a
+    pool is given it owns the worker budget and ``n_workers`` is
+    ignored.  Without one, ``n_workers > 1`` runs the round on a
+    transient ``WorkerPool(min(n_workers, len(starts)))`` that is
+    closed when the round ends.
 
     ``stop_at_zero=False`` lets every start run to completion and keeps
     all zero-valued samples (boundary value analysis).  With
@@ -562,11 +517,9 @@ def run_multistart(
 
     ``stop_event`` (a :class:`threading.Event`) cancels the remaining
     work cooperatively — between starts on the serial path, mid-round
-    through the pool's cancel slots on the pooled path, and parent-side
-    on the one-shot executor path (queued starts are withdrawn; racing
-    runs also stop in-flight starts through the shared event).  A
-    cancelled round returns a *partial* outcome (``interrupted=True``)
-    holding every start that finished before the flag landed.
+    through the pool's cancel slots on the pooled path.  A cancelled
+    round returns a *partial* outcome (``interrupted=True``) holding
+    every start that finished before the flag landed.
 
     ``max_crash_retries`` bounds the salvage cycles a round may spend
     on crashed workers (``None`` = :data:`DEFAULT_CRASH_RETRIES`):
@@ -590,7 +543,17 @@ def run_multistart(
         )
         for i, (start, rng) in enumerate(starts)
     ]
-    if pool is not None and tasks:
+    if not tasks or (pool is None and (n_workers <= 1 or len(tasks) <= 1)):
+        return _run_starts_serial(
+            weak_distance, n_inputs, tasks, early_cancel, stop_event
+        )
+    transient = None
+    if pool is None:
+        # Lazy import: repro.core.pool builds on this module.
+        from repro.core.pool import WorkerPool
+
+        pool = transient = WorkerPool(min(n_workers, len(tasks)))
+    try:
         round_result = pool.run_round(
             weak_distance,
             n_inputs,
@@ -600,133 +563,12 @@ def run_multistart(
             max_crash_retries=max_crash_retries,
             on_crash=on_crash,
         )
-        return merge_reports(
-            weak_distance,
-            round_result.reports,
-            n_crash_retries=round_result.n_crash_retries,
-            interrupted=round_result.interrupted,
-        )
-    if n_workers <= 1 or len(tasks) <= 1:
-        return _run_starts_serial(
-            weak_distance, n_inputs, tasks, early_cancel, stop_event
-        )
-    ctx = pool_context()
-    cancel = ctx.Event() if (stop_at_zero and early_cancel) else None
-    payload_blob = pickle.dumps(
-        make_payload(weak_distance, n_inputs),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    reports: List[StartReport] = []
-    remaining: Dict[int, StartTask] = {task.index: task for task in tasks}
-    n_retries = 0
-    interrupted = False
-    flagged = False
-    try:
-        while remaining:
-            crash: Optional[BaseException] = None
-            crash_index = 0
-            cycle = sorted(remaining.values(), key=lambda task: task.index)
-            with ProcessPoolExecutor(
-                max_workers=max(1, min(n_workers, len(cycle) or 1)),
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(payload_blob, cancel),
-            ) as executor:
-                futures: Dict[object, StartTask] = {}
-                for task in cycle:
-                    try:
-                        future = executor.submit(_run_start, task)
-                    except RuntimeError as exc:
-                        # A worker died while the cycle was still being
-                        # dispatched (BrokenProcessPool is a
-                        # RuntimeError): harvest what was submitted and
-                        # let the retry loop resubmit the rest.
-                        crash, crash_index = exc, task.index
-                        break
-                    futures[future] = task
-                try:
-                    pending = set(futures)
-                    while pending:
-                        done, pending = wait(
-                            pending,
-                            timeout=(
-                                STOP_POLL_SECONDS
-                                if stop_event is not None
-                                else None
-                            ),
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for future in done:
-                            task = futures[future]
-                            try:
-                                reports.append(future.result())
-                                del remaining[task.index]
-                            except CancelledError:
-                                # Withdrawn after the stop flag landed:
-                                # the start never ran and is part of
-                                # the cancellation loss, not a retry.
-                                del remaining[task.index]
-                            except Exception as exc:
-                                # First crash wins the naming; keep
-                                # harvesting the sibling futures (a
-                                # broken executor fails them all
-                                # immediately).
-                                if crash is None:
-                                    crash, crash_index = exc, task.index
-                        if (
-                            stop_event is not None
-                            and not flagged
-                            and stop_event.is_set()
-                        ):
-                            # Job cancellation: withdraw queued starts
-                            # and (in racing mode) stop the running
-                            # ones through the shared event.
-                            flagged = True
-                            interrupted = True
-                            if cancel is not None:
-                                cancel.set()
-                            for future in futures:
-                                future.cancel()
-                except BaseException:
-                    # Stop the race before the pool's exit handler
-                    # waits on it.
-                    if cancel is not None:
-                        cancel.set()
-                    for future in futures:
-                        future.cancel()
-                    raise
-            if crash is None or not remaining:
-                break
-            if flagged:
-                # Cancelled: salvage what completed, spend no retries.
-                break
-            if cancel is not None and cancel.is_set():
-                # The race is already over; the lost starts would be
-                # cancelled on arrival, so there is nothing to retry.
-                break
-            if n_retries >= max_crash_retries:
-                raise WorkerCrashError(crash_index, crash) from crash
-            n_retries += 1
-            if on_crash is not None:
-                on_crash(
-                    CrashNotice(
-                        start_index=crash_index,
-                        lost=tuple(sorted(remaining)),
-                        attempt=n_retries,
-                        max_attempts=max_crash_retries,
-                        error=repr(crash),
-                    )
-                )
     finally:
-        # Never leave the shared event set once the pool is gone: a
-        # crash used to strand it set, which is harmless for this
-        # one-shot executor but poisons any caller that reuses the
-        # event (and mirrors the persistent pool's slot-release rule).
-        if cancel is not None:
-            cancel.clear()
+        if transient is not None:
+            transient.close()
     return merge_reports(
         weak_distance,
-        reports,
-        n_crash_retries=n_retries,
-        interrupted=interrupted,
+        round_result.reports,
+        n_crash_retries=round_result.n_crash_retries,
+        interrupted=round_result.interrupted,
     )

@@ -1,10 +1,13 @@
-"""The persistent worker-pool service behind `repro.api.Session`.
+"""The worker pool: the one executor behind every parallel round.
 
-One-shot execution (:func:`repro.core.parallel.run_multistart` without
-a pool) pays process startup and a worker-side payload rebuild on every
-round of every job.  A :class:`WorkerPool` owns one
-:class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime and
-amortizes both costs:
+:func:`repro.core.parallel.run_multistart` fans a round's starts across
+a :class:`WorkerPool` — a persistent one owned by
+:class:`repro.api.Session` (or shared via ``EngineConfig.pool``), or a
+transient one it builds for the round when it is given ``n_workers >
+1`` and no pool.  A pool owns one
+:class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime, so
+a long-lived pool amortizes process startup and the worker-side
+payload rebuild across rounds and jobs:
 
 * **Warm workers.**  Processes are spawned once (lazily, on the first
   round) and reused by every subsequent round and job, no matter which
@@ -20,10 +23,9 @@ amortizes both costs:
   ``L``, coverage's ``B``) travels with each task and is synced into
   the cached W in place, so the digest never churns on driver progress.
 
-* **Cancel slots.**  The one-shot pool shares a single
-  ``multiprocessing.Event``; a persistent pool runs many rounds — from
-  many concurrent jobs — over one set of workers, so it allocates each
-  round a *slot* in a shared flag array instead.  Workers poll their
+* **Cancel slots.**  A pool runs many rounds — from many concurrent
+  jobs — over one set of workers, so it allocates each round a *slot*
+  in a shared flag array.  Workers poll their
   task's slot per evaluation; the first racing zero sets it, and
   :meth:`repro.api.session.JobHandle.cancel` sets it from the parent to
   stop a round mid-flight.  A round that could not get a slot (all
@@ -31,11 +33,10 @@ amortizes both costs:
   parent-side: queued starts are withdrawn and running ones are merely
   waited out.  Slots are always cleared on release, even when the
   round aborts with :class:`WorkerCrashError` — the pool stays usable
-  for the next job (the one-shot path's strand-the-event bug cannot
-  recur here).
+  for the next job.
 
 * **Self-healing rounds.**  A worker crash — a raising backend or a
-  process death that breaks the whole executor — no longer forfeits
+  process death that breaks the whole executor — does not forfeit
   the round.  :meth:`WorkerPool.run_round` keeps every completed
   sibling report, retires the broken executor, and resubmits only the
   lost starts to a fresh one (bounded per round by
@@ -379,9 +380,8 @@ class WorkerPool:
     def _release_slot(self, slot: Optional[int]) -> None:
         if slot is None:
             return
-        # Clearing before reuse is the pool-service analogue of the
-        # one-shot engine's clear-on-teardown: a crashed or cancelled
-        # round must never leave its flag set for the next round.
+        # A crashed or cancelled round must never leave its flag set
+        # for the next round that takes the slot.
         self._flags[slot] = 0
         with self._lock:
             self._free_slots.add(slot)

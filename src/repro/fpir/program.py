@@ -76,7 +76,10 @@ class Program:
             self.functions[fn.name] = fn
         if entry not in self.functions:
             raise ValueError(f"entry function {entry!r} not defined")
-        self.entry = entry
+        # The entry function's own name object, not the caller's equal
+        # string: pickle memoizes strings by identity, so the program's
+        # content digest must not depend on which string named it.
+        self.entry = self.functions[entry].name
         self.globals: Dict[str, Union[float, int]] = dict(globals or {})
         self.arrays: Dict[str, Tuple[float, ...]] = {
             name: tuple(values) for name, values in (arrays or {}).items()

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from typing import Any, Dict, Optional, Sequence
 
 from repro.api.base import Analysis, RoundPlan
 from repro.api.report import FOUND, NOT_FOUND, AnalysisReport, Finding
 from repro.core.parallel import MultiStartOutcome
 from repro.fpir.compiler import compile_program
-from repro.mo.base import MOBackend
 from repro.mo.starts import StartSampler, wide_log_sampler
 from repro.sat.distance import ULP
 from repro.sat.formula import Formula
@@ -257,53 +255,6 @@ class SatAnalysis(Analysis):
         """Multi-formula campaigns (``repro batch --formulas``) budget
         the solver by starts per formula."""
         return {"n_starts": params.get("n_starts")}
-
-
-class XSatSolver:
-    """Deprecated front-end for Instance 5 (use ``Engine.run("sat",
-    ...)`` — :class:`SatAnalysis` — instead).
-
-    A thin shim over the engine path: the R-program ships through the
-    standard parallel payload, so ``n_workers`` fans the starts across
-    a process pool with the same per-start determinism as the serial
-    loop.
-    """
-
-    def __init__(
-        self,
-        metric: str = ULP,
-        backend: Optional[MOBackend] = None,
-        n_starts: int = 20,
-        start_sampler: Optional[StartSampler] = None,
-        n_workers: int = 1,
-    ) -> None:
-        warnings.warn(
-            "XSatSolver is deprecated; use "
-            "repro.api.Engine.run('sat', formula) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.metric = metric
-        self.backend = backend
-        self.n_starts = n_starts
-        self.start_sampler = start_sampler or wide_log_sampler()
-        self.n_workers = n_workers
-
-    def solve(
-        self, formula: Formula, seed: Optional[int] = None
-    ) -> SatResult:
-        from repro.api.engine import Engine, EngineConfig
-
-        report = Engine(
-            EngineConfig(
-                seed=seed,
-                n_workers=self.n_workers,
-                backend=self.backend,
-                n_starts=self.n_starts,
-                start_sampler=self.start_sampler,
-            )
-        ).run(SatAnalysis, formula, metric=self.metric)
-        return report.detail
 
 
 class RandomSamplingSolver:

@@ -8,14 +8,14 @@ into a repository-level tool::
 
 * :mod:`repro.scan.walker` — deterministic project-tree walk with
   ignore patterns, admitting ``.py`` and ``.c`` sources;
-* :mod:`repro.scan.classify` — AST prescan that finds every function
-  and cheaply classifies it lowerable / not-lowerable (with a located
-  skip reason) *before* any lowering happens; ``.c`` files dispatch
-  to the C frontend's exact classifier (:mod:`repro.cfront`);
+* :mod:`repro.scan.classify` — finds every function and classifies it
+  exactly, lowerable / not-lowerable (with a located skip reason), by
+  attempting its real lowering; ``.c`` files dispatch to the C
+  frontend's classifier (:mod:`repro.cfront`);
 * :mod:`repro.scan.store` — the persistent incremental results store
   under ``.repro-scan/``, keyed by the lowered-FPIR content digest the
   worker payload cache already uses, plus the findings baseline;
-* :mod:`repro.scan.orchestrator` — discovery → lowering → store lookup
+* :mod:`repro.scan.orchestrator` — discovery → digest → store lookup
   → a prioritized :meth:`repro.api.session.Session.submit` campaign
   over the cache misses only;
 * :mod:`repro.scan.report` — the scan report, its text/JSON renderings

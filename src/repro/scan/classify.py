@@ -1,30 +1,18 @@
-"""AST prescan: find every function, decide lowerability *cheaply*.
+"""Function discovery for the scan tier: one record per function.
 
-Full lowering (:mod:`repro.fpir.frontend`) builds FPIR nodes, runs the
-validator, and raises on the first unsupported construct — exactly
-right for one target, wasteful for a whole repository where most
-functions are ordinary Python far outside the floats-only subset.
-This module re-states the frontend's restrictions as a pure
-``ast``-walk predicate: no FPIR is built, no exception machinery
-drives control flow, and every skipped function carries a one-line
-located reason for the scan report.
+Every module-level ``def`` of a ``.py`` file is classified *exactly*:
+it is lowerable iff the Python frontend (:mod:`repro.fpir.frontend`)
+lowers it.  The lowering goes through the memoized ``file.py::fn``
+target (:func:`repro.api.targets.file_target`) that the campaign's
+jobs resolve too, and the lowered program rides on the record, so no
+function is lowered twice per scan.  A rejected function carries the
+frontend's located diagnostic as a one-line skip reason,
+``line N: reason`` — the same form the C classifier
+(:mod:`repro.cfront.classify`) produces for ``.c`` files.
 
-The classifier is deliberately **optimistic**: it mirrors the
-frontend's *syntactic* restrictions (statement/expression forms,
-signature shape, call targets, name origins) but not its
-order-sensitive semantic checks (read-before-first-assignment, the
-duplicate-helper-name guard, validation).  A function the classifier
-admits can therefore still fail to lower — the orchestrator catches
-that :class:`~repro.fpir.frontend.FrontendError` and records it as a
-skip with the frontend's located diagnostic.  The invariant that
-matters for CI is one-sided: the classifier never *rejects* a
-function the frontend could lower.
-
-Helper calls are resolved through the same module scan the frontend
-uses (:func:`repro.fpir.frontend._scan_module`), recursively and
-memoized, so a function is only lowerable if everything it reaches is.
-``size`` counts the AST nodes of the function plus its reachable
-helpers — the cost proxy the orchestrator sorts by (smallest first).
+``size`` counts the AST nodes of the function plus those of the
+helpers in its lowered program — the cost proxy the orchestrator
+orders campaign jobs by after hazard density.
 """
 
 from __future__ import annotations
@@ -32,28 +20,16 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Union
-
-from repro.fpir.frontend import (
-    MATH_EXTERNALS,
-    _assigned_names,
-    _BINOPS,
-    _BUILTIN_EXTERNALS,
-    _CMPOPS,
-    _is_boolean_shaped,
-    _literal_step,
-    _ModuleEnv,
-    _range_call,
-    _scan_module,
-)
+from typing import Any, Dict, Iterable, List, Union
 
 
 @dataclasses.dataclass
 class DiscoveredFunction:
-    """One module-level function the prescan found (or one broken file).
+    """One module-level function the scan found (or one broken file).
 
     ``name`` is empty for a file-level record (unreadable/unparseable
-    file); then ``skip_reason`` explains the whole file.
+    file); then ``skip_reason`` explains the whole file.  ``program``
+    is the lowered FPIR program of a lowerable function.
     """
 
     path: str
@@ -63,6 +39,7 @@ class DiscoveredFunction:
     size: int
     lowerable: bool
     skip_reason: str = ""
+    program: Any = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def spec(self) -> str:
@@ -70,281 +47,65 @@ class DiscoveredFunction:
         return f"{self.path}::{self.name}"
 
 
-class _Classifier:
-    """Classifies the functions of one parsed module, memoized."""
+def skip_reason(exc: Exception, line: int) -> str:
+    """A frontend error (:class:`~repro.fpir.frontend.FrontendError`,
+    C errors included) as a one-line ``line N: reason``; ``line``
+    stands in when the error carries no location."""
+    return f"line {exc.lineno or line}: {exc.reason}"
 
-    def __init__(self, env: _ModuleEnv, defs: Dict[str, ast.FunctionDef]):
-        self.env = env
-        self.defs = defs
-        #: name -> skip reason ("" = lowerable).  Presence marks a
-        #: finished *or in-progress* classification; recursion sees
-        #: the provisional "" and terminates, as the frontend's
-        #: ``lowered`` set does.
-        self._verdicts: Dict[str, str] = {}
-        #: name -> helper names it calls directly.
-        self._calls: Dict[str, Set[str]] = {}
 
-    # -- public -------------------------------------------------------------
+def _node_count(node: ast.AST) -> int:
+    return sum(1 for _ in ast.walk(node))
 
-    def verdict(self, name: str) -> str:
-        """Skip reason for ``name`` ("" when it looks lowerable)."""
-        cached = self._verdicts.get(name)
-        if cached is not None:
-            return cached
-        self._verdicts[name] = ""  # provisional: admits recursion
-        reason = self._check_function(self.defs[name])
-        self._verdicts[name] = reason
-        return reason
 
-    def size(self, name: str) -> int:
-        """AST nodes in ``name`` plus its reachable helpers."""
-        seen: Set[str] = set()
-        todo = [name]
-        total = 0
-        while todo:
-            fn = todo.pop()
-            if fn in seen or fn not in self.defs:
-                continue
-            seen.add(fn)
-            total += sum(1 for _ in ast.walk(self.defs[fn]))
-            todo.extend(self._calls.get(fn, ()))
-        return total
+def _classify(
+    path: str, fn_def: ast.FunctionDef, defs: Dict[str, ast.FunctionDef]
+) -> DiscoveredFunction:
+    from repro.api.targets import file_target
+    from repro.fpir.frontend import FrontendError
 
-    # -- checks (mirror repro.fpir.frontend restrictions) -------------------
-
-    def _check_function(self, fn: ast.FunctionDef) -> str:
-        args = fn.args
-        if args.vararg is not None or args.kwarg is not None:
-            return f"line {fn.lineno}: uses *args/**kwargs"
-        if args.posonlyargs or args.kwonlyargs:
-            return f"line {fn.lineno}: positional-only/keyword-only parameters"
-        if args.defaults or args.kw_defaults:
-            return f"line {fn.lineno}: parameter defaults"
-        if fn.decorator_list:
-            return f"line {fn.lineno}: decorated function"
-        locals_ = {a.arg for a in args.args} | _assigned_names(fn)
-        self._calls.setdefault(fn.name, set())
-        for index, stmt in enumerate(fn.body):
-            if (
-                index == 0
-                and isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                continue  # docstring
-            reason = self._check_stmt(stmt, fn.name, locals_)
-            if reason:
-                return reason
-        return ""
-
-    def _check_stmt(self, stmt: ast.stmt, owner: str, locals_: Set[str]) -> str:
-        line = getattr(stmt, "lineno", 0)
-        if isinstance(stmt, ast.Assign):
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-                return f"line {line}: non-simple assignment target"
-            return self._check_expr(stmt.value, owner, locals_)
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is None:
-                return f"line {line}: annotated declaration without a value"
-            if not isinstance(stmt.target, ast.Name):
-                return f"line {line}: non-simple assignment target"
-            return self._check_expr(stmt.value, owner, locals_)
-        if isinstance(stmt, ast.AugAssign):
-            if type(stmt.op) not in _BINOPS:
-                return (
-                    f"line {line}: augmented operator "
-                    f"{type(stmt.op).__name__} (only += -= *= /=)"
-                )
-            if not isinstance(stmt.target, ast.Name):
-                return f"line {line}: non-simple assignment target"
-            return self._check_expr(stmt.value, owner, locals_)
-        if isinstance(stmt, ast.If):
-            reason = self._check_expr(stmt.test, owner, locals_, condition=True)
-            if reason:
-                return reason
-            for child in [*stmt.body, *stmt.orelse]:
-                reason = self._check_stmt(child, owner, locals_)
-                if reason:
-                    return reason
-            return ""
-        if isinstance(stmt, ast.While):
-            if stmt.orelse:
-                return f"line {line}: while/else"
-            reason = self._check_expr(stmt.test, owner, locals_, condition=True)
-            if reason:
-                return reason
-            for child in stmt.body:
-                reason = self._check_stmt(child, owner, locals_)
-                if reason:
-                    return reason
-            return ""
-        if isinstance(stmt, ast.Return):
-            if stmt.value is None:
-                return ""
-            return self._check_expr(stmt.value, owner, locals_)
-        if isinstance(stmt, ast.Pass):
-            return ""
-        if isinstance(stmt, ast.For):
-            return self._check_for(stmt, owner, locals_)
-        if isinstance(stmt, ast.Assert):
-            return f"line {line}: assert statement"
-        if isinstance(stmt, ast.Expr):
-            return f"line {line}: expression statement"
-        return f"line {line}: {type(stmt).__name__} statement"
-
-    def _check_for(self, stmt: ast.For, owner: str, locals_: Set[str]) -> str:
-        """Mirror the frontend's ``for i in range(...)`` desugar
-        admission (:meth:`_FunctionLowerer._for_range`)."""
-        line = getattr(stmt, "lineno", 0)
-        if stmt.orelse:
-            return f"line {line}: for/else"
-        if not isinstance(stmt.target, ast.Name):
-            return f"line {line}: for target is not a simple name"
-        call_node = _range_call(stmt.iter)
-        if call_node is None or "range" in locals_:
-            return f"line {line}: for loop over a non-range iterable"
-        args = call_node.args
-        if not 1 <= len(args) <= 3 or any(
-            isinstance(a, ast.Starred) for a in args
-        ):
-            return f"line {line}: range with unsupported arguments"
-        if len(args) == 3 and _literal_step(args[2]) in (None, 0.0):
-            return f"line {line}: range step is not a nonzero literal"
-        for bound in args[: min(len(args), 2)]:
-            reason = self._check_expr(bound, owner, locals_)
-            if reason:
-                return reason
-        for child in stmt.body:
-            reason = self._check_stmt(child, owner, locals_)
-            if reason:
-                return reason
-        return ""
-
-    def _check_expr(
-        self,
-        node: ast.expr,
-        owner: str,
-        locals_: Set[str],
-        condition: bool = False,
-    ) -> str:
-        line = getattr(node, "lineno", 0)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (bool, int, float)):
-                return ""
-            return f"line {line}: non-numeric constant {node.value!r}"
-        if isinstance(node, ast.Name):
-            name = node.id
-            if (
-                name in locals_
-                or self.env.constant(name) is not None
-                or self.env.math_external(name) is not None
-            ):
-                return ""
-            if name in self.defs:
-                return f"line {line}: function {name!r} used as a value"
-            return f"line {line}: undefined variable {name!r}"
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow) or type(node.op) in _BINOPS:
-                reason = self._check_expr(node.left, owner, locals_)
-                return reason or self._check_expr(node.right, owner, locals_)
-            return (
-                f"line {line}: operator {type(node.op).__name__} "
-                "(floats have + - * / and **)"
-            )
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, (ast.USub, ast.UAdd)):
-                return self._check_expr(node.operand, owner, locals_)
-            if isinstance(node.op, ast.Not):
-                return self._check_expr(node.operand, owner, locals_, True)
-            return f"line {line}: unary {type(node.op).__name__}"
-        if isinstance(node, ast.BoolOp):
-            if not condition and not all(_is_boolean_shaped(v) for v in node.values):
-                return (
-                    f"line {line}: and/or over non-boolean operands "
-                    "outside a condition"
-                )
-            for value in node.values:
-                reason = self._check_expr(value, owner, locals_, condition)
-                if reason:
-                    return reason
-            return ""
-        if isinstance(node, ast.Compare):
-            for op in node.ops:
-                if type(op) not in _CMPOPS:
-                    return (
-                        f"line {line}: comparison {type(op).__name__} "
-                        "(no is/in)"
-                    )
-            for operand in [node.left, *node.comparators]:
-                reason = self._check_expr(operand, owner, locals_)
-                if reason:
-                    return reason
-            return ""
-        if isinstance(node, ast.IfExp):
-            return (
-                self._check_expr(node.test, owner, locals_, condition=True)
-                or self._check_expr(node.body, owner, locals_, condition)
-                or self._check_expr(node.orelse, owner, locals_, condition)
-            )
-        if isinstance(node, ast.Call):
-            return self._check_call(node, owner, locals_)
-        return f"line {line}: {type(node).__name__} expression"
-
-    def _check_call(self, node: ast.Call, owner: str, locals_: Set[str]) -> str:
-        line = getattr(node, "lineno", 0)
-        if node.keywords:
-            return f"line {line}: keyword arguments in a call"
-        for arg in node.args:
-            reason = self._check_expr(arg, owner, locals_)
-            if reason:
-                return reason
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if isinstance(func.value, ast.Name) and self.env.is_math_module(
-                func.value.id
-            ):
-                if func.attr in MATH_EXTERNALS:
-                    return ""
-                return f"line {line}: math.{func.attr} has no FPIR external"
-            return f"line {line}: only math.<fn> attribute calls"
-        if not isinstance(func, ast.Name):
-            return f"line {line}: call target is not a simple name"
-        name = func.id
-        if name in locals_:
-            return f"line {line}: {name!r} is a local, not a callable"
-        if name in self.defs:
-            want = len(self.defs[name].args.args)
-            if len(node.args) != want:
-                return (
-                    f"line {line}: call to {name!r} with "
-                    f"{len(node.args)} argument(s); it takes {want}"
-                )
-            self._calls.setdefault(owner, set()).add(name)
-            reason = self.verdict(name)
-            if reason:
-                return f"line {line}: helper {name!r} is not lowerable ({reason})"
-            return ""
-        if self.env.math_external(name) is not None:
-            return ""
-        if name in _BUILTIN_EXTERNALS:
-            return ""
-        return f"line {line}: call to unknown function {name!r}"
+    n_params = len(fn_def.args.args)
+    size = _node_count(fn_def)
+    program = None
+    reason = ""
+    if n_params == 0:
+        reason = (
+            f"line {fn_def.lineno}: takes no parameters "
+            "(no input domain to search)"
+        )
+    else:
+        try:
+            program = file_target(path, fn_def.name).resolve()
+        except FrontendError as exc:
+            reason = skip_reason(exc, fn_def.lineno)
+        else:
+            size = sum(_node_count(defs[name]) for name in program.functions)
+    return DiscoveredFunction(
+        path=path,
+        name=fn_def.name,
+        lineno=fn_def.lineno,
+        n_params=n_params,
+        size=size,
+        lowerable=not reason,
+        skip_reason=reason,
+        program=program,
+    )
 
 
 def discover_functions(
     files: Iterable[Union[str, Path]],
 ) -> List[DiscoveredFunction]:
-    """Prescan ``files``; one record per module-level function.
+    """Classify ``files``; one record per module-level function.
 
     Records come back in (path, line) order.  Unreadable or
     unparseable files yield a single file-level record (empty
     ``name``) so the report can say *why* a file contributed nothing.
-    Zero-parameter functions are classified but never lowerable as
-    scan entries — with no inputs there is no domain to minimize over.
+    Zero-parameter functions are never lowerable as scan entries —
+    with no inputs there is no domain to minimize over.
 
-    ``.c`` files dispatch to the C frontend's exact classifier
-    (:mod:`repro.cfront.classify`); everything else goes through the
-    optimistic pure-AST Python classifier below.
+    ``.c`` files dispatch to the C frontend's classifier
+    (:mod:`repro.cfront.classify`); everything else is lowered through
+    the Python frontend.
     """
     all_files = list(files)
     c_files = [f for f in all_files if str(f).endswith(".c")]
@@ -380,31 +141,11 @@ def discover_functions(
                 )
             )
             continue
-        env = _scan_module(tree, source.splitlines(), path)
         defs = {
             stmt.name: stmt
             for stmt in tree.body
             if isinstance(stmt, ast.FunctionDef)
         }
-        classifier = _Classifier(env, defs)
-        for name, fn_def in defs.items():
-            reason = classifier.verdict(name)
-            n_params = len(fn_def.args.args)
-            if not reason and n_params == 0:
-                reason = (
-                    f"line {fn_def.lineno}: takes no parameters "
-                    "(no input domain to search)"
-                )
-            records.append(
-                DiscoveredFunction(
-                    path=path,
-                    name=name,
-                    lineno=fn_def.lineno,
-                    n_params=n_params,
-                    size=classifier.size(name),
-                    lowerable=not reason,
-                    skip_reason=reason,
-                )
-            )
+        records.extend(_classify(path, fn_def, defs) for fn_def in defs.values())
     records.sort(key=lambda r: (r.path, r.lineno, r.name))
     return records

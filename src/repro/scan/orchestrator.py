@@ -3,15 +3,15 @@
 One :func:`scan_project` call is one CI run:
 
 1. **walk** the tree (:mod:`repro.scan.walker`) and **discover** every
-   function (:mod:`repro.scan.classify`) — the prescan is pure AST
-   work, no lowering, so an unsupported file costs microseconds, not a
-   frontend traceback;
-2. **lower** each admitted function once through the mtime-memoized
-   ``file.py::fn`` target cache (:func:`repro.api.targets.parse_target_spec`)
-   and digest the lowered program (:func:`repro.scan.store.program_digest`).
-   The classifier is deliberately optimistic, so a residual
-   :class:`~repro.fpir.frontend.FrontendError` here demotes the
-   function to a skip carrying the frontend's located diagnostic;
+   function (:mod:`repro.scan.classify`): each one is classified by
+   attempting its real lowering, so a function is lowerable iff its
+   frontend lowers it, and a skipped one carries the frontend's
+   located diagnostic;
+2. **digest** the program each lowerable function's record carries
+   (:func:`repro.scan.store.program_digest`) — the one classification
+   lowered, so no function is lowered twice; ``.py`` programs also
+   stay memoized in the ``file::fn`` target cache the campaign's jobs
+   resolve through (:func:`repro.api.targets.parse_target_spec`);
 3. **replay** every (digest, analysis, config-fingerprint) hit from
    the persistent store — an unchanged function costs zero engine
    evaluations on re-scan.  Under ``--prove``, the static tier
@@ -22,7 +22,7 @@ One :func:`scan_project` call is one CI run:
 4. run the misses as a prioritized campaign through one
    :class:`repro.api.session.Session` — hazard-dense functions first
    (:func:`repro.static.hazards.find_hazards` counts per program),
-   then cheapest (smallest AST), then target spec: a total order, so
+   then smallest (AST size), then target spec: a total order, so
    a scan interrupted mid-CI has spent its budget where the static
    tier sees danger.  Each job carries its own
    :class:`~repro.api.engine.EngineConfig` built by
@@ -148,31 +148,6 @@ def _findings_payload(report: Any) -> List[Dict[str, Any]]:
         }
         for finding in report.findings
     ]
-
-
-def _lower_targets(
-    functions: Sequence[DiscoveredFunction],
-) -> List[Tuple[DiscoveredFunction, str, Any]]:
-    """Lower each admitted function once; demote residual failures.
-
-    Returns ``(function, digest, program)`` triples for everything
-    that lowered.  The ``file.py::fn`` instances stay memoized in the
-    target cache, so the campaign jobs (which name the same specs)
-    reuse the lowered programs instead of re-reading the files.
-    """
-    from repro.api.targets import TargetError, parse_target_spec
-    from repro.fpir.frontend import FrontendError
-
-    lowered: List[Tuple[DiscoveredFunction, str, Any]] = []
-    for fn in functions:
-        try:
-            program = parse_target_spec(fn.spec).resolve()
-        except (TargetError, FrontendError) as exc:
-            fn.lowerable = False
-            fn.skip_reason = f"frontend rejected: {exc}"
-            continue
-        lowered.append((fn, program_digest(program), program))
-    return lowered
 
 
 class _StaticTier:
@@ -349,7 +324,11 @@ def scan_project(root: str, config: Optional[ScanConfig] = None) -> ScanReport:
     store = ResultStore(store_dir)
     fingerprint = config.fingerprint()
 
-    lowered = _lower_targets([d for d in discovered if d.lowerable])
+    lowered = [
+        (fn, program_digest(fn.program), fn.program)
+        for fn in discovered
+        if fn.lowerable
+    ]
     static_tier = _StaticTier()
     cert_fp = None
     if config.prove:

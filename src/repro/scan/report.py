@@ -65,7 +65,7 @@ class ScanReport:
     root: str
     analyses: List[str]
     n_files: int = 0
-    #: Every function the prescan saw (lowerable or not).
+    #: Every function the classifier saw (lowerable or not).
     discovered: List[DiscoveredFunction] = dataclasses.field(default_factory=list)
     #: One entry per (lowerable function, analysis).
     results: List[FunctionResult] = dataclasses.field(default_factory=list)

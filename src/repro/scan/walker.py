@@ -7,7 +7,7 @@ order, report order, and the JSONL store's append order — is a pure
 function of the tree's contents.  Two machines scanning the same
 checkout produce byte-comparable reports.
 
-Two suffixes are admitted: ``.py`` (classified by the Python prescan)
+Two suffixes are admitted: ``.py`` (classified by the Python frontend)
 and ``.c`` (classified by the C frontend, :mod:`repro.cfront`).
 
 Ignore rules (the usual suspects for a Python checkout):

@@ -28,7 +28,7 @@ accepted.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.batch import BatchJob
 from repro.util.digest import digest_bytes

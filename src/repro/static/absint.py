@@ -28,7 +28,7 @@ externals, boolean-typed joins it does not expect) flips
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.fpir.nodes import (
     ArrayIndex,

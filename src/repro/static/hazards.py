@@ -32,7 +32,6 @@ import dataclasses
 from typing import List, Optional, Tuple
 
 from repro.fpir.nodes import BinOp, Call, SourceLoc
-from repro.fpir.program import Program
 from repro.fpir.walk import iter_all_exprs
 from repro.static import domain
 from repro.static.absint import AbsIntResult

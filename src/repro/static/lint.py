@@ -1,7 +1,7 @@
 """``repro lint``: the static tier as a standalone diagnostics surface.
 
-Walks a tree exactly like ``repro scan`` (same walker, same optimistic
-classifier, same frontends), abstractly interprets every lowerable
+Walks a tree exactly like ``repro scan`` (same walker, same exact
+classifiers, same frontends), abstractly interprets every lowerable
 function, and renders the hazards as located caret diagnostics:
 
     examples/c/lintdemo.c:12:15: [div-by-zero] divisor range ... (in unstable_quotient)
@@ -60,9 +60,6 @@ def lint_exit_code(report: LintReport) -> int:
 
 def lint_paths(root: str, exclude: Tuple[str, ...] = ()) -> LintReport:
     """Lint every lowerable function under ``root``; see module doc."""
-    from repro.api.targets import TargetError, parse_target_spec
-    from repro.fpir.frontend import FrontendError
-
     t0 = time.perf_counter()
     files = walk_source_files(root, exclude=exclude)
     discovered = discover_functions(files)
@@ -70,13 +67,7 @@ def lint_paths(root: str, exclude: Tuple[str, ...] = ()) -> LintReport:
     for fn in discovered:
         if not fn.lowerable:
             continue
-        try:
-            program = parse_target_spec(fn.spec).resolve()
-        except (TargetError, FrontendError) as exc:
-            fn.lowerable = False
-            fn.skip_reason = f"frontend rejected: {exc}"
-            continue
-        result = analyze(program)
+        result = analyze(fn.program)
         if not result.complete:
             report.incomplete.append(fn.spec)
         for hazard in find_hazards(result):

@@ -26,8 +26,10 @@ def digest_bytes(blob: bytes) -> str:
 def content_digest(obj: Any) -> str:
     """Hex content digest of ``obj``'s canonical pickle.
 
-    ``pickle.HIGHEST_PROTOCOL`` matches the worker payload path, so two
-    structurally identical FPIR values (programs, payloads) digest
-    equal regardless of which Python objects carry them.
+    ``pickle.HIGHEST_PROTOCOL`` matches the worker payload path.
+    Pickle memoizes objects by identity, so equal values digest equal
+    only when they also share objects alike; FPIR values are built
+    that way (a :class:`~repro.fpir.program.Program`'s ``entry`` is its
+    entry function's own name object).
     """
     return digest_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))

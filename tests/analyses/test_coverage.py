@@ -3,9 +3,11 @@
 
 from repro.analyses.coverage import (
     B_SET,
-    BranchCoverageTesting,
+    all_branch_arms,
     coverage_spec,
+    executed_arms,
 )
+from repro.api import Engine, EngineConfig
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import FunctionBuilder, lt, num, v
 from repro.fpir.instrument import instrument
@@ -13,6 +15,12 @@ from repro.fpir.program import Program
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import uniform_sampler
 from repro.programs import fig2
+
+
+def _coverage(program, seed, backend, **options):
+    """The CoverMe loop's detail report, through the engine."""
+    engine = Engine(EngineConfig(seed=seed, backend=backend))
+    return engine.run("coverage", program, **options).detail
 
 
 def _unreachable_branch_program() -> Program:
@@ -49,42 +57,36 @@ class TestCoverageWeakDistance:
 
 class TestCoverageLoop:
     def test_full_coverage_on_fig2(self):
-        testing = BranchCoverageTesting(
-            fig2.make_program(), backend=BasinhoppingBackend(niter=30)
-        )
-        report = testing.run(
-            max_rounds=20, seed=31,
-            start_sampler=uniform_sampler(-50.0, 50.0),
+        program = fig2.make_program()
+        report = _coverage(
+            program, seed=31, backend=BasinhoppingBackend(niter=30),
+            max_rounds=20, start_sampler=uniform_sampler(-50.0, 50.0),
         )
         assert report.coverage == 1.0
         assert report.total_arms == 4
         # Witnesses actually cover their arms.
+        replay = WeakDistance(instrument(program, coverage_spec()))
         for arm, witness in report.witnesses.items():
-            assert arm in testing._executed_arms(witness)
+            assert arm in executed_arms(replay, witness)
 
     def test_unreachable_arm_reported_uncovered(self):
-        testing = BranchCoverageTesting(
-            _unreachable_branch_program(),
-            backend=BasinhoppingBackend(niter=15),
-        )
-        report = testing.run(
-            max_rounds=6, seed=32,
-            start_sampler=uniform_sampler(-10.0, 10.0),
+        program = _unreachable_branch_program()
+        report = _coverage(
+            program, seed=32, backend=BasinhoppingBackend(niter=15),
+            max_rounds=6, start_sampler=uniform_sampler(-10.0, 10.0),
         )
         assert report.coverage < 1.0
-        uncovered = set(testing.all_arms) - report.covered_arms
+        index = instrument(program, coverage_spec()).index
+        uncovered = set(all_branch_arms(index)) - report.covered_arms
         assert "b1:T" in uncovered
 
     def test_sin_dispatch_coverage(self, sin_program):
         from repro.mo.starts import wide_log_sampler
 
-        testing = BranchCoverageTesting(
-            sin_program,
+        report = _coverage(
+            sin_program, seed=33,
             backend=BasinhoppingBackend(niter=50, local_maxiter=150),
-        )
-        report = testing.run(
-            max_rounds=80, seed=33,
-            start_sampler=wide_log_sampler(-12.0, 10.0),
+            max_rounds=80, start_sampler=wide_log_sampler(-12.0, 10.0),
         )
         # The five high-word dispatch branches (b1..b5): all ten arms
         # are reachable with finite inputs; require at least nine so a

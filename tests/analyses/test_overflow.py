@@ -7,10 +7,10 @@ import pytest
 
 from repro.analyses.overflow import (
     L_SET,
-    OverflowDetection,
     PROBE_EVENT,
     overflow_spec,
 )
+from repro.api import Engine, EngineConfig
 from repro.core.weak_distance import WeakDistance
 from repro.fp.ieee import DBL_MAX
 from repro.fpir.builder import FunctionBuilder, fadd, fmul, num, v
@@ -18,6 +18,12 @@ from repro.fpir.instrument import instrument
 from repro.fpir.program import Program
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import wide_log_sampler
+
+
+def _overflow(program, seed, backend, **options):
+    """Algorithm 3's detail report, through the engine."""
+    engine = Engine(EngineConfig(seed=seed, backend=backend))
+    return engine.run("overflow", program, **options).detail
 
 
 def _two_squares() -> Program:
@@ -71,20 +77,18 @@ class TestWeakDistanceShape:
 
 class TestAlgorithm3:
     def test_both_ops_found(self):
-        detector = OverflowDetection(
-            _two_squares(),
-            backend=BasinhoppingBackend(niter=30),
+        report = _overflow(
+            _two_squares(), seed=20,
+            backend=BasinhoppingBackend(niter=30), n_starts=3,
         )
-        report = detector.run(seed=20, retries_per_round=3)
         assert report.n_fp_ops == 2
         assert {f.label for f in report.findings} == {"l1", "l2"}
         assert report.missed == []
 
     def test_triggering_inputs_actually_overflow(self):
-        detector = OverflowDetection(
-            _two_squares(), backend=BasinhoppingBackend(niter=30)
+        report = _overflow(
+            _two_squares(), seed=21, backend=BasinhoppingBackend(niter=30)
         )
-        report = detector.run(seed=21)
         for finding in report.findings:
             x = finding.x_star[0]
             if finding.label == "l1":
@@ -94,18 +98,17 @@ class TestAlgorithm3:
                 assert not math.isfinite(y * y) or abs(y * y) >= DBL_MAX
 
     def test_constant_op_is_missed(self):
-        detector = OverflowDetection(
-            _with_constant_op(), backend=BasinhoppingBackend(niter=20)
+        report = _overflow(
+            _with_constant_op(), seed=22,
+            backend=BasinhoppingBackend(niter=20), n_starts=2,
         )
-        report = detector.run(seed=22, retries_per_round=2)
         missed_texts = [s.text for s in report.missed]
         assert any("2.0" in t and "1e-16" in t for t in missed_texts)
 
     def test_round_bound(self):
-        detector = OverflowDetection(
-            _two_squares(), backend=BasinhoppingBackend(niter=10)
+        report = _overflow(
+            _two_squares(), seed=23, backend=BasinhoppingBackend(niter=10)
         )
-        report = detector.run(seed=23)
         # Algorithm 3 terminates within nFP + 1 rounds.
         assert report.rounds <= report.n_fp_ops + 1
 
@@ -113,13 +116,11 @@ class TestAlgorithm3:
     def test_bessel_majority_found(self):
         from repro.gsl import bessel
 
-        detector = OverflowDetection(
+        report = _overflow(
             bessel.make_program(),
-            backend=BasinhoppingBackend(niter=25, local_maxiter=120),
-        )
-        report = detector.run(
             seed=24,
-            retries_per_round=3,
+            backend=BasinhoppingBackend(niter=25, local_maxiter=120),
+            n_starts=3,
             start_sampler=wide_log_sampler(),
         )
         assert report.n_fp_ops == 23

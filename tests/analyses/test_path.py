@@ -5,10 +5,12 @@ from hypothesis import given
 
 from repro.analyses.path import (
     BranchConstraint,
-    PathReachability,
     PathSpec,
     branch_distance,
+    build_path_distance,
+    verify_path,
 )
+from repro.api import Engine, EngineConfig
 from repro.fpir.builder import FunctionBuilder, gt, lt, num, v
 from repro.fpir.nodes import Compare, Var
 from repro.fpir.interpreter import Interpreter
@@ -71,28 +73,26 @@ class TestFig2Paths:
         spec = PathSpec(
             [BranchConstraint("b1", b1), BranchConstraint("b2", b2)]
         )
-        analysis = PathReachability(
-            fig2.make_program(),
-            path=spec,
-            backend=BasinhoppingBackend(niter=40),
-        )
-        result = analysis.run(
-            n_starts=8, seed=11,
-            start_sampler=uniform_sampler(-50.0, 50.0),
-        )
+        result = Engine(
+            EngineConfig(seed=11, backend=BasinhoppingBackend(niter=40))
+        ).run(
+            "path", fig2.make_program(), spec=spec,
+            n_starts=8, start_sampler=uniform_sampler(-50.0, 50.0),
+        ).detail
         assert result.found, (b1, b2)
         assert result.verified
         assert region(result.x_star[0])
 
     def test_default_path_is_all_true(self):
-        analysis = PathReachability(fig2.make_program())
-        assert [(c.label, c.taken) for c in analysis.path.constraints] \
+        _, path, _ = build_path_distance(fig2.make_program())
+        assert [(c.label, c.taken) for c in path.constraints] \
             == [("b1", True), ("b2", True)]
 
     def test_verify_rejects_wrong_input(self):
-        analysis = PathReachability(fig2.make_program())
-        assert analysis.verify((0.0,))       # in [-3, 1]
-        assert not analysis.verify((10.0,))  # takes neither branch
+        weak_distance, path, _ = build_path_distance(fig2.make_program())
+        assert verify_path(weak_distance, path, (0.0,))  # in [-3, 1]
+        # Takes neither branch.
+        assert not verify_path(weak_distance, path, (10.0,))
 
 
 class TestUnreachablePath:
@@ -105,13 +105,12 @@ class TestUnreachablePath:
             fb.let("b", num(1.0))
         fb.ret(num(0.0))
         program = Program([fb.build()], entry="f")
-        analysis = PathReachability(
-            program, backend=BasinhoppingBackend(niter=20)
-        )
-        result = analysis.run(
-            n_starts=4, seed=12,
-            start_sampler=uniform_sampler(-10.0, 10.0),
-        )
+        result = Engine(
+            EngineConfig(seed=12, backend=BasinhoppingBackend(niter=20))
+        ).run(
+            "path", program,
+            n_starts=4, start_sampler=uniform_sampler(-10.0, 10.0),
+        ).detail
         # Either no zero found, or a zero (x == 0 gives distance 0 for
         # "<" wanted-true, the strict-comparison caveat) that replay
         # verification rejects.

@@ -7,7 +7,6 @@ engine's deterministic no-racing mode).
 """
 
 import math
-import warnings
 
 import pytest
 
@@ -106,37 +105,44 @@ class TestSatParallelPayload:
         assert serial.detail.model == parallel.detail.model
 
 
-class TestDeprecationShims:
-    def test_legacy_drivers_warn_but_work(self):
-        from repro.analyses import (
-            BoundaryValueAnalysis,
-            BranchCoverageTesting,
-            OverflowDetection,
-            PathReachability,
-        )
-        from repro.programs import fig2
-        from repro.sat import XSatSolver
+class TestRemovedShims:
+    def test_deleted_names_are_gone(self):
+        """The deprecated drivers and shims are deleted, not hidden:
+        the engine and `repro run <analysis>` are the only surface."""
+        import repro.analyses
+        import repro.api.targets
+        import repro.core.batch
+        import repro.core.parallel
+        import repro.sat
+        from repro.api.base import Analysis
+        from repro.cli import main
+        from repro.core import KernelConfig, ReductionKernel
+        from repro.core.batch import BatchJob, suite_jobs
 
-        program = fig2.make_program()
-        for cls, args in (
-            (BoundaryValueAnalysis, (program,)),
-            (PathReachability, (program,)),
-            (OverflowDetection, (program,)),
-            (BranchCoverageTesting, (program,)),
-            (XSatSolver, ()),
-        ):
-            with pytest.warns(DeprecationWarning):
-                cls(*args)
-
-    def test_xsat_shim_matches_engine(self):
-        from repro.sat import XSatSolver, parse_formula
-
-        formula = parse_formula("x < 1 && x + 1 >= 2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = XSatSolver(n_starts=10).solve(formula, seed=12)
-        engine = Engine(EngineConfig(seed=12, n_starts=10)).run(
-            "sat", formula
-        )
-        assert legacy.verdict == engine.detail.verdict
-        assert legacy.model == engine.detail.model
+        gone = {
+            repro.analyses: (
+                "BoundaryValueAnalysis",
+                "PathReachability",
+                "OverflowDetection",
+                "BranchCoverageTesting",
+            ),
+            repro.sat: ("XSatSolver",),
+            repro.api.targets: ("_file_target",),
+            repro.core.batch: ("_job_request",),
+            repro.core.parallel: ("_init_worker", "_run_start", "_WORKER_STATE"),
+        }
+        for module, names in gone.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(Analysis, "takes_program")
+        with pytest.raises(TypeError):
+            BatchJob(analysis="coverage", program="fig2")
+        with pytest.raises(TypeError):
+            suite_jobs(analyses=["coverage"], programs=["fig2"])
+        kernel = ReductionKernel(config=KernelConfig(n_starts=1))
+        with pytest.raises(TypeError):
+            kernel.minimize(None, 1, objective=object())
+        for command in ("fpod", "boundary", "coverage", "sat"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command])
+            assert exit_info.value.code == 2

@@ -9,7 +9,6 @@ from repro.api import (
     EngineConfig,
     JobFinished,
     JobStarted,
-    JsonlEventSink,
     RoundFinished,
     RoundRetried,
     RoundStarted,

@@ -61,6 +61,28 @@ class TestCheckpointHook:
             assert clone.label_sets == outcome.label_sets
 
 
+    def test_resumed_job_checkpoints_only_live_rounds(self):
+        """Replayed rounds are already journaled: a resumed job must
+        not checkpoint them again (``repro serve`` would record them
+        twice)."""
+        analysis, target, options = CASES[1]
+        first, resumed = [], []
+        with Session(EngineConfig(seed=13)) as session:
+            report = session.submit(
+                analysis, target,
+                checkpoint=lambda i, o: first.append((i, o)),
+                **options,
+            ).result(timeout=120)
+            assert report.rounds == 3
+            session.submit(
+                analysis, target,
+                resume_rounds=[first[0][1]],
+                checkpoint=lambda i, o: resumed.append(i),
+                **options,
+            ).result(timeout=120)
+        assert resumed == [1, 2]
+
+
 class TestResumeParity:
     @pytest.mark.parametrize("analysis,target,options", CASES)
     def test_full_replay_is_bit_identical(self, analysis, target, options):

@@ -263,38 +263,6 @@ class TestSessionTargetIntake:
             Engine().run("coverage", "no-such-program")
 
 
-class TestTakesProgramShim:
-    def test_takes_program_tracks_target_kind(self):
-        from repro.api import get_analysis
-
-        assert get_analysis("boundary").takes_program is True
-        assert get_analysis("sat").takes_program is False
-        assert get_analysis("sat").target_kind == "formula"
-
-    def test_legacy_subclass_warns_and_maps(self):
-        from repro.api.base import Analysis
-
-        with pytest.warns(DeprecationWarning, match="takes_program"):
-
-            class LegacyFormulaAnalysis(Analysis):
-                name = "legacy-formula"
-                takes_program = False
-
-                def prepare(self, target, spec, options, config):
-                    raise NotImplementedError
-
-                def plan_round(self, state, round_index):
-                    raise NotImplementedError
-
-                def absorb(self, state, round_index, outcome):
-                    raise NotImplementedError
-
-                def finish(self, state):
-                    raise NotImplementedError
-
-        assert LegacyFormulaAnalysis.target_kind == "formula"
-
-
 class TestRegisterProgramForce:
     def test_force_reregistration(self):
         from repro.programs import get_program

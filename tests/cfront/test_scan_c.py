@@ -1,10 +1,9 @@
 """Whole-project scanning over C sources.
 
 ``repro scan`` walks ``.c`` files next to ``.py`` files; the C
-classifier is *exact* (it attempts the real lowering per candidate), so
-its one-sided invariant — never reject what the frontend could lower —
-holds by construction, and the incremental store treats C targets like
-any other: an unchanged re-scan replays every verdict with zero engine
+classifier is *exact* (it attempts the real lowering per candidate),
+and the incremental store treats C targets like any other: an
+unchanged re-scan replays every verdict with zero engine
 evaluations.
 """
 
@@ -44,8 +43,8 @@ def _config(**kwargs):
 
 class TestClassifier:
     def test_every_admitted_function_lowers(self):
-        """The one-sided invariant, exercised over the vendored
-        kernels: ``lowerable=True`` records really lower."""
+        """Exactness, exercised over the vendored kernels:
+        ``lowerable=True`` records really lower."""
         records = _vendored_records()
         admitted = [r for r in records if r.lowerable]
         assert len(admitted) >= 6  # 3 fig + bessel(+helper counted? no) ...

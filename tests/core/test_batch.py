@@ -64,18 +64,6 @@ class TestSuiteJobs:
         with pytest.raises(ValueError, match="bad target"):
             suite_jobs(analyses=["coverage"], targets=[f"{bad}::f"])
 
-    def test_deprecated_programs_spelling_still_works(self):
-        with pytest.warns(DeprecationWarning, match="programs"):
-            jobs = suite_jobs(analyses=["coverage"], programs=["fig2"])
-        assert jobs[0].target == "fig2"
-        with pytest.warns(DeprecationWarning, match="program"):
-            job = BatchJob(analysis="coverage", program="fig2")
-        assert job.target == "fig2"
-        assert job.program == "fig2"
-        with pytest.raises(TypeError, match="both target= and"):
-            BatchJob(analysis="coverage", target="fig2", program="fig1a")
-
-
 class TestRunBatch:
     def test_serial_campaign_runs_every_job(self):
         results = run_batch(_tiny_jobs(), n_workers=1)

@@ -1,7 +1,5 @@
 """The generic instrumentation engine."""
 
-import pytest
-
 from repro.fpir.instrument import InstrumentationSpec, instrument
 from repro.fpir.interpreter import run_program
 from repro.fpir.nodes import Assign, BinOp, Call, Const, RecordEvent, Var

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyses.boundary import BoundaryValueAnalysis
+from repro.api import Engine, EngineConfig
 from repro.fpir import run_program, validate
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import uniform_sampler
@@ -25,16 +25,16 @@ class TestProgram:
 class TestCrossFunctionBoundaries:
     @pytest.fixture(scope="class")
     def report(self):
-        analysis = BoundaryValueAnalysis(
-            sec51.make_program(),
-            backend=BasinhoppingBackend(niter=40),
+        engine = Engine(
+            EngineConfig(seed=51, backend=BasinhoppingBackend(niter=40))
         )
-        return analysis.run(
+        return engine.run(
+            "boundary",
+            sec51.make_program(),
             n_starts=10,
-            seed=51,
             start_sampler=uniform_sampler(-20.0, 20.0),
             max_samples=40_000,
-        )
+        ).detail
 
     def test_entry_boundaries_found(self, report):
         found = {x[0] for x in report.boundary_values}

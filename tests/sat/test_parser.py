@@ -3,15 +3,21 @@
 
 import pytest
 
+from repro.api import Engine, EngineConfig
 from repro.fpir.nodes import BinOp, Call, Const, UnOp
 from repro.mo.starts import uniform_sampler
-from repro.sat import XSatSolver, evaluate_formula
+from repro.sat import evaluate_formula
 from repro.sat.parser import (
     ParseError,
     parse_expression,
     parse_formula,
     tokenize,
 )
+
+
+def _solve(formula, seed, **options):
+    """The sat analysis' detail report (a SatResult), via the engine."""
+    return Engine(EngineConfig(seed=seed)).run("sat", formula, **options).detail
 
 
 class TestLexer:
@@ -121,20 +127,20 @@ class TestFormulaParsing:
 class TestEndToEnd:
     def test_parse_and_solve_fig1a(self):
         f = parse_formula("x < 1 && x + 1 >= 2")
-        solver = XSatSolver(
-            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _solve(
+            f, seed=5,
+            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=5)
         assert result.is_sat
         assert result.model["x"] == 0.9999999999999999
 
     @pytest.mark.slow
     def test_parse_and_solve_with_transcendental(self):
         f = parse_formula("sin(x) == 0 && x >= 1 && x <= 4")
-        solver = XSatSolver(
-            n_starts=20, start_sampler=uniform_sampler(0.0, 5.0)
+        result = _solve(
+            f, seed=6,
+            n_starts=20, start_sampler=uniform_sampler(0.0, 5.0),
         )
-        result = solver.solve(f, seed=6)
         # sin has no exact double zero near pi... but sin(x) == 0.0
         # *does* hold for doubles where the result rounds to zero?
         # Actually sin(pi_double) = 1.2e-16 != 0, so UNKNOWN is the
@@ -144,10 +150,10 @@ class TestEndToEnd:
 
     def test_parse_and_solve_multivar(self):
         f = parse_formula("a + b == 10 && a * b == 21 && a < b")
-        solver = XSatSolver(
-            n_starts=40, start_sampler=uniform_sampler(-20.0, 20.0)
+        result = _solve(
+            f, seed=7,
+            n_starts=40, start_sampler=uniform_sampler(-20.0, 20.0),
         )
-        result = solver.solve(f, seed=7)
         assert result.is_sat
         a, b = result.model["a"], result.model["b"]
         assert a + b == 10.0 and a * b == 21.0 and a < b

@@ -4,6 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.api import Engine, EngineConfig
 from repro.fpir.builder import call, fadd, fmul, num, v
 from repro.fpir.compiler import compile_program
 from repro.mo.starts import uniform_sampler
@@ -12,7 +13,6 @@ from repro.sat import (
     RandomSamplingSolver,
     SatVerdict,
     ULP,
-    XSatSolver,
     atom,
     conjunction,
     evaluate_formula,
@@ -20,6 +20,11 @@ from repro.sat import (
     formula_to_distance_program,
 )
 from repro.sat.formula import Formula
+
+
+def _solve(formula, seed, **options):
+    """The sat analysis' detail report (a SatResult), via the engine."""
+    return Engine(EngineConfig(seed=seed)).run("sat", formula, **options).detail
 
 
 def _toy_formula() -> Formula:
@@ -71,10 +76,10 @@ class TestSolver:
             atom("lt", v("x"), num(1.0)),
             atom("ge", fadd(v("x"), num(1.0)), num(2.0)),
         )
-        solver = XSatSolver(
-            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _solve(
+            f, seed=5,
+            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=5)
         assert result.is_sat
         assert result.model["x"] == 0.9999999999999999
 
@@ -83,10 +88,10 @@ class TestSolver:
             atom("lt", v("x"), num(1.0)),
             atom("ge", fadd(v("x"), call("tan", v("x"))), num(2.0)),
         )
-        solver = XSatSolver(
-            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _solve(
+            f, seed=6,
+            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=6)
         assert result.is_sat
         assert evaluate_formula(f, [result.model["x"]])
 
@@ -94,10 +99,10 @@ class TestSolver:
         f = conjunction(
             atom("gt", v("x"), num(1.0)), atom("lt", v("x"), num(0.0))
         )
-        solver = XSatSolver(
-            n_starts=5, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _solve(
+            f, seed=7,
+            n_starts=5, start_sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=7)
         assert result.verdict is SatVerdict.UNKNOWN
         assert result.model is None
         assert result.r_star > 0.0
@@ -108,10 +113,10 @@ class TestSolver:
             atom("eq", fadd(v("x"), v("y")), num(10.0)),
             atom("eq", fmul(v("x"), v("y")), num(21.0)),
         )
-        solver = XSatSolver(
-            n_starts=40, start_sampler=uniform_sampler(-20.0, 20.0)
+        result = _solve(
+            f, seed=8,
+            n_starts=40, start_sampler=uniform_sampler(-20.0, 20.0),
         )
-        result = solver.solve(f, seed=8)
         assert result.is_sat
         x, y = result.model["x"], result.model["y"]
         assert x + y == 10.0 and x * y == 21.0
@@ -121,10 +126,10 @@ class TestSolver:
             [[atom("eq", v("x"), num(3.0)),
               atom("eq", v("x"), num(-3.0))]]
         )
-        solver = XSatSolver(
-            n_starts=10, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _solve(
+            f, seed=9,
+            n_starts=10, start_sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=9)
         assert result.is_sat
         assert result.model["x"] in (3.0, -3.0)
 

@@ -1,17 +1,20 @@
-"""The AST prescan: discovery, skip reasons, the one-sided invariant.
+"""Function discovery: records, skip reasons, exact classification.
 
-The classifier promises *optimism*: it may admit a function the
-frontend later rejects (the orchestrator demotes those to skips), but
-it must never reject a function the frontend could lower.  The
-invariant test lowers every admitted function in ``examples/`` for
-real.
+The classifier is *exact*: a function is lowerable iff its frontend
+lowers it, and a rejected function's skip reason is the frontend's
+located diagnostic on one line.  ``TestExactClassifier`` checks both
+directions on every function under ``examples/``, for both frontends.
 """
 
+import re
 from pathlib import Path
 
-from repro.fpir.frontend import lower_file
+from repro.cfront import lower_c_file
+from repro.fpir.frontend import FrontendError, lower_file
+from repro.scan import ScanConfig, scan_project
 from repro.scan.classify import discover_functions
-from repro.scan.walker import walk_python_files
+from repro.scan.report import scan_report_to_dict
+from repro.scan.walker import walk_source_files
 
 EXAMPLES = Path("examples")
 
@@ -57,7 +60,8 @@ class TestDiscovery:
         )
         by_name = {f.name: f for f in found}
         assert not by_name["caller"].lowerable
-        assert "helper" in by_name["caller"].skip_reason
+        # The frontend's diagnostic points at the helper's line.
+        assert by_name["caller"].skip_reason.startswith("line 2:")
 
     def test_syntax_error_yields_file_record(self, tmp_path):
         (record,) = _discover(tmp_path, "def f(:\n")
@@ -79,19 +83,73 @@ class TestDiscovery:
         assert by_name["caller"].size > by_name["leaf"].size
 
 
-class TestOneSidedInvariant:
-    def test_every_admitted_function_in_examples_lowers(self):
-        """Classifier optimism, checked against the real frontend."""
-        files = walk_python_files(str(EXAMPLES))
-        admitted = [f for f in discover_functions(files) if f.lowerable]
-        assert len(admitted) >= 5  # python_targets.py alone has five
-        for record in admitted:
-            program = lower_file(record.path, record.name)
-            assert program.entry == record.name
+class TestExactClassifier:
+    def test_lowerable_iff_frontend_lowers(self):
+        """Both directions, every function under examples/, both
+        frontends: admitted functions lower, rejected ones do not."""
+        records = discover_functions(walk_source_files(str(EXAMPLES)))
+        functions = [r for r in records if r.name]
+        assert any(r.path.endswith(".py") for r in functions)
+        assert any(r.path.endswith(".c") for r in functions)
+        assert sum(r.lowerable for r in functions) >= 5
+        for record in functions:
+            lower = lower_c_file if record.path.endswith(".c") else lower_file
+            try:
+                program = lower(record.path, record.name)
+            except FrontendError:
+                lowers = False
+            else:
+                lowers = program.num_inputs > 0
+            assert record.lowerable == lowers, record
+
+    def test_skip_reasons_are_one_located_line(self, tmp_path):
+        (tmp_path / "torn.py").write_text("def f(:\n")
+        (tmp_path / "torn.c").write_text("double f(double x) { /* open")
+        records = discover_functions(
+            [*walk_source_files(str(EXAMPLES)), *sorted(tmp_path.iterdir())]
+        )
+        skipped = [r for r in records if not r.lowerable]
+        assert any(not r.name for r in skipped)
+        for record in skipped:
+            assert "\n" not in record.skip_reason, record
+            if record.name:
+                assert re.match(r"line \d+: ", record.skip_reason), record
+            else:
+                assert record.skip_reason.startswith(
+                    ("unreadable:", "invalid Python:", "invalid C:")
+                ), record
+
+    def test_read_before_assignment_is_skipped_with_its_line(self, tmp_path):
+        """A function reading ``y`` before assigning it used to be
+        admitted and then demoted with a three-line diagnostic."""
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "mod.py").write_text(
+            '"""Fixture."""\n'
+            "\n"
+            "SCALE = 2.0\n"
+            "\n"
+            "\n"
+            "def f(x):\n"
+            '    """Reads y before assigning it."""\n'
+            "    z = y + x\n"
+            "    y = SCALE\n"
+            "    return z\n"
+        )
+        (record,) = discover_functions([root / "mod.py"])
+        assert not record.lowerable
+        assert record.skip_reason.startswith(
+            "line 8: local variable 'y' is read before its first assignment"
+        )
+        report = scan_project(
+            str(root), ScanConfig(smoke=True, store_dir=str(tmp_path / "s"))
+        )
+        (skip,) = scan_report_to_dict(report)["skipped"]
+        assert skip["reason"] == record.skip_reason
 
 
 class TestForRangeAdmission:
-    """The prescan mirrors the frontend's ``for i in range(...)``
+    """Classification follows the frontend's ``for i in range(...)``
     desugar admission — same shapes in, same shapes out."""
 
     def test_range_loop_is_admitted_and_lowers(self, tmp_path):

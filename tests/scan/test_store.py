@@ -36,6 +36,33 @@ class TestProgramDigest:
         assert first is not second
         assert program_digest(first) == program_digest(second)
 
+    def test_entry_string_identity_does_not_matter(self):
+        """The store key depends on the program, not on which string
+        object names its entry: the classifier's AST name, the spec's
+        ``partition("::")`` string and a fresh copy digest alike."""
+        from repro.api.targets import parse_target_spec
+        from repro.cfront import lower_c_file
+        from repro.fpir.frontend import lower_file
+        from repro.scan.classify import discover_functions
+        from repro.scan.walker import walk_source_files
+
+        records = [
+            r
+            for r in discover_functions(walk_source_files("examples"))
+            if r.lowerable
+        ]
+        assert any(r.path.endswith(".py") for r in records)
+        assert any(r.path.endswith(".c") for r in records)
+        for record in records:
+            lower = lower_c_file if record.path.endswith(".c") else lower_file
+            _, _, spec_entry = record.spec.partition("::")
+            digests = {
+                program_digest(lower(record.path, entry))
+                for entry in (record.name, spec_entry, "".join(record.name))
+            }
+            digests.add(program_digest(parse_target_spec(record.spec).resolve()))
+            assert len(digests) == 1, record.spec
+
     def test_body_change_changes_digest(self):
         before = lower_source("def f(x):\n    return x * 2.0\n", "f")
         after = lower_source("def f(x):\n    return x * 3.0\n", "f")
