@@ -8,8 +8,9 @@ Two questions, quantified:
   ``examples/`` tree and gates on a sane discovery count.
 
 * What does the incremental store buy?  A cold scan pays one campaign
-  per lowerable function; a re-scan with unchanged sources must
-  replay every verdict with **zero** engine evaluations.  CI gates on
+  per distinct lowerable program (equal twins share it); a re-scan
+  with unchanged sources must replay every verdict with **zero**
+  engine evaluations.  CI gates on
   >= 5x wall-clock (`test_incremental_replay_speedup`) — in practice
   the gap is orders of magnitude, the gate just keeps it from
   silently regressing into re-analysis.
@@ -48,7 +49,7 @@ def test_prescan_throughput(once):
 
 
 def test_cold_scan(tmp_path, once):
-    """The cold campaign: every lowerable function analyzed once."""
+    """The cold campaign: every distinct lowerable program analyzed once."""
     report = once(
         scan_project, EXAMPLES, _config(str(tmp_path / "store"))
     )
@@ -70,7 +71,7 @@ def test_incremental_replay_speedup(tmp_path):
     warm_s = time.perf_counter() - t0
     assert warm.n_analyzed == 0
     assert warm.n_evals == 0
-    assert warm.n_cached == cold.n_analyzed
+    assert warm.n_cached == len(cold.results)
 
     speedup = cold_s / max(warm_s, 1e-9)
     print(

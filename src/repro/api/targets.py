@@ -217,7 +217,8 @@ class CTarget(Target):
     an equivalently-shaped Python function.  Lowering errors are
     located :class:`~repro.cfront.CFrontendError` diagnostics, which
     subclass the Python frontend's ``FrontendError`` so every existing
-    catch site admits them unchanged.
+    catch site admits them unchanged.  The functions of one unchanged
+    file share a single parse (:func:`repro.cfront.lower.parse_c_unit`).
     """
 
     path: str
@@ -267,10 +268,11 @@ class FormulaTarget(Target):
 
 
 #: ``file.py::fn`` / ``file.c::fn`` targets memoized by (abspath,
-#: entry, mtime), so the many jobs of a campaign that all name one
-#: file share one lowered Program.  An edited file gets a new mtime,
-#: hence a fresh instance.
-_FILE_TARGET_CACHE: Dict[Tuple[str, str, float], Target] = {}
+#: path as given, entry, mtime), so the many jobs of a campaign that
+#: all name one file share one lowered Program, and a cached target
+#: describes itself with the spelling it was asked for.  An edited
+#: file gets a new mtime, hence a fresh instance.
+_FILE_TARGET_CACHE: Dict[Tuple[str, str, str, float], Target] = {}
 _FILE_TARGET_CACHE_MAX = 128
 
 
@@ -286,8 +288,8 @@ def file_target(path: str, entry: str) -> Target:
 
     Dispatches on the suffix — ``.c`` files produce a :class:`CTarget`
     (C frontend), everything else a :class:`PythonTarget` — then
-    memoizes by ``(abspath, entry, mtime)``: editing the file bumps
-    its mtime, so the next call returns a *fresh* instance that
+    memoizes by ``(abspath, path, entry, mtime)``: editing the file
+    bumps its mtime, so the next call returns a *fresh* instance that
     re-reads and re-lowers the source — the invalidation the batch
     driver and the project scanner (:mod:`repro.scan`) both rely on.
 
@@ -305,7 +307,7 @@ def file_target(path: str, entry: str) -> Target:
     except OSError:
         # Missing file: an uncached instance whose resolve() reports it.
         return _fresh_file_target(path, entry)
-    key = (os.path.abspath(path), entry, mtime)
+    key = (os.path.abspath(path), path, entry, mtime)
     target = _FILE_TARGET_CACHE.get(key)
     if target is None:
         if len(_FILE_TARGET_CACHE) >= _FILE_TARGET_CACHE_MAX:

@@ -1,10 +1,14 @@
 """Function classifier for ``.c`` files — the scan tier's C intake.
 
 Like the Python classifier (:mod:`repro.scan.classify`), it is
-*exact*: it parses each file once, attempts the lowering of every
-candidate, and reports the located error as a one-line skip reason,
-``line N: reason``.  A function is lowerable iff the C frontend
-lowers it, and its lowered program rides on the record.
+*exact*: it attempts the lowering of every candidate and reports the
+located error as a one-line skip reason, ``line N: reason``.  A
+function is lowerable iff the C frontend lowers it.  Each lowering
+goes through the memoized ``file.c::fn`` target
+(:func:`repro.api.targets.file_target`), whose resolved target rides
+on the record for the campaign's jobs to run; the file's parse is
+shared by the classifier and every one of those lowerings
+(:func:`repro.cfront.lower.parse_c_unit`).
 
 Produces the same :class:`~repro.scan.classify.DiscoveredFunction`
 records as the Python classifier, so the orchestrator, report, and
@@ -17,8 +21,7 @@ from pathlib import Path
 from typing import Iterable, List, Union
 
 from repro.cfront.errors import CFrontendError
-from repro.cfront.lower import c_ast_size, lower_unit_entry
-from repro.cfront.parser import parse_unit
+from repro.cfront.lower import c_ast_size, parse_c_unit
 from repro.scan.classify import DiscoveredFunction, skip_reason
 
 
@@ -44,7 +47,7 @@ def discover_c_functions(
             )
             continue
         try:
-            unit, source_lines = parse_unit(source, path)
+            unit, _ = parse_c_unit(source, path)
         except CFrontendError as exc:
             records.append(
                 DiscoveredFunction(
@@ -59,14 +62,14 @@ def discover_c_functions(
             )
             continue
         for name in unit.order:
-            records.append(_classify(unit, source_lines, path, name))
+            records.append(_classify(unit, path, name))
     records.sort(key=lambda r: (r.path, r.lineno, r.name))
     return records
 
 
-def _classify(
-    unit, source_lines: List[str], path: str, name: str
-) -> DiscoveredFunction:
+def _classify(unit, path: str, name: str) -> DiscoveredFunction:
+    from repro.api.targets import file_target
+
     if name in unit.skipped:
         entry = unit.skipped[name]
         return DiscoveredFunction(
@@ -92,7 +95,7 @@ def _classify(
         )
     fn = unit.functions[name]
     n_params = len(fn.params)
-    program = None
+    target = None
     reason = ""
     if n_params == 0:
         reason = (
@@ -100,10 +103,12 @@ def _classify(
             "(no input domain to search)"
         )
     else:
+        target = file_target(path, name)
         try:
-            program = lower_unit_entry(unit, source_lines, name)
+            target.resolve()
         except CFrontendError as exc:
             reason = skip_reason(exc, fn.line)
+            target = None
     return DiscoveredFunction(
         path=path,
         name=name,
@@ -112,5 +117,5 @@ def _classify(
         size=c_ast_size(fn, unit),
         lowerable=not reason,
         skip_reason=reason,
-        program=program,
+        target=target,
     )

@@ -27,7 +27,7 @@ Concretely the same conventions as :mod:`repro.fpir.frontend`:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.cfront import c_ast as C
 from repro.cfront.errors import CFrontendError
@@ -393,7 +393,9 @@ def _definition_names(unit: C.CUnit) -> List[str]:
 def _raise_unlowerable(unit: C.CUnit, name: str, source_lines: List[str]):
     """Raise the located reason a recorded definition cannot lower."""
     if name in unit.broken:
-        raise unit.broken[name].error
+        # A memoized unit re-raises its stored error: start a fresh
+        # traceback each time instead of growing the old one.
+        raise unit.broken[name].error.with_traceback(None)
     skipped = unit.skipped[name]
     raise CFrontendError(
         f"cannot lower '{name}': {skipped.reason}",
@@ -417,7 +419,7 @@ def lower_c_source(
     unrelated and out-of-subset definitions are tolerated, so one real
     ``.c`` file can hold many targets.
     """
-    unit, source_lines = parse_unit(source, filename)
+    unit, source_lines = parse_c_unit(source, filename)
     known = _definition_names(unit)
     if not known:
         raise CFrontendError("source defines no functions", filename=filename)
@@ -460,6 +462,8 @@ def lower_c_file(path: Union[str, Path], entry: str) -> Program:
     """Lower ``entry`` from the C file at ``path``.
 
     This is the resolver behind ``file.c::function`` target specs.
+    The parse is shared with every other function of the unchanged
+    file (:func:`parse_c_unit`).
     """
     file_path = Path(path)
     if not file_path.exists():
@@ -467,9 +471,28 @@ def lower_c_file(path: Union[str, Path], entry: str) -> Program:
     return lower_c_source(file_path.read_text(), entry=entry, filename=str(path))
 
 
-def parse_c_unit(source: str, filename: str = "<c>"):
-    """Parse without lowering (the scan classifier's entry point)."""
-    return parse_unit(source, filename)
+#: Parsed units by ``(filename, source)``.  Keyed by content, not
+#: mtime, so a file rewritten within one timestamp tick never replays
+#: a stale parse.
+_PARSE_CACHE: Dict[Tuple[str, str], Tuple[C.CUnit, List[str]]] = {}
+_PARSE_CACHE_MAX = 32
+
+
+def parse_c_unit(source: str, filename: str = "<c>") -> Tuple[C.CUnit, List[str]]:
+    """Parse without lowering; returns ``(unit, source_lines)``.
+
+    Memoized by ``(filename, source)``, so the scan classifier and
+    every ``file.c::fn`` lowering of one unchanged file share a single
+    parse.  The unit is shared: treat it as read-only.
+    """
+    key = (filename, source)
+    parsed = _PARSE_CACHE.get(key)
+    if parsed is None:
+        parsed = parse_unit(source, filename)
+        if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
+            _PARSE_CACHE.clear()
+        _PARSE_CACHE[key] = parsed
+    return parsed
 
 
 def c_ast_size(fn: C.CFunction, unit: C.CUnit) -> int:

@@ -154,11 +154,6 @@ class WeakDistancePayload:
     use_compiler: bool
     exact: bool
     max_loop_steps: int
-    #: Snapshot of the parent's runtime label sets (e.g. Algorithm 3's
-    #: ``L``).  The worker pool ships label state per *task* instead
-    #: and keeps this empty, so the payload's content hash only changes
-    #: when the program does.
-    label_state: Dict[str, FrozenSet[str]]
     #: Evaluation tier the rebuilt W runs in (``"compiled"``,
     #: ``"interpreter"`` or ``"vectorized"``).  Part of the payload —
     #: and therefore of the persistent pool's content hash — because it
@@ -177,17 +172,12 @@ def snapshot_label_state(
     }
 
 
-def make_payload(
-    weak_distance: WeakDistance,
-    n_inputs: int,
-    with_labels: bool = True,
-) -> WeakDistancePayload:
-    """Snapshot ``weak_distance`` into a picklable payload.
+def make_payload(weak_distance: WeakDistance, n_inputs: int) -> WeakDistancePayload:
+    """Snapshot ``weak_distance``'s program and execution settings.
 
-    ``with_labels=False`` leaves the label-state snapshot empty — the
-    persistent-pool protocol, where label state travels with each task
-    so the payload blob (and therefore its content hash) depends only
-    on the program.
+    Runtime label state is not part of it: the worker pool ships label
+    sets with each task, so the payload (and therefore its content
+    digest) depends only on the program.
     """
     return WeakDistancePayload(
         instrumented=weak_distance.instrumented,
@@ -195,23 +185,19 @@ def make_payload(
         use_compiler=weak_distance.use_compiler,
         exact=weak_distance.exact,
         max_loop_steps=weak_distance.max_loop_steps,
-        label_state=snapshot_label_state(weak_distance) if with_labels else {},
         eval_mode=weak_distance.eval_mode,
     )
 
 
 def rebuild_weak_distance(payload: WeakDistancePayload) -> WeakDistance:
     """Reconstruct an executable W from a payload (worker side)."""
-    weak_distance = WeakDistance(
+    return WeakDistance(
         payload.instrumented,
         use_compiler=payload.use_compiler,
         exact=payload.exact,
         max_loop_steps=payload.max_loop_steps,
         eval_mode=payload.eval_mode,
     )
-    for name, labels in payload.label_state.items():
-        weak_distance.label_sets.setdefault(name, set()).update(labels)
-    return weak_distance
 
 
 def sync_label_state(

@@ -13,15 +13,18 @@ payload rebuild across rounds and jobs:
   round) and reused by every subsequent round and job, no matter which
   analysis or program they serve.
 
-* **Payload cache by content hash.**  The parent pickles one label-free
-  :class:`~repro.core.parallel.WeakDistancePayload` per distinct
-  program and keys it by the SHA-256 of the blob.  Workers keep a small
-  LRU of rebuilt weak distances keyed by that digest, so they rebuild
-  and re-compile W only when the *program* actually changes — a second
-  job over the same program, or the twentieth round of Algorithm 3,
-  reuses the compiled W directly.  Runtime label state (Algorithm 3's
-  ``L``, coverage's ``B``) travels with each task and is synced into
-  the cached W in place, so the digest never churns on driver progress.
+* **Payload cache by content digest.**  The parent pickles one
+  label-free :class:`~repro.core.parallel.WeakDistancePayload` per
+  distinct program and keys it by the payload's identity-blind
+  :func:`~repro.util.digest.content_digest` (the scan store's recipe),
+  so equal programs share a key however their objects are aliased.
+  Workers keep a small LRU of rebuilt weak distances keyed by that
+  digest, so they rebuild and re-compile W only when the *program*
+  actually changes — a second job over the same program, or the
+  twentieth round of Algorithm 3, reuses the compiled W directly.
+  Runtime label state (Algorithm 3's ``L``, coverage's ``B``) travels
+  with each task and is synced into the cached W in place, so the
+  digest never churns on driver progress.
 
 * **Cancel slots.**  A pool runs many rounds — from many concurrent
   jobs — over one set of workers, so it allocates each round a *slot*
@@ -79,7 +82,7 @@ from repro.core.parallel import (
     watch_parent,
 )
 from repro.core.weak_distance import WeakDistance
-from repro.util.digest import digest_bytes
+from repro.util.digest import content_digest
 
 #: Concurrent rounds that can hold a cancel slot; rounds beyond this
 #: run without mid-round cancellation (still cancellable between
@@ -344,19 +347,19 @@ class WorkerPool:
         """The label-free payload blob and its content digest.
 
         Cached per live ``WeakDistance`` (weakly, so finished jobs do
-        not pin programs in parent memory); two distinct objects
-        instrumenting the same program pickle to identical bytes and
-        therefore share one digest — the worker-side cache key.
+        not pin programs in parent memory).  The digest is the
+        payload's :func:`~repro.util.digest.content_digest`, not a hash
+        of ``blob``: two distinct objects instrumenting equal programs
+        share one digest — the worker-side cache key — even when their
+        blobs differ in how pickle's memo shared their objects.
         """
         with self._lock:
             cached = self._blobs.get(weak_distance)
         if cached is not None:
             return cached
-        blob = pickle.dumps(
-            make_payload(weak_distance, n_inputs, with_labels=False),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        digest = digest_bytes(blob)
+        payload = make_payload(weak_distance, n_inputs)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = content_digest(payload)
         with self._lock:
             self._blobs[weak_distance] = (digest, blob)
             self._digests.add(digest)

@@ -35,9 +35,10 @@ class SourceLoc(NamedTuple):
     ``line`` is 1-based, ``col`` 0-based (both frontends' convention).
     Locations are *advisory* metadata for diagnostics (``repro lint``):
     they are attached as a non-field attribute, excluded from pickling
-    (so ``program_digest`` ignores them — editing a comment must not
-    invalidate the scan store) and from dataclass equality (so a C
-    kernel and its Python twin still lower to equal programs).
+    (so content digests ignore them — editing a comment must not
+    invalidate the scan store, and a C kernel digests like its Python
+    twin) and from dataclass equality (so the twins still lower to
+    equal programs).
     """
 
     file: str

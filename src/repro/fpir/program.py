@@ -11,12 +11,13 @@ the results").
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import pickle
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fpir.nodes import Block
 from repro.fpir.types import DOUBLE, Type
+from repro.util.digest import canonical_pickle
 
 
 @dataclasses.dataclass
@@ -76,10 +77,7 @@ class Program:
             self.functions[fn.name] = fn
         if entry not in self.functions:
             raise ValueError(f"entry function {entry!r} not defined")
-        # The entry function's own name object, not the caller's equal
-        # string: pickle memoizes strings by identity, so the program's
-        # content digest must not depend on which string named it.
-        self.entry = self.functions[entry].name
+        self.entry = entry
         self.globals: Dict[str, Union[float, int]] = dict(globals or {})
         self.arrays: Dict[str, Tuple[float, ...]] = {
             name: tuple(values) for name, values in (arrays or {}).items()
@@ -103,8 +101,14 @@ class Program:
 
     def clone(self) -> "Program":
         """Deep-copy the program (instrumenters rewrite clones, never
-        the Client's original)."""
-        cloned = copy.deepcopy(list(self.functions.values()))
+        the Client's original).
+
+        The copy is a tree even where the original shares nodes: it is
+        rebuilt from the memo-free pickle the content digest hashes, so
+        rewriting one occurrence of a node in place never touches
+        another, and programs with one digest instrument alike.
+        """
+        cloned = pickle.loads(canonical_pickle(list(self.functions.values())))
         return Program(
             cloned,
             entry=self.entry,

@@ -17,7 +17,7 @@ into a repository-level tool::
   worker payload cache already uses, plus the findings baseline;
 * :mod:`repro.scan.orchestrator` — discovery → digest → store lookup
   → a prioritized :meth:`repro.api.session.Session.submit` campaign
-  over the cache misses only;
+  over the cache misses only, one job per (digest, analysis);
 * :mod:`repro.scan.report` — the scan report, its text/JSON renderings
   and the CI exit-code contract (0 clean / 1 findings / 3 partial).
 """

@@ -3,8 +3,8 @@
 Every module-level ``def`` of a ``.py`` file is classified *exactly*:
 it is lowerable iff the Python frontend (:mod:`repro.fpir.frontend`)
 lowers it.  The lowering goes through the memoized ``file.py::fn``
-target (:func:`repro.api.targets.file_target`) that the campaign's
-jobs resolve too, and the lowered program rides on the record, so no
+target (:func:`repro.api.targets.file_target`), and that resolved
+target rides on the record: the campaign's jobs run it as is, so no
 function is lowered twice per scan.  A rejected function carries the
 frontend's located diagnostic as a one-line skip reason,
 ``line N: reason`` — the same form the C classifier
@@ -28,8 +28,10 @@ class DiscoveredFunction:
     """One module-level function the scan found (or one broken file).
 
     ``name`` is empty for a file-level record (unreadable/unparseable
-    file); then ``skip_reason`` explains the whole file.  ``program``
-    is the lowered FPIR program of a lowerable function.
+    file); then ``skip_reason`` explains the whole file.  ``target`` is
+    the resolved ``file::fn`` target of a lowerable function (it
+    describes itself as :attr:`spec`); :attr:`program` is its lowered
+    FPIR program.
     """
 
     path: str
@@ -39,12 +41,17 @@ class DiscoveredFunction:
     size: int
     lowerable: bool
     skip_reason: str = ""
-    program: Any = dataclasses.field(default=None, repr=False, compare=False)
+    target: Any = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def spec(self) -> str:
         """The ``file.py::fn`` target spec for this function."""
         return f"{self.path}::{self.name}"
+
+    @property
+    def program(self) -> Any:
+        """The lowered FPIR program (``None`` unless lowerable)."""
+        return self.target.resolve() if self.target is not None else None
 
 
 def skip_reason(exc: Exception, line: int) -> str:
@@ -66,7 +73,7 @@ def _classify(
 
     n_params = len(fn_def.args.args)
     size = _node_count(fn_def)
-    program = None
+    target = None
     reason = ""
     if n_params == 0:
         reason = (
@@ -74,10 +81,12 @@ def _classify(
             "(no input domain to search)"
         )
     else:
+        target = file_target(path, fn_def.name)
         try:
-            program = file_target(path, fn_def.name).resolve()
+            program = target.resolve()
         except FrontendError as exc:
             reason = skip_reason(exc, fn_def.lineno)
+            target = None
         else:
             size = sum(_node_count(defs[name]) for name in program.functions)
     return DiscoveredFunction(
@@ -88,7 +97,7 @@ def _classify(
         size=size,
         lowerable=not reason,
         skip_reason=reason,
-        program=program,
+        target=target,
     )
 
 

@@ -8,10 +8,11 @@ One :func:`scan_project` call is one CI run:
    frontend lowers it, and a skipped one carries the frontend's
    located diagnostic;
 2. **digest** the program each lowerable function's record carries
-   (:func:`repro.scan.store.program_digest`) — the one classification
-   lowered, so no function is lowered twice; ``.py`` programs also
-   stay memoized in the ``file::fn`` target cache the campaign's jobs
-   resolve through (:func:`repro.api.targets.parse_target_spec`);
+   (:func:`repro.scan.store.program_digest`).  The record's target is
+   the memoized ``file::fn`` target the classifier lowered
+   (:func:`repro.api.targets.file_target`), and the campaign's jobs
+   run that very target, so no function is lowered twice and each job
+   analyzes exactly the program its store key digests;
 3. **replay** every (digest, analysis, config-fingerprint) hit from
    the persistent store — an unchanged function costs zero engine
    evaluations on re-scan.  Under ``--prove``, the static tier
@@ -28,12 +29,20 @@ One :func:`scan_project` call is one CI run:
    :class:`~repro.api.engine.EngineConfig` built by
    :func:`repro.core.batch.job_request` with a fixed seed and
    ``deterministic=True``, so serial and ``--workers N`` scans are
-   bit-identical;
-5. **persist** every complete new result, apply the findings
-   baseline, and assemble the :class:`~repro.scan.report.ScanReport`.
+   bit-identical.  Only the first miss of each (digest, analysis) key
+   in that order runs: an analysis depends only on the program and
+   the seed, so every later miss with the same key (typically a C
+   kernel and its equal Python twin) becomes a ``shared`` result that
+   copies the leader's verdict, findings and ``n_evals`` and names
+   the leader in ``shared_with``.  Shared results cost no engine
+   evaluations and emit no job events, like store hits;
+5. **persist** every complete new result (once per key), apply the
+   findings baseline, and assemble the
+   :class:`~repro.scan.report.ScanReport`.
 
 Partial or failed jobs are reported but never persisted: a store
-record always describes a *complete* run.
+record always describes a *complete* run.  A follower of a failed or
+partial leader carries the same error or partial flag.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from repro.scan.classify import DiscoveredFunction, discover_functions
 from repro.scan.report import (
     FROM_ENGINE,
     FROM_PROOF,
+    FROM_SHARED,
     FROM_STORE,
     FunctionResult,
     ScanReport,
@@ -230,6 +240,17 @@ def _cached_result(
     )
 
 
+def _shared_result(leader: FunctionResult, target: str) -> FunctionResult:
+    """``leader``'s outcome, reported for the equal program ``target``."""
+    return dataclasses.replace(
+        leader,
+        target=target,
+        findings=[dict(f) for f in leader.findings],
+        source=FROM_SHARED,
+        shared_with=leader.target,
+    )
+
+
 def _run_campaign(
     misses: Sequence[Tuple[DiscoveredFunction, str, str]],
     config: ScanConfig,
@@ -237,9 +258,10 @@ def _run_campaign(
     """Analyze the store misses through one shared session.
 
     ``misses`` is ``(function, digest, analysis)`` triples, already
-    prioritized.  Mirrors :func:`repro.core.batch.run_batch`'s salvage
-    behavior: a failed job becomes an error result, a cancelled one
-    contributes its salvaged partial report when it has one.
+    prioritized and deduplicated.  Mirrors
+    :func:`repro.core.batch.run_batch`'s salvage behavior: a failed
+    job becomes an error result, a cancelled one contributes its
+    salvaged partial report when it has one.
     """
     from concurrent.futures import CancelledError
 
@@ -267,9 +289,11 @@ def _run_campaign(
                         label=fn.spec,
                     )
                 )
+                # The classifier's lowered target (it describes itself
+                # as ``fn.spec``), not a re-resolution of the spec.
                 handle = session.submit(
                     request.analysis,
-                    request.target,
+                    fn.target,
                     spec=request.spec,
                     config=request.config,
                     **request.options,
@@ -390,9 +414,19 @@ def scan_project(root: str, config: Optional[ScanConfig] = None) -> ScanReport:
         )
     )
 
+    # One engine run per (digest, analysis): the first miss of a key in
+    # that total order leads, and the others share its result.
+    runs: List[Tuple[DiscoveredFunction, str, str]] = []
+    followers: List[Tuple[DiscoveredFunction, str, str]] = []
+    run_keys = set()
+    for miss in misses:
+        key = (miss[1], miss[2])
+        (followers if key in run_keys else runs).append(miss)
+        run_keys.add(key)
+
     fresh: List[FunctionResult] = []
-    if misses:
-        fresh = _run_campaign(misses, config)
+    if runs:
+        fresh = _run_campaign(runs, config)
         for result in fresh:
             if result.error or result.partial:
                 continue  # never persist an incomplete verdict
@@ -409,7 +443,13 @@ def scan_project(root: str, config: Optional[ScanConfig] = None) -> ScanReport:
                 }
             )
 
-    results = cached + proven + fresh
+    by_key = {(r.digest, r.analysis): r for r in fresh}
+    shared = [
+        _shared_result(by_key[(digest, analysis)], fn.spec)
+        for fn, digest, analysis in followers
+    ]
+
+    results = cached + proven + fresh + shared
     results.sort(key=lambda r: (r.target, r.analysis))
 
     if config.update_baseline:

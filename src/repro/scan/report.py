@@ -2,8 +2,9 @@
 
 The CI contract (mirrors and extends the single-run CLI's):
 
-* ``0`` — every discovered lowerable function analyzed (or replayed
-  from the store) and no findings to fail on;
+* ``0`` — every discovered lowerable function analyzed (or shared
+  with an equal function's run, or replayed from the store) and no
+  findings to fail on;
 * ``1`` — findings present (under ``--baseline``: *new* findings
   present; accepted baseline findings alone stay green);
 * ``3`` — partial: some job was cancelled or failed mid-run, so the
@@ -28,6 +29,8 @@ from repro.scan.store import STORE_VERSION
 FROM_ENGINE = "analyzed"
 FROM_STORE = "cached"
 FROM_PROOF = "proven"
+#: Copied from an engine run of an equal program in the same scan.
+FROM_SHARED = "shared"
 
 
 @dataclasses.dataclass
@@ -48,6 +51,9 @@ class FunctionResult:
     error: str = ""
     #: Static safety certificate payload (``source == FROM_PROOF``).
     certificate: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: Target spec of the engine run this result copies
+    #: (``source == FROM_SHARED``).
+    shared_with: str = ""
 
     @property
     def ok(self) -> bool:
@@ -69,7 +75,8 @@ class ScanReport:
     discovered: List[DiscoveredFunction] = dataclasses.field(default_factory=list)
     #: One entry per (lowerable function, analysis).
     results: List[FunctionResult] = dataclasses.field(default_factory=list)
-    #: Engine evaluations this scan actually ran (0 = fully incremental).
+    #: Engine evaluations this scan actually ran (0 = fully incremental;
+    #: shared results, like store hits, cost none).
     n_evals: int = 0
     elapsed_seconds: float = 0.0
     baseline: bool = False
@@ -96,6 +103,10 @@ class ScanReport:
     @property
     def n_proven(self) -> int:
         return sum(1 for r in self.results if r.source == FROM_PROOF)
+
+    @property
+    def n_shared(self) -> int:
+        return sum(1 for r in self.results if r.source == FROM_SHARED)
 
     @property
     def findings(self) -> List[Dict[str, Any]]:
@@ -139,6 +150,7 @@ def render_scan_report(report: ScanReport) -> str:
     lines.append(
         f"analyses: {', '.join(report.analyses)} — "
         f"{report.n_analyzed} run(s) executed, "
+        f"{report.n_shared} shared with an identical function, "
         f"{report.n_cached} replayed from store{proven} "
         f"({report.n_evals} engine evaluations, "
         f"{report.elapsed_seconds:.1f}s)"
@@ -207,6 +219,7 @@ def scan_report_to_dict(report: ScanReport) -> Dict[str, Any]:
         "n_discovered": len(report.discovered),
         "n_lowerable": len(report.lowerable),
         "n_analyzed": report.n_analyzed,
+        "n_shared": report.n_shared,
         "n_cached": report.n_cached,
         "n_proven": report.n_proven,
         "n_evals": report.n_evals,
@@ -240,6 +253,7 @@ def scan_report_to_dict(report: ScanReport) -> Dict[str, Any]:
                 "analysis": r.analysis,
                 "verdict": r.verdict,
                 "source": r.source,
+                "shared_with": r.shared_with,
                 "digest": r.digest,
                 "n_evals": r.n_evals,
                 "elapsed_seconds": r.elapsed_seconds,

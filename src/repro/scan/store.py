@@ -8,23 +8,30 @@ Two artifacts live in the store directory:
 
   - the **program digest** is the content digest of the *lowered,
     uninstrumented* FPIR program (:func:`program_digest`), computed by
-    the same ``sha256(pickle)`` recipe the worker payload cache keys
-    its compiled-W LRU with (:mod:`repro.util.digest`).  Editing a
-    function's body changes its lowered FPIR, hence its digest;
-    editing a comment, docstring or unrelated function does not —
-    re-scans re-analyze exactly what changed;
+    the identity-blind, order-preserving recipe the worker payload
+    cache keys its compiled-W LRU with
+    (:func:`repro.util.digest.content_digest`).  Editing a function's
+    body changes its lowered FPIR, hence its digest; editing a
+    comment, docstring or unrelated function does not — re-scans
+    re-analyze exactly what changed.  Equal programs share one digest
+    whichever frontend lowered them, so a C kernel and its equal
+    Python twin share one record;
   - the **config fingerprint** (:func:`config_fingerprint`) folds in
     everything else that could change a verdict: seed, budgets,
     backend, eval mode, and the store schema version.  A scan run
     with different knobs never replays records produced under old
     ones.
 
-  Append-only keeps concurrent CI runs safe (a torn final line is
-  skipped, never fatal); last-record-wins gives update semantics, and
+  Last-record-wins gives update semantics, and
   :meth:`ResultStore.compact` rewrites the file to one line per key —
   automatically on open once stale (superseded) lines outgrow
   :data:`AUTO_COMPACT_RATIO` of the file, so commit-by-commit CI scans
-  never let the history outgrow the live record set.
+  never let the history outgrow the live record set.  Several
+  processes may share one store: appends and compactions hold an
+  exclusive ``flock`` on ``results.lock``, and a compaction re-reads
+  the file under that lock (so it keeps every other process's
+  records) and writes through a unique temp file.  Readers take no
+  lock; a torn final line is skipped, never fatal.
 
 * ``baseline.json`` — the accepted-findings baseline for
   ``repro scan --baseline``.  Baseline keys use the *target spec*
@@ -36,17 +43,21 @@ Two artifacts live in the store directory:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import fcntl
 import json
 import os
+import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.util.digest import content_digest, digest_bytes
 
 #: Bump when record semantics change; folded into the fingerprint so
-#: old stores are ignored rather than misread.
-STORE_VERSION = 1
+#: old stores are ignored rather than misread.  Version 2: program
+#: digests are identity-blind (:func:`repro.util.digest.content_digest`).
+STORE_VERSION = 2
 
 StoreKey = Tuple[str, str, str]  # (program digest, analysis, fingerprint)
 
@@ -139,6 +150,7 @@ class ResultStore:
     ) -> None:
         self.directory = Path(directory)
         self.path = self.directory / "results.jsonl"
+        self.lock_path = self.directory / "results.lock"
         self._records: Dict[StoreKey, Dict[str, Any]] = {}
         #: Lines dropped by the last (auto or explicit) compaction.
         self.n_compacted = 0
@@ -185,25 +197,50 @@ class ResultStore:
     ) -> Optional[Dict[str, Any]]:
         return self._records.get((digest, analysis, fingerprint))
 
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the store's inter-process writer lock."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with self.lock_path.open("a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            yield
+
     def put(self, record: Dict[str, Any]) -> None:
         """Persist ``record`` (append) and serve it to later gets."""
         record = dict(record)
         record["version"] = STORE_VERSION
         self._records[self._key(record)] = record
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        line = json.dumps(record, sort_keys=True) + "\n"
+        # Open under the lock: a compaction may replace the file, and
+        # an append must land in the file that survives it.
+        with self._locked(), self.path.open("a") as fh:
+            fh.write(line)
 
     def compact(self) -> int:
-        """Rewrite the file to one line per key; returns lines dropped."""
-        if not self.path.is_file():
-            return 0
-        raw_lines = sum(1 for _ in self.path.open())
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with tmp.open("w") as fh:
-            for key in sorted(self._records):
-                fh.write(json.dumps(self._records[key], sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        """Rewrite the file to one line per key; returns lines dropped.
+
+        Re-reads the file under the writer lock first, so records that
+        other processes appended since this store was opened survive
+        (and this store's view catches up with them).
+        """
+        with self._locked():
+            if not self.path.is_file():
+                return 0
+            self._records = {}
+            raw_lines = self._load()
+            fd, tmp = tempfile.mkstemp(
+                dir=self.directory, prefix="results.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    os.fchmod(fd, os.stat(self.path).st_mode & 0o777)
+                    for key in sorted(self._records):
+                        record = self._records[key]
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         return raw_lines - len(self._records)
 
 

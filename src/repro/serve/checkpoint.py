@@ -10,7 +10,9 @@ event types:
   are integrity-checked against it);
 * ``round`` — one driver round completed: the round's merged
   :class:`~repro.core.parallel.MultiStartOutcome`, pickled and
-  base64-wrapped, plus its content digest.  This *is* the paper
+  base64-wrapped, plus the digest of those pickled bytes (checked on
+  load: a round whose blob no longer matches is dropped, which ends
+  the replayable prefix there).  This *is* the paper
   engine's whole inter-round state: merged label sets travel inside
   the outcome, and the per-start randomness of every later round is a
   pure function of ``(seed, round, start)``, so no generator state
@@ -33,6 +35,7 @@ loader's torn-line tolerance makes the half-written tail harmless.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import json
 import pickle
@@ -41,7 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.serve.wire import WIRE_SCHEMA_VERSION, payload_fingerprint
-from repro.util.digest import content_digest
+from repro.util.digest import digest_bytes
 
 #: Journal record schema version; old-versioned records are skipped on
 #: load rather than misread.
@@ -129,7 +132,7 @@ class CheckpointJournal:
                 "job_id": job_id,
                 "round_index": round_index,
                 "outcome": base64.b64encode(blob).decode("ascii"),
-                "digest": content_digest(outcome)[:16],
+                "digest": _blob_digest(blob),
             }
         )
 
@@ -157,7 +160,8 @@ class CheckpointJournal:
 
         Tolerates a torn final line (the ``kill -9`` case) and skips
         records from other journal versions; ``round``/``done``
-        records without a preceding ``job`` record are ignored.
+        records without a preceding ``job`` record are ignored, and so
+        are ``round`` records whose blob does not match their digest.
         """
         jobs: Dict[str, JournalJob] = {}
         if not self.path.is_file():
@@ -189,11 +193,28 @@ class CheckpointJournal:
                     )
                 elif kind == "round" and job_id in jobs:
                     index = record.get("round_index")
-                    blob = record.get("outcome")
-                    if isinstance(index, int) and isinstance(blob, str):
-                        jobs[job_id].rounds[index] = blob
+                    if isinstance(index, int) and _intact(record):
+                        jobs[job_id].rounds[index] = record["outcome"]
                 elif kind == "done" and job_id in jobs:
                     jobs[job_id].state = record.get("state")
                     jobs[job_id].report = record.get("report")
                     jobs[job_id].error = record.get("error")
         return jobs
+
+
+def _blob_digest(blob: bytes) -> str:
+    """The digest a ``round`` record carries for its pickled outcome."""
+    return digest_bytes(blob)[:16]
+
+
+def _intact(record: Dict[str, Any]) -> bool:
+    """Does a ``round`` record's blob decode to the bytes its digest
+    names?"""
+    blob = record.get("outcome")
+    if not isinstance(blob, str):
+        return False
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except (binascii.Error, ValueError):
+        return False
+    return _blob_digest(raw) == record.get("digest")

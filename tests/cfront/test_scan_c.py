@@ -103,6 +103,39 @@ class TestWalker:
         assert names == {"a.py", "b.c"}
 
 
+class TestOneLoweringPerFunction:
+    def test_cold_scan_parses_each_file_once_and_lowers_each_function_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The campaign runs the program the classifier lowered: a
+        cold scan parses each ``.c`` file once and lowers each C
+        function once."""
+        from repro.cfront import lower as lower_mod
+        from repro.cfront import parser as parser_mod
+
+        root = _c_project(tmp_path)
+        parses = []
+        lowerings = []
+        parse = parser_mod._Parser.parse
+        init = lower_mod._CUnitEnv.__init__
+
+        def counting_parse(self):
+            parses.append(self.filename)
+            return parse(self)
+
+        def counting_init(self, unit, source_lines):
+            lowerings.append(unit.filename)
+            init(self, unit, source_lines)
+
+        monkeypatch.setattr(parser_mod._Parser, "parse", counting_parse)
+        monkeypatch.setattr(lower_mod._CUnitEnv, "__init__", counting_init)
+        report = scan_project(str(root), _config())
+        assert report.n_analyzed == 21
+        files = sorted(str(p) for p in root.glob("*.c"))
+        assert sorted(parses) == files
+        assert len(lowerings) == len(report.lowerable) == 21
+
+
 class TestScanEndToEnd:
     def test_scan_discovers_and_analyzes_c_kernels(self, tmp_path):
         root = _c_project(tmp_path)

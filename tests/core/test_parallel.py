@@ -97,16 +97,23 @@ class TestPayload:
         with pytest.raises(ValueError, match="lost its hooks"):
             instrument(fig2.make_program(), spec)
 
-    def test_payload_carries_label_state(self):
+    def test_payload_round_trip_is_label_free(self):
+        """The payload carries the program and its execution settings,
+        never runtime label state (the pool ships that per task)."""
         instrumented = instrument(fig2.make_program(), overflow_spec())
-        weak_distance = WeakDistance(instrumented)
+        weak_distance = WeakDistance(
+            instrumented, max_loop_steps=123, eval_mode="interpreter"
+        )
         weak_distance.label_sets["L"].add("l1")
         payload = pickle.loads(
             pickle.dumps(make_payload(weak_distance, n_inputs=1))
         )
         rebuilt = rebuild_weak_distance(payload)
-        assert rebuilt.label_sets["L"] == {"l1"}
-        assert rebuilt.max_loop_steps == weak_distance.max_loop_steps
+        assert rebuilt.label_sets["L"] == set()
+        assert rebuilt.max_loop_steps == 123
+        assert rebuilt.eval_mode == "interpreter"
+        for x in [(0.5,), (1.0,), (-3.0,)]:
+            assert rebuilt(x) == WeakDistance(instrumented)(x)
 
 
 class TestVerdictEquivalence:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.scan import ScanConfig, scan_exit_code, scan_project
 from repro.scan.report import FROM_ENGINE, FROM_STORE, scan_report_to_dict
+from repro.scan.store import STORE_VERSION
 
 #: One function with a boundary finding (the x == 1.0 edge), one
 #: condition-free function no boundary analysis can find anything in.
@@ -146,7 +147,7 @@ class TestExitCodesAndReport:
         root = _project(tmp_path, {"a.py": EDGY})
         report = scan_project(str(root), _config())
         payload = json.loads(json.dumps(scan_report_to_dict(report)))
-        assert payload["version"] == 1
+        assert payload["version"] == STORE_VERSION
         assert payload["exit_code"] == 1
         assert payload["n_lowerable"] == 1
         (result,) = payload["results"]

@@ -1,6 +1,8 @@
-"""The incremental store: keys, durability, torn lines, baselines."""
+"""The incremental store: keys, durability, torn lines, concurrent
+writers, baselines."""
 
 import json
+import multiprocessing
 
 from repro.fpir.frontend import lower_source
 from repro.scan.store import (
@@ -190,6 +192,60 @@ class TestAutoCompaction:
         reopened = ResultStore(tmp_path, auto_compact_ratio=None)
         assert reopened.n_compacted == 0
         assert self._count_lines(reopened) == AUTO_COMPACT_MIN_LINES
+
+
+def _put_and_compact(directory, worker, n_records=50, every=10):
+    """One writer process: distinct records, a compaction every few."""
+    store = ResultStore(directory)
+    for i in range(n_records):
+        store.put(_record(digest=f"w{worker}-{i}"))
+        if (i + 1) % every == 0:
+            store.compact()
+
+
+class TestConcurrentWriters:
+    def test_compact_keeps_records_another_store_appended(self, tmp_path):
+        seed = ResultStore(tmp_path)
+        for i in range(3):
+            seed.put(_record(digest=f"d{i}"))
+        a = ResultStore(tmp_path)
+        b = ResultStore(tmp_path)
+        b.put(_record(digest="d99"))
+        a.compact()
+        assert a.get("d99", "boundary", "f1") is not None
+        reopened = ResultStore(tmp_path)
+        assert len(reopened) == 4
+        assert reopened.get("d99", "boundary", "f1") is not None
+
+    def test_compaction_leaves_no_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(_record(n_evals=1))
+        store.put(_record(n_evals=2))
+        assert store.compact() == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results.jsonl",
+            "results.lock",
+        ]
+
+    def test_concurrent_processes_lose_no_record(self, tmp_path):
+        n_workers, n_records = 4, 50
+        ctx = multiprocessing.get_context("spawn")
+        procs = [
+            ctx.Process(
+                target=_put_and_compact, args=(str(tmp_path), w, n_records)
+            )
+            for w in range(n_workers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(120)
+        assert [proc.exitcode for proc in procs] == [0] * n_workers
+        final = ResultStore(tmp_path)
+        assert len(final) == n_workers * n_records
+        for w in range(n_workers):
+            for i in range(n_records):
+                assert final.get(f"w{w}-{i}", "boundary", "f1") is not None
 
 
 class TestBaseline:

@@ -1,8 +1,14 @@
 """CheckpointJournal: durable, torn-line-tolerant round persistence."""
 
+import base64
+import json
+import pickle
+
+from repro.api import EngineConfig, Session
 from repro.core.parallel import MultiStartOutcome
 from repro.serve import CheckpointJournal
 from repro.serve.wire import normalize_job_payload, payload_fingerprint
+from repro.util.digest import digest_bytes
 
 
 def outcome(n_evals=10, labels=None):
@@ -81,3 +87,78 @@ class TestCorruptionTolerance:
 
     def test_missing_journal_loads_empty(self, tmp_path):
         assert CheckpointJournal(tmp_path / "nowhere").load() == {}
+
+
+def _rewrite_round(journal, round_index, outcome_b64):
+    """Replace one round record's ``outcome`` in place: the line stays
+    valid JSON, the blob valid base64, only the digest disagrees."""
+    lines = []
+    for line in journal.path.read_text().splitlines():
+        record = json.loads(line)
+        if record["type"] == "round" and record["round_index"] == round_index:
+            record["outcome"] = outcome_b64
+            line = json.dumps(record, sort_keys=True)
+        lines.append(line)
+    journal.path.write_text("\n".join(lines) + "\n")
+
+
+class TestRoundDigests:
+    def test_digest_names_the_pickled_bytes(self, tmp_path):
+        journal = CheckpointJournal(tmp_path / "store")
+        journal.record_job("j0", "t", PAYLOAD)
+        journal.record_round("j0", 0, outcome(10, ["b1:T"]))
+        (_, line) = journal.path.read_text().splitlines()
+        record = json.loads(line)
+        blob = base64.b64decode(record["outcome"])
+        assert record["digest"] == digest_bytes(blob)[:16]
+        assert blob == pickle.dumps(
+            outcome(10, ["b1:T"]), protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    def test_corrupt_round_ends_the_replayable_prefix(self, tmp_path):
+        journal = CheckpointJournal(tmp_path / "store")
+        journal.record_job("j0", "t", PAYLOAD)
+        for index in range(3):
+            journal.record_round("j0", index, outcome(10 * (index + 1)))
+        forged = pickle.dumps(outcome(999), protocol=pickle.HIGHEST_PROTOCOL)
+        _rewrite_round(journal, 1, base64.b64encode(forged).decode("ascii"))
+        entry = journal.load()["j0"]
+        assert sorted(entry.rounds) == [0, 2]
+        assert [o.n_evals for o in entry.outcomes()] == [10]
+
+    def test_resume_past_a_corrupt_round_matches_uninterrupted(self, tmp_path):
+        """Rounds 0..2 journaled, round 1 corrupted: resume replays
+        round 0 only, re-runs the rest live, and lands on the
+        uninterrupted report."""
+        journal = CheckpointJournal(tmp_path / "store")
+        journal.record_job("j0", "t", PAYLOAD)
+        options = {"max_rounds": 3, "n_starts": 4}
+
+        def checkpoint(index, round_outcome):
+            journal.record_round("j0", index, round_outcome)
+
+        with Session(EngineConfig(seed=13)) as session:
+            want = session.submit(
+                "overflow", "gsl-bessel", checkpoint=checkpoint, **options
+            ).result(timeout=120)
+            assert want.rounds == 3
+            blob = journal.load()["j0"].rounds[0]
+            _rewrite_round(journal, 1, blob)  # round 0's bytes as round 1
+            replay = journal.load()["j0"].outcomes()
+            assert len(replay) == 1
+            got = session.submit(
+                "overflow", "gsl-bessel", resume_rounds=replay, **options
+            ).result(timeout=120)
+        assert got.verdict == want.verdict
+        assert got.n_evals == want.n_evals
+        assert got.rounds == want.rounds
+        assert [(f.kind, f.label, f.x) for f in got.findings] == [
+            (f.kind, f.label, f.x) for f in want.findings
+        ]
+        assert [
+            (t.index, t.n_starts, t.n_evals, t.best_w, t.found_zero)
+            for t in got.trace
+        ] == [
+            (t.index, t.n_starts, t.n_evals, t.best_w, t.found_zero)
+            for t in want.trace
+        ]
