@@ -40,6 +40,12 @@ the starts of one reduction across a pool of worker processes:
   ``max_crash_retries``; exhaustion raises :class:`WorkerCrashError`
   naming the start).
 
+* **Lockstep serial rounds.**  Without a pool, a round whose backend
+  speaks ask/tell (:meth:`repro.mo.base.MOBackend.steps`) on a
+  vectorized W steps all its starts together, one kernel call per step
+  (:func:`repro.mo.base.drive`); each start still walks the trajectory
+  it walks alone.
+
 There is one executor: :class:`repro.core.pool.WorkerPool`.
 ``run_multistart(..., pool=...)`` fans a round across a persistent
 pool whose warm workers cache rebuilt weak distances by payload
@@ -55,14 +61,14 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.result import Sample
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.instrument import InstrumentedProgram
-from repro.mo.base import MOBackend, MOResult, Objective
+from repro.mo.base import MOBackend, MOResult, Objective, drive
 
 
 #: Salvage cycles a round may spend resubmitting crashed starts before
@@ -404,6 +410,43 @@ def merge_reports(
     )
 
 
+def _run_lockstep(
+    weak_distance: WeakDistance,
+    n_inputs: int,
+    tasks: Sequence[StartTask],
+    early_cancel: bool,
+    should_stop: Optional[Callable[[], bool]],
+) -> List[Tuple[Optional[MOResult], int, List[Sample]]]:
+    """Every start of the round stepped together by one ask/tell driver
+    (:func:`repro.mo.base.drive`): each step scores all live starts'
+    points in one vectorized kernel call.  Per start, the objective is
+    built as :func:`run_task` builds it, so each start's result,
+    evaluation count and samples are the ones a one-at-a-time run
+    produces."""
+    searches = [
+        (
+            Objective(
+                weak_distance,
+                n_dims=n_inputs,
+                record_samples=task.record_samples,
+                stop_at_zero=task.stop_at_zero,
+                max_samples=task.max_evals,
+            ),
+            task.backend.steps(task.start, task.rng),
+        )
+        for task in tasks
+    ]
+    kept = drive(searches, cut_at_zero=early_cancel, should_stop=should_stop)
+    return [
+        (
+            objective.result(task.backend.name) if objective.n_evals else None,
+            objective.n_evals,
+            objective.samples,
+        )
+        for task, (objective, _) in zip(tasks, searches[:kept])
+    ]
+
+
 def _run_starts_serial(
     weak_distance: WeakDistance,
     n_inputs: int,
@@ -415,49 +458,55 @@ def _run_starts_serial(
     pool: one fresh :class:`Objective` per start, so a serial run and a
     parallel run with the same seed walk identical trajectories.
 
+    When every start's backend speaks ask/tell and W has a vectorized
+    kernel, the round's starts run in lockstep (:func:`_run_lockstep`);
+    otherwise they run one at a time.  A wider step buys nothing on the
+    scalar tiers, and with ``early_cancel`` it would spend evaluations
+    on starts the serial loop never reaches.
+
     ``early_cancel`` plays the role of the pool's racing cancellation:
     when set, a zero stops the remaining starts (Algorithm 2's serial
     loop); when clear, every start runs like the deterministic pool
-    path, so attempts/eval counts/samples match it exactly.
-    ``stop_event`` is the cooperative job-cancellation hook
-    (:meth:`repro.api.session.JobHandle.cancel`); it never fires in an
-    uncancelled run, so it cannot perturb determinism.
+    path, so attempts/eval counts/samples match it exactly.  Lockstep
+    keeps those semantics.  ``stop_event`` is the cooperative
+    job-cancellation hook (:meth:`repro.api.session.JobHandle.cancel`);
+    it never fires in an uncancelled run, so it cannot perturb
+    determinism.
     """
-    attempts: List[MOResult] = []
-    samples: List[Sample] = []
-    n_evals = 0
-    interrupted = False
     should_stop = None if stop_event is None else stop_event.is_set
-    for task in tasks:
-        if stop_event is not None and stop_event.is_set():
-            interrupted = True
-            break
-        result, task_evals, task_samples = run_task(
-            weak_distance, n_inputs, task, should_stop=should_stop
-        )
-        if result is not None:
-            attempts.append(result)
-        n_evals += task_evals
+    if (
+        tasks
+        and all(task.backend.ask_tell for task in tasks)
+        and getattr(weak_distance, "supports_batch", False)
+    ):
+        runs = _run_lockstep(weak_distance, n_inputs, tasks, early_cancel, should_stop)
+    else:
+        runs = []
+        for task in tasks:
+            if should_stop is not None and should_stop():
+                break
+            run = run_task(weak_distance, n_inputs, task, should_stop=should_stop)
+            runs.append(run)
+            result = run[0]
+            if (
+                task.stop_at_zero
+                and early_cancel
+                and result is not None
+                and result.stopped_at_zero
+            ):
+                break
+    samples: List[Sample] = []
+    for _, _, task_samples in runs:
         samples.extend(task_samples)
-        if (
-            task.stop_at_zero
-            and early_cancel
-            and result is not None
-            and result.stopped_at_zero
-        ):
-            break
-    if stop_event is not None and stop_event.is_set():
-        interrupted = True
     return MultiStartOutcome(
-        attempts=attempts,
-        n_evals=n_evals,
+        attempts=[result for result, _, _ in runs if result is not None],
+        n_evals=sum(n for _, n, _ in runs),
         label_sets={
-            name: set(labels)
-            for name, labels in weak_distance.label_sets.items()
+            name: set(labels) for name, labels in weak_distance.label_sets.items()
         },
         samples=samples,
         n_cancelled=0,
-        interrupted=interrupted,
+        interrupted=stop_event is not None and stop_event.is_set(),
     )
 
 

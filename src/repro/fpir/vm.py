@@ -61,6 +61,7 @@ from repro.fpir.nodes import (
     Halt,
     If,
     InLabelSet,
+    INT_OPS,
     RecordEvent,
     Return,
     Stmt,
@@ -330,16 +331,18 @@ def _select_safe(expr: Expr, functions: Dict[str, Function]) -> bool:
     """Can ``expr`` be evaluated on lanes whose scalar counterpart would
     not evaluate it (both arms of a select, the RHS of ``and``/``or``)?
 
-    Safe means "cannot fault and has no side effects": arithmetic,
-    comparisons, externals (all registered externals are quiet),
-    label-set probes.  Array indexing (bounds), integer division (zero
-    divisor) and program calls are unsafe and force branch lowering.
+    Safe means "cannot fault and has no side effects": float
+    arithmetic, comparisons, externals (all registered externals are
+    quiet), label-set probes.  Array indexing (bounds), every integer
+    operator (int64 overflow, a zero divisor, a negative shift count,
+    a float operand outside int64) and program calls are unsafe and
+    force branch lowering.
     """
     cls = expr.__class__
     if cls is Const or cls is Var or cls is InLabelSet:
         return True
     if cls is BinOp:
-        if expr.op == "idiv":
+        if expr.op in INT_OPS:
             return False
         return _select_safe(expr.lhs, functions) and _select_safe(
             expr.rhs, functions
@@ -349,6 +352,8 @@ def _select_safe(expr: Expr, functions: Dict[str, Function]) -> bool:
             expr.rhs, functions
         )
     if cls is UnOp:
+        if expr.op == "ineg":
+            return False
         return _select_safe(expr.operand, functions)
     if cls is Ternary:
         return (

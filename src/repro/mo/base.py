@@ -15,43 +15,47 @@ optimization" (Section 4.1).  This module fixes the black-box interface:
   (:mod:`repro.mo.starts`), because exploring ``F^N`` requires
   magnitude-aware sampling rather than uniform boxes.
 
-Batch protocol
---------------
+Ask/tell protocol
+-----------------
 
-Batch-native backends speak two verbs: :meth:`MOBackend.propose_batch`
-(draw a population of candidate points) and
-:meth:`Objective.evaluate_batch` (score them).  ``evaluate_batch`` is
-defined to be observationally identical to evaluating the points one by
-one with ``__call__`` — same evaluation order, same best-point
-tracking, same sample recording, and the same :class:`StopMinimization`
-at the same point in the sequence, with any later points discarded.
-When the wrapped function exposes a vectorized kernel
-(``fn.supports_batch``, e.g. a :class:`repro.core.weak_distance.
-WeakDistance` in ``eval_mode="vectorized"``) the whole population is
-scored in one call; otherwise a scalar loop runs.  Because the
-semantics are identical either way, a backend built on
-``evaluate_batch`` produces bit-identical trajectories in every
-``eval_mode``.
+Backends that can use a vectorized weak distance speak ask/tell:
+:meth:`MOBackend.steps` is a generator that *yields* a non-empty list
+of candidate points (tuples of Python floats), *receives* their values
+(Python floats, NaN already read as ``inf``), and returns when its
+search is done.  :func:`drive` runs such searches — one, or every start
+of a multi-start round in lockstep (:mod:`repro.core.parallel`).  Each
+step concatenates the live searches' asks and scores them with one
+``fn.evaluate_batch`` call when the wrapped function exposes a
+vectorized kernel (``fn.supports_batch``, e.g. a
+:class:`repro.core.weak_distance.WeakDistance` in
+``eval_mode="vectorized"``); otherwise it calls ``fn`` point by point.
+Each search's slice is absorbed by :meth:`Objective.absorb_batch`,
+which is observationally identical to evaluating the points one by one
+with ``__call__`` — same evaluation count, best-point tracking and
+sample recording, and the same stop at the same point in the sequence
+(a zero, the budget), with any later points discarded uncounted.
+Because searches are independent and the semantics are identical
+either way, an ask/tell backend produces bit-identical trajectories in
+every ``eval_mode``, alone or in lockstep with other starts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: A point of ``F^N`` as the ask/tell protocol carries it.
+Point = Tuple[float, ...]
+
+#: What :meth:`MOBackend.steps` returns: yields asks, receives values.
+Steps = Generator[List[Point], List[float], None]
 
 
 class StopMinimization(Exception):
     """Raised inside an objective once a zero has been reached."""
-
-
-def _as_point(x) -> Tuple[float, ...]:
-    """A candidate point as a tuple of Python floats."""
-    if isinstance(x, (list, tuple)):
-        return tuple(map(float, x))
-    return tuple(float(v) for v in np.atleast_1d(x))  # scalars and arrays
 
 
 @dataclasses.dataclass
@@ -103,7 +107,7 @@ class Objective:
         self.best_f = math.inf
 
     def __call__(self, x) -> float:
-        # _as_point, inlined: this is the scalar search's hot path.
+        # The scalar search's hot path: coerce to a tuple of Python floats.
         if isinstance(x, (list, tuple)):
             xs = tuple(map(float, x))
         else:  # scalars and arrays
@@ -112,29 +116,9 @@ class Objective:
 
     @property
     def supports_batch(self) -> bool:
-        """True when the wrapped function scores populations in one
+        """True when the wrapped function scores many points in one
         call (a vectorized weak-distance kernel)."""
         return bool(getattr(self.fn, "supports_batch", False))
-
-    def evaluate_batch(self, points) -> List[float]:
-        """Evaluate a population with sequential-call semantics.
-
-        Observationally identical to ``[self(p) for p in points]``:
-        points are absorbed in order, and a stop condition (zero found,
-        budget exhausted, external cancellation) raises
-        :class:`StopMinimization` at the same point it would have in
-        the scalar loop — later points are computed in vain at most,
-        never recorded.  The vectorized kernel's bit-parity contract
-        (:mod:`repro.fpir.batch_eval`) makes the returned values
-        identical in both paths, so batch-native backends behave the
-        same in every ``eval_mode``.
-        """
-        coerced = [_as_point(p) for p in points]
-        if self.supports_batch and len(coerced) > 1:
-            values = self.fn.evaluate_batch(np.asarray(coerced, dtype=np.float64))
-            values = np.asarray(values, dtype=np.float64).tolist()
-            return [self._absorb(xs, v) for xs, v in zip(coerced, values)]
-        return [self._absorb(xs, float(self.fn(xs))) for xs in coerced]
 
     def _absorb(self, xs: Tuple[float, ...], value: float) -> float:
         """Bookkeeping for one evaluated point (the ``__call__`` body)."""
@@ -156,6 +140,51 @@ class Objective:
             raise StopMinimization()
         return value
 
+    def _room(self, n: int) -> int:
+        """How many of the next ``n`` evaluations fit in ``max_samples``
+        (at least one: ``__call__`` counts a point before it checks the
+        budget)."""
+        if self.max_samples is None:
+            return n
+        return min(n, max(1, self.max_samples - self.n_evals))
+
+    def absorb_batch(
+        self, points: Sequence[Point], values: Sequence[float]
+    ) -> List[float]:
+        """Absorb evaluated ``points`` with sequential-call semantics.
+
+        Observationally identical to absorbing the points one by one
+        through ``__call__``: only the points up to and including the
+        first stop point count — the first value ``<= 0`` under
+        ``stop_at_zero``, or the point that reaches ``max_samples`` —
+        and :class:`StopMinimization` is raised after them, so later
+        points are never counted or recorded.  The best point becomes
+        the first strict minimum of the counted prefix if it beats the
+        running best.  ``should_stop`` is polled once per batch, so an
+        external cancel lands at a batch boundary.  Returns the values
+        with NaN read as ``inf``.
+        """
+        values = [math.inf if v != v else float(v) for v in values]
+        head = values[: self._room(len(values))]
+        lowest = min(head)
+        if self.stop_at_zero and lowest <= 0.0:
+            head = head[: next(k for k, v in enumerate(head) if v <= 0.0) + 1]
+            lowest = min(head)
+        self.n_evals += len(head)
+        if self.record_samples:
+            self.samples.extend(zip(points, head))
+        if lowest < self.best_f or self.best_x is None:
+            # The first point counts even when it is inf (see _absorb).
+            self.best_f = lowest
+            self.best_x = points[head.index(lowest)]
+        if (
+            (self.stop_at_zero and head[-1] <= 0.0)
+            or (self.max_samples is not None and self.n_evals >= self.max_samples)
+            or (self.should_stop is not None and self.should_stop())
+        ):
+            raise StopMinimization()
+        return values
+
     def result(self, backend: str) -> MOResult:
         """Package the best point seen so far."""
         if self.best_x is None:
@@ -169,10 +198,113 @@ class Objective:
         )
 
 
+def _score_scalar(objective: Objective, points: Sequence[Point]) -> List[float]:
+    """``objective.fn`` point by point, up to where ``absorb_batch`` will
+    stop — so a scalar step never evaluates a point that cannot count."""
+    fn = objective.fn
+    values = []
+    for x in points[: objective._room(len(points))]:
+        value = fn(x)
+        values.append(value)
+        if objective.stop_at_zero and value <= 0.0:
+            break
+    return values
+
+
+def drive(
+    searches: Sequence[Tuple[Objective, Steps]],
+    cut_at_zero: bool = False,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> int:
+    """Run ask/tell searches in lockstep; returns how many count.
+
+    ``searches`` pairs each start's :class:`Objective` with its
+    :meth:`MOBackend.steps` generator; every objective must wrap the
+    same function.  Each step collects the live searches' asks in start
+    order and scores them together — one ``fn.evaluate_batch`` call on
+    an ``(N, d)`` array when the function supports batches and the step
+    holds more than one point, otherwise ``fn`` point by point on the
+    tuples — then absorbs each search's slice in order
+    (:meth:`Objective.absorb_batch`).  A search ends when its objective
+    stops or its generator returns; the points a stopped search asked
+    for past its stop point are computed in vain and never counted.
+    Searches are independent, so stepping them together changes no
+    search's evaluations, samples or result.
+
+    ``cut_at_zero`` gives the serial multi-start loop's early cancel:
+    once search ``i`` ends at a zero (under ``stop_at_zero``), every
+    search after it is dropped as if it never ran, while the ones before
+    it run to completion — and a zero in one of those moves the cut
+    earlier.  ``should_stop`` is checked before every step; once it
+    fires, every live search ends with its progress so far.  The return
+    value ``k`` says that ``searches[:k]`` count.
+    """
+    kept = len(searches)
+    if not kept:
+        return 0
+    fn = searches[0][0].fn
+    batch = searches[0][0].supports_batch
+    asks: List[Optional[List[Point]]] = []
+    for _, steps in searches:
+        asks.append(next(steps, None))
+    live = [i for i, ask in enumerate(asks) if ask is not None]
+    while live:
+        if should_stop is not None and should_stop():
+            break
+        values = None
+        if batch and (len(live) > 1 or len(asks[live[0]]) > 1):
+            points = [x for i in live for x in asks[i]]
+            values = np.asarray(
+                fn.evaluate_batch(np.array(points, dtype=np.float64)),
+                dtype=np.float64,
+            ).tolist()
+        still = []
+        offset = 0
+        for i in live:
+            if i >= kept:
+                break
+            objective, steps = searches[i]
+            ask = asks[i]
+            if values is None:
+                got = _score_scalar(objective, ask)
+                ask = ask[: len(got)]
+            else:
+                got = values[offset : offset + len(ask)]
+                offset += len(ask)
+            try:
+                asks[i] = steps.send(objective.absorb_batch(ask, got))
+            except (StopMinimization, StopIteration):
+                if cut_at_zero and objective.stop_at_zero and objective.best_f <= 0.0:
+                    kept = i + 1
+                continue
+            still.append(i)
+        live = still
+    return kept
+
+
 class MOBackend:
-    """Interface all backends implement."""
+    """Interface all backends implement.
+
+    An ask/tell backend implements :meth:`steps` and inherits
+    :meth:`minimize`, which drives it; a callback backend overrides
+    :meth:`minimize` (usually through :meth:`_guarded`/:meth:`_run`)
+    and hands the :class:`Objective` to a library loop.
+    """
 
     name = "abstract"
+
+    def steps(self, start: Sequence[float], rng: np.random.Generator) -> Steps:
+        """The search from ``start`` as an ask/tell generator (see the
+        module docstring).  Callback backends do not implement it."""
+        raise NotImplementedError(f"backend {self.name!r} does not speak ask/tell")
+
+    @property
+    def ask_tell(self) -> bool:
+        """True when :meth:`minimize` is the default driver over
+        :meth:`steps`, so a round may step this backend's starts in
+        lockstep without changing any start's result."""
+        cls = type(self)
+        return cls.steps is not MOBackend.steps and cls.minimize is MOBackend.minimize
 
     def minimize(
         self,
@@ -181,23 +313,10 @@ class MOBackend:
         rng: np.random.Generator,
     ) -> MOResult:
         """Minimize ``objective`` from ``start``; never raises
-        :class:`StopMinimization` (it is converted to a result)."""
-        raise NotImplementedError
-
-    def propose_batch(
-        self,
-        x: Sequence[float],
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ) -> List[Tuple[float, ...]]:
-        """Propose a population of candidate points around ``x``.
-
-        Batch-native backends override this (and feed the result to
-        :meth:`Objective.evaluate_batch`); the default signals that the
-        backend proposes points one at a time.
-        """
-        raise NotImplementedError(f"backend {self.name!r} does not propose batches")
+        :class:`StopMinimization` (it is converted to a result).  The
+        default drives :meth:`steps` for this one start."""
+        drive([(objective, self.steps(start, rng))])
+        return objective.result(self.name)
 
     def _run(
         self,

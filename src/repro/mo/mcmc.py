@@ -14,29 +14,69 @@ suite exercise the backend protocol without SciPy.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Generator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mo.base import MOBackend, Objective
+from repro.mo.base import MOBackend, Point, Steps
+
+
+def random_jump(
+    x: Sequence[float], rng: np.random.Generator, scale: float = 1.0
+) -> Point:
+    """One magnitude-aware Markov-chain proposal around ``x``.
+
+    Per coordinate: an additive Gaussian step scaled to the magnitude
+    (half the time), a multiplicative jump by ``10^U(-2, 2)``, or a
+    sign flip with a ``10^U(-1, 1)`` rescale; overflow saturates at
+    ``±1e308``.  ``lo + (hi - lo) * rng.random()`` is NumPy's own
+    ``rng.uniform(lo, hi)`` formula over the same one-double draw, at a
+    third of the call cost.
+    """
+    out = []
+    for xi in x:
+        mode = rng.random()
+        if mode < 0.5:
+            xi = xi + rng.normal(0.0, scale * (1.0 + abs(xi) * 0.5))
+        elif mode < 0.9:
+            xi = xi * 10.0 ** (-2.0 + 4.0 * rng.random())
+        else:
+            xi = -xi * 10.0 ** (-1.0 + 2.0 * rng.random())
+        if not math.isfinite(xi):
+            xi = math.copysign(1e308, xi)
+        out.append(float(xi))
+    return tuple(out)
+
+
+def metropolis_accept(
+    fx: float, fcand: float, temperature: float, rng: np.random.Generator
+) -> bool:
+    """Metropolis acceptance of a worse candidate, on the relative gap
+    (weak distances span hundreds of orders of magnitude)."""
+    if not math.isfinite(fcand):
+        return False
+    if not math.isfinite(fx):
+        return True
+    spread = abs(fx) + abs(fcand) + 1e-300
+    delta = (fcand - fx) / (spread * temperature)
+    return rng.random() < math.exp(-min(delta, 700.0))
 
 
 def _pattern_search(
-    objective: Objective,
-    x0: Tuple[float, ...],
-    max_iters: int = 80,
-) -> Tuple[Tuple[float, ...], float]:
+    x0: Sequence[float], max_iters: int = 80
+) -> Generator[List[Point], List[float], Tuple[Point, float]]:
     """Derivative-free local descent (compass search with step doubling).
 
     Steps are proportional to each coordinate's magnitude so the search
     is scale-free across the doubles; a small absolute step handles
-    points near zero.  Each coordinate's candidate probes are scored as
-    one batch (a single kernel call under a vectorized weak distance);
-    the first improving candidate wins, so the descent trajectory is
-    the same one the historical probe-at-a-time loop produced.
+    points near zero.  An ask/tell sub-search: it asks for ``x0``, then
+    for each coordinate's candidate probes as one step (a single kernel
+    call under a vectorized weak distance), and returns the local
+    minimum ``(x, fx)``.  The first improving candidate wins, so the
+    descent trajectory is the one a probe-at-a-time loop produces.
     """
-    x = list(x0)
-    fx = objective(x)
+    x = [float(v) for v in x0]
+    (fx,) = yield [tuple(x)]
     rel_step = 0.25
     for _ in range(max_iters):
         improved = False
@@ -62,7 +102,8 @@ def _pattern_search(
                 trials.append(tuple(trial))
             if not trials:
                 continue
-            for trial, ft in zip(trials, objective.evaluate_batch(trials)):
+            values = yield trials
+            for trial, ft in zip(trials, values):
                 if ft < fx:
                     x, fx = list(trial), ft
                     improved = True
@@ -91,57 +132,10 @@ class PurePythonBasinhopping(MOBackend):
         self.temperature = temperature
         self.local_iters = local_iters
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def _run(self, objective: Objective, start, rng) -> None:
-        x, fx = _pattern_search(objective, tuple(start), self.local_iters)
+    def steps(self, start, rng) -> Steps:
+        x, fx = yield from _pattern_search(start, self.local_iters)
         for _ in range(self.niter):
-            proposal = self._propose(x, rng)
-            cand, fcand = _pattern_search(
-                objective, proposal, self.local_iters
-            )
-            if fcand <= fx or self._accept(fx, fcand, rng):
+            proposal = random_jump(x, rng)
+            cand, fcand = yield from _pattern_search(proposal, self.local_iters)
+            if fcand <= fx or metropolis_accept(fx, fcand, self.temperature, rng):
                 x, fx = cand, fcand
-
-    def propose_batch(
-        self,
-        x,
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ):
-        """A population of Markov-chain proposals around ``x``."""
-        xt = tuple(float(v) for v in x)
-        return [self._propose(xt, rng, scale) for _ in range(size)]
-
-    def _propose(
-        self,
-        x: Tuple[float, ...],
-        rng: np.random.Generator,
-        scale: float = 1.0,
-    ) -> Tuple[float, ...]:
-        out = []
-        for xi in x:
-            mode = rng.random()
-            if mode < 0.5:
-                xi = xi + rng.normal(0.0, scale * (1.0 + abs(xi) * 0.5))
-            elif mode < 0.9:
-                xi = xi * 10.0 ** rng.uniform(-2.0, 2.0)
-            else:
-                xi = -xi * 10.0 ** rng.uniform(-1.0, 1.0)
-            if not math.isfinite(xi):
-                xi = math.copysign(1e308, xi)
-            out.append(float(xi))
-        return tuple(out)
-
-    def _accept(
-        self, fx: float, fcand: float, rng: np.random.Generator
-    ) -> bool:
-        if not math.isfinite(fcand):
-            return False
-        if not math.isfinite(fx):
-            return True
-        spread = abs(fx) + abs(fcand) + 1e-300
-        delta = (fcand - fx) / (spread * self.temperature)
-        return rng.random() < math.exp(-min(delta, 700.0))

@@ -1,10 +1,10 @@
 """Population-based basin-hopping — the batch-native backend.
 
 Where :mod:`repro.mo.mcmc` walks one candidate at a time, this backend
-proposes a whole *generation* of candidates around the incumbent and
-scores them in a single :meth:`Objective.evaluate_batch` call — one
-vectorized kernel invocation per generation when the weak distance
-supports batching.  A generation mixes two proposal families:
+asks for a whole *generation* of candidates around the incumbent as one
+ask/tell step — one vectorized kernel invocation per generation when
+the weak distance supports batching, shared with the other starts of a
+lockstep round.  A generation mixes two proposal families:
 
 * **compass probes** — ``x_i ± scale·(1 + |x_i|)`` and a sign flip per
   coordinate, the same magnitude-aware moves pattern search uses, so
@@ -16,19 +16,20 @@ supports batching.  A generation mixes two proposal families:
 
 Acceptance is greedy on improvement with a Metropolis fallback on the
 generation's best candidate, so the chain can still escape plateaus.
-The backend only speaks :meth:`propose_batch`/``evaluate_batch``; its
-trajectory is therefore bit-identical in every ``eval_mode`` (the
-batch protocol guarantees sequential-call semantics).
+The backend only speaks ask/tell; its trajectory is therefore
+bit-identical in every ``eval_mode`` (the protocol guarantees
+sequential-call semantics, see :mod:`repro.mo.base`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.mo.base import MOBackend, Objective
+from repro.mo.base import MOBackend, Point, Steps
+from repro.mo.mcmc import metropolis_accept, random_jump
 
 
 class PopulationBackend(MOBackend):
@@ -46,71 +47,20 @@ class PopulationBackend(MOBackend):
         self.population = max(2, population)
         self.temperature = temperature
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def propose_batch(
-        self,
-        x: Sequence[float],
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ) -> List[Tuple[float, ...]]:
-        """Compass probes around ``x`` first, random jumps after.
-
-        Compass probes come first so that even a tiny ``size`` keeps
-        the local-descent moves that drive convergence; the remainder
-        of the population explores globally.
-        """
-        xt = tuple(float(v) for v in x)
-        out: List[Tuple[float, ...]] = []
-        for i, xi in enumerate(xt):
-            step = scale * (1.0 + abs(xi))
-            for value in (xi + step, xi - step, -xi):
-                if not math.isfinite(value) or value == xi:
-                    continue
-                cand = list(xt)
-                cand[i] = value
-                out.append(tuple(cand))
-        out = out[:size]
-        while len(out) < size:
-            out.append(self._random_jump(xt, rng, scale))
-        return out
-
-    def _random_jump(
-        self,
-        x: Tuple[float, ...],
-        rng: np.random.Generator,
-        scale: float,
-    ) -> Tuple[float, ...]:
-        out = []
-        for xi in x:
-            mode = rng.random()
-            if mode < 0.5:
-                xi = xi + rng.normal(0.0, scale * (1.0 + abs(xi) * 0.5))
-            elif mode < 0.9:
-                xi = xi * 10.0 ** rng.uniform(-2.0, 2.0)
-            else:
-                xi = -xi * 10.0 ** rng.uniform(-1.0, 1.0)
-            if not math.isfinite(xi):
-                xi = math.copysign(1e308, xi)
-            out.append(float(xi))
-        return tuple(out)
-
-    def _run(self, objective: Objective, start, rng) -> None:
+    def steps(self, start, rng) -> Steps:
         x = tuple(float(v) for v in start)
-        fx = objective(x)
+        (fx,) = yield [x]
         scale = 0.25
         for _ in range(self.n_generations):
-            cands = self.propose_batch(x, rng, self.population, scale)
-            values = objective.evaluate_batch(cands)
-            best = min(range(len(values)), key=values.__getitem__)
-            fbest = values[best]
+            cands = self._propose(x, rng, self.population, scale)
+            values = yield cands
+            fbest = min(values)
+            best = values.index(fbest)
             if fbest < fx:
                 x, fx = cands[best], fbest
                 scale = min(scale * 2.0, 0.5)
             else:
-                if self._accept(fx, fbest, rng):
+                if metropolis_accept(fx, fbest, self.temperature, rng):
                     x, fx = cands[best], fbest
                 scale *= 0.5
                 if scale < 1e-12:
@@ -118,13 +68,26 @@ class PopulationBackend(MOBackend):
                     # schedule so the random jumps regain amplitude.
                     scale = 0.25
 
-    def _accept(
-        self, fx: float, fcand: float, rng: np.random.Generator
-    ) -> bool:
-        if not math.isfinite(fcand):
-            return False
-        if not math.isfinite(fx):
-            return True
-        spread = abs(fx) + abs(fcand) + 1e-300
-        delta = (fcand - fx) / (spread * self.temperature)
-        return rng.random() < math.exp(-min(delta, 700.0))
+    @staticmethod
+    def _propose(
+        x: Point, rng: np.random.Generator, size: int, scale: float
+    ) -> List[Point]:
+        """Compass probes around ``x`` first, random jumps after.
+
+        Compass probes come first so that even a tiny ``size`` keeps
+        the local-descent moves that drive convergence; the remainder
+        of the population explores globally.
+        """
+        out: List[Point] = []
+        for i, xi in enumerate(x):
+            step = scale * (1.0 + abs(xi))
+            for value in (xi + step, xi - step, -xi):
+                if not math.isfinite(value) or value == xi:
+                    continue
+                cand = list(x)
+                cand[i] = value
+                out.append(tuple(cand))
+        del out[size:]
+        while len(out) < size:
+            out.append(random_jump(x, rng, scale))
+        return out

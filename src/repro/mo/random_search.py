@@ -8,18 +8,14 @@ and serves as the sanity baseline everywhere else.
 
 The backend is batch-native: points are still drawn one at a time from
 the sampler (so the random stream — and therefore the sampled sequence
-— is identical to the historical scalar loop), but they are scored in
-chunks through :meth:`Objective.evaluate_batch`, which collapses to a
-single vectorized kernel call when the weak distance supports it.
+— is identical to the historical scalar loop), but they are asked for
+in chunks as ask/tell steps (:mod:`repro.mo.base`), each a single
+vectorized kernel call when the weak distance supports it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
-
-from repro.mo.base import MOBackend, Objective
+from repro.mo.base import MOBackend, Steps
 from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
 
 
@@ -38,25 +34,11 @@ class RandomSearchBackend(MOBackend):
         self.sampler = sampler
         self.batch_size = max(1, batch_size)
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def propose_batch(
-        self,
-        x: Sequence[float],
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ) -> List[Tuple[float, ...]]:
-        """Random search ignores ``x``/``scale``: fresh sampler draws."""
-        n_dims = len(tuple(x))
-        return [self.sampler(rng, n_dims) for _ in range(size)]
-
-    def _run(self, objective: Objective, start, rng) -> None:
-        objective(tuple(start))
+    def steps(self, start, rng) -> Steps:
+        n_dims = len(start)
+        yield [tuple(map(float, start))]
         remaining = self.n_samples - 1
         while remaining > 0:
             size = min(self.batch_size, remaining)
-            chunk = [self.sampler(rng, objective.n_dims) for _ in range(size)]
-            objective.evaluate_batch(chunk)
+            yield [tuple(map(float, self.sampler(rng, n_dims))) for _ in range(size)]
             remaining -= size

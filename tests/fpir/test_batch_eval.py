@@ -290,6 +290,52 @@ def test_events_are_scalar_replay_only():
     assert vec.last_events == scalar_events  # untouched by the batch
 
 
+def _integer_select_programs():
+    """Programs with an integer operator where only some lanes run it:
+    the issue's ``k * k`` repro, each integer operator on a float
+    operand outside int64 (lane 1e30 never takes the arm), and the
+    right-hand side of ``and``."""
+    from repro.fpir.builder import iadd, imul, intc, land, ternary
+    from repro.fpir.nodes import INT_OPS, BinOp, UnOp
+
+    fb = FunctionBuilder("f", params=["x"])
+    fb.let("k", call("__d2i", v("x")))
+    fb.let("t", ternary(gt(v("x"), num(1e10)), intc(0), imul(v("k"), v("k"))))
+    fb.ret(call("__i2d", v("t")))
+    yield "k*k", one_function(fb), [3.0, 1e12, -2.0], [9.0, 0.0, 4.0]
+    for op in [op for op in INT_OPS if op != "idiv"] + ["ineg"]:
+        arm = (UnOp("ineg", v("x")) if op == "ineg"
+               else BinOp(op, v("x"), intc(1)))
+        fb = FunctionBuilder("f", params=["x"])
+        fb.let("t", ternary(gt(v("x"), num(1e10)), intc(0), arm))
+        fb.ret(call("__i2d", v("t")))
+        yield op, one_function(fb), [3.0, 1e30, -2.0], None
+    fb = FunctionBuilder("f", params=["x"])
+    fb.let("b", land(lt(v("x"), num(1e10)),
+                     gt(iadd(v("x"), intc(1)), intc(0))))
+    fb.ret(ternary(v("b"), num(1.0), num(0.0)))
+    yield "and", one_function(fb), [3.0, 1e30, -2.0], [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "name,program,xs,want",
+    [pytest.param(*case, id=case[0]) for case in _integer_select_programs()],
+)
+def test_integer_arm_runs_only_on_its_lanes(name, program, xs, want):
+    """An integer operator can fault on a lane whose scalar run never
+    computes it (int64 overflow, a negative shift count, a float
+    operand outside int64), so it lowers under a branch mask, never a
+    select: the batch runs in one pass and matches the interpreter."""
+    from repro.fpir.batch_eval import compile_batch
+    from repro.fpir.interpreter import Interpreter
+
+    reference = [Interpreter(program).run((x,)).value for x in xs]
+    if want is not None:
+        assert reference == want
+    got = compile_batch(program).run(np.array([[x] for x in xs])).values
+    assert_bit_equal(got, reference, name)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="calibration compares NaNs without their sign: NumPy's default "

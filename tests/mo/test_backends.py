@@ -87,9 +87,12 @@ class TestOtherBackends:
         assert result.f_star < 1e-6
 
     def test_pattern_search_descends(self):
-        obj = Objective(lambda x: (x[0] + 4.0) ** 2, n_dims=1,
-                        stop_at_zero=False)
-        x, fx = _pattern_search(obj, (10.0,), max_iters=200)
+        search = _pattern_search((10.0,), max_iters=200)
+        ask = next(search)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                ask = search.send([(x[0] + 4.0) ** 2 for x in ask])
+        x, fx = done.value.value
         assert fx < 1e-6
 
     def test_multidimensional(self):

@@ -1,8 +1,10 @@
-"""The batch protocol: Objective.evaluate_batch and propose_batch.
+"""The batch protocol: Objective.absorb_batch, the drive loop, steps.
 
-``evaluate_batch`` promises to be observationally identical to calling
-the objective once per point, and ``propose_batch`` is the population
-verb batch-native backends implement.  These tests pin both contracts.
+``absorb_batch`` promises to be observationally identical to calling
+the objective once per point; :func:`repro.mo.base.drive` scores each
+ask/tell step through it, in one kernel call when the function batches;
+``MOBackend.steps`` is the generator batch-native backends implement.
+These tests pin all three contracts.
 """
 
 import math
@@ -10,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.mo.base import MOBackend, Objective, StopMinimization
+from repro.mo.base import MOBackend, Objective, StopMinimization, drive
 from repro.mo.mcmc import PurePythonBasinhopping
 from repro.mo.population import PopulationBackend
 from repro.mo.random_search import RandomSearchBackend
@@ -25,6 +27,18 @@ def _make_pair(fn, **kwargs):
         Objective(fn, n_dims=1, record_samples=True, **kwargs),
         Objective(fn, n_dims=1, record_samples=True, **kwargs),
     )
+
+
+def _one_step(objective, points):
+    """Drive a search that asks for ``points`` once; returns the values
+    it was told (None when the objective stopped first)."""
+    told = []
+
+    def steps():
+        told.append((yield [tuple(map(float, p)) for p in points]))
+
+    drive([(objective, steps())])
+    return told[0] if told else None
 
 
 class _VectorizedSquare:
@@ -44,11 +58,13 @@ class _VectorizedSquare:
 
 
 class TestEvaluateBatch:
+    """Scoring a batch: ``drive`` plus ``absorb_batch``."""
+
     def test_matches_sequential_calls(self):
         batch, seq = _make_pair(lambda x: abs(x[0] - 1.0),
                                 stop_at_zero=False)
         points = [[0.0], [5.0], [-3.0], [1.5]]
-        got = batch.evaluate_batch(points)
+        got = _one_step(batch, points)
         want = [seq(p) for p in points]
         assert got == want
         assert batch.n_evals == seq.n_evals == 4
@@ -58,24 +74,29 @@ class TestEvaluateBatch:
 
     def test_stop_mid_batch_discards_later_points(self):
         """A zero at position 2 stops both paths there: the points after
-        it are never absorbed."""
+        it are never absorbed, and the search is never told."""
         fn = lambda x: max(0.0, x[0])  # noqa: E731
         batch, seq = _make_pair(fn)
         points = [[3.0], [1.0], [-1.0], [9.0], [9.0]]
-        with pytest.raises(StopMinimization):
-            batch.evaluate_batch(points)
+        assert _one_step(batch, points) is None
         with pytest.raises(StopMinimization):
             for p in points:
                 seq(p)
         assert batch.n_evals == seq.n_evals == 3
         assert batch.samples == seq.samples
         assert batch.best_f == 0.0
+        # absorb_batch alone: same prefix, then StopMinimization.
+        direct, _ = _make_pair(fn)
+        with pytest.raises(StopMinimization):
+            direct.absorb_batch(
+                [tuple(p) for p in points], [fn(p) for p in points]
+            )
+        assert direct.samples == seq.samples
 
     def test_max_samples_budget_respected(self):
         batch, seq = _make_pair(lambda x: 1.0 + abs(x[0]),
                                 stop_at_zero=False, max_samples=2)
-        with pytest.raises(StopMinimization):
-            batch.evaluate_batch([[1.0], [2.0], [3.0]])
+        assert _one_step(batch, [[1.0], [2.0], [3.0]]) is None
         with pytest.raises(StopMinimization):
             for p in ([1.0], [2.0], [3.0]):
                 seq(p)
@@ -85,55 +106,65 @@ class TestEvaluateBatch:
         fn = _VectorizedSquare()
         obj = Objective(fn, n_dims=1, stop_at_zero=False)
         assert obj.supports_batch
-        values = obj.evaluate_batch([[0.0], [2.0], [4.0]])
+        values = _one_step(obj, [[0.0], [2.0], [4.0]])
         assert fn.batch_calls == 1
         assert values == [4.0, 0.0, 4.0]
         assert obj.best_x == (2.0,)
 
     def test_single_point_stays_scalar(self):
-        """A size-one batch is just a call — no kernel dispatch."""
+        """A one-point step is just a call — no kernel dispatch."""
         fn = _VectorizedSquare()
         obj = Objective(fn, n_dims=1, stop_at_zero=False)
-        assert obj.evaluate_batch([[3.0]]) == [1.0]
+        assert _one_step(obj, [[3.0]]) == [1.0]
         assert fn.batch_calls == 0
 
     def test_nan_sanitized_in_batch(self):
         obj = Objective(lambda x: float("nan"), n_dims=1,
                         stop_at_zero=False)
-        assert obj.evaluate_batch([[1.0], [2.0]]) == [math.inf, math.inf]
+        assert _one_step(obj, [[1.0], [2.0]]) == [math.inf, math.inf]
+        assert obj.absorb_batch([(3.0,)], [float("nan")]) == [math.inf]
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_point_containers_record_identical_samples(self, batched):
-        """Tuple, list and ndarray populations coerce to the same Python
-        floats, so samples and values do not depend on the container."""
-        rows = [(0.5, -2.0), (3.0, 1e300), (-0.0, 7.25)]
-        populations = [
-            [tuple(np.float64(v) for v in row) for row in rows],
-            [list(row) for row in rows],
-            np.array(rows),
+        """Tuple, list and ndarray starts coerce to the same Python
+        floats, so samples and results do not depend on the container
+        (``steps`` hands the driver tuples of Python floats)."""
+        row = (0.5, -2.0)
+        starts = [
+            tuple(np.float64(v) for v in row),
+            list(row),
+            np.array(row),
         ]
         fn = _VectorizedSquare() if batched else (lambda x: (x[0] - 2.0) ** 2)
-        results = []
-        for population in populations:
-            obj = Objective(fn, n_dims=2, record_samples=True,
-                            stop_at_zero=False)
-            values = obj.evaluate_batch(population)
-            assert all(type(v) is float for v in values)
-            for xs, _ in obj.samples:
-                assert all(type(v) is float for v in xs)
-            results.append((values, obj.samples, obj.best_x))
-        assert results[0] == results[1] == results[2]
+        for backend in (
+            RandomSearchBackend(n_samples=20, sampler=uniform_sampler(-1, 1)),
+            PopulationBackend(n_generations=3, population=4),
+            PurePythonBasinhopping(niter=2, local_iters=3),
+        ):
+            results = []
+            for start in starts:
+                obj = Objective(fn, n_dims=2, record_samples=True,
+                                stop_at_zero=False)
+                result = backend.minimize(obj, start, make_rng(1))
+                for xs, value in obj.samples:
+                    assert all(type(v) is float for v in xs)
+                    assert type(value) is float
+                results.append((obj.samples, result))
+            assert results[0] == results[1] == results[2]
         if batched:
-            assert fn.batch_calls == len(populations)
+            assert fn.batch_calls > 0
 
 
 class TestProposeBatch:
+    """Asking: ``MOBackend.steps`` and the population's proposals."""
+
     def test_default_raises(self):
         class Plain(MOBackend):
             name = "plain"
 
         with pytest.raises(NotImplementedError):
-            Plain().propose_batch((1.0,), make_rng(0), 4)
+            Plain().steps((1.0,), make_rng(0))
+        assert not Plain().ask_tell
 
     @pytest.mark.parametrize("backend", [
         RandomSearchBackend(sampler=uniform_sampler(-1.0, 1.0)),
@@ -141,17 +172,23 @@ class TestProposeBatch:
         PopulationBackend(),
     ])
     def test_population_shape(self, backend):
-        pop = backend.propose_batch((2.0, -3.0), make_rng(42), 16)
-        assert len(pop) == 16
-        for point in pop:
-            assert isinstance(point, tuple) and len(point) == 2
-            assert all(isinstance(value, float) for value in point)
+        """Every ask is a non-empty list of 2-D tuples of Python floats."""
+        assert backend.ask_tell
+        steps = backend.steps((2.0, -3.0), make_rng(42))
+        ask = next(steps)
+        for _ in range(5):
+            assert ask
+            for point in ask:
+                assert isinstance(point, tuple) and len(point) == 2
+                assert all(type(value) is float for value in point)
+            ask = steps.send([float(len(ask))] * len(ask))
 
     def test_population_backend_proposals_are_finite(self):
-        backend = PopulationBackend()
         rng = make_rng(7)
         for x in ((0.0,), (1e308, -1e308), (-5.0, 2.0, 9.0)):
-            for point in backend.propose_batch(x, rng, 32, scale=0.5):
+            points = PopulationBackend._propose(x, rng, 32, 0.5)
+            assert len(points) == 32
+            for point in points:
                 assert all(math.isfinite(value) for value in point)
 
 
@@ -180,7 +217,7 @@ class TestPopulationBackend:
         assert result.f_star < 1e-4
 
     def test_batch_evals_match_scalar_objective_semantics(self):
-        """The backend runs entirely through evaluate_batch, so its
+        """The backend runs entirely through ask/tell steps, so its
         trajectory is identical whether the function batches or not."""
         fn = _VectorizedSquare()
         backend = PopulationBackend(n_generations=20, population=8)
