@@ -40,9 +40,10 @@ the starts of one reduction across a pool of worker processes:
   ``max_crash_retries``; exhaustion raises :class:`WorkerCrashError`
   naming the start).
 
-* **Lockstep serial rounds.**  Without a pool, a round whose backend
-  speaks ask/tell (:meth:`repro.mo.base.MOBackend.steps`) on a
-  vectorized W steps all its starts together, one kernel call per step
+* **Lockstep serial rounds.**  Without a pool, a round that no zero
+  can cut short, whose backend speaks ask/tell
+  (:meth:`repro.mo.base.MOBackend.steps`) on a vectorized W, steps all
+  its starts together, one kernel call per step
   (:func:`repro.mo.base.drive`); each start still walks the trajectory
   it walks alone.
 
@@ -278,6 +279,23 @@ class StartReport:
     rebuilt: bool = False
 
 
+def _objective(
+    weak_distance: WeakDistance,
+    n_inputs: int,
+    task: StartTask,
+    should_stop: Optional[Callable[[], bool]],
+) -> Objective:
+    """The objective of one start, built the same way on every path."""
+    return Objective(
+        weak_distance,
+        n_dims=n_inputs,
+        record_samples=task.record_samples,
+        stop_at_zero=task.stop_at_zero,
+        max_samples=task.max_evals,
+        should_stop=should_stop,
+    )
+
+
 def run_task(
     weak_distance: WeakDistance,
     n_inputs: int,
@@ -295,14 +313,7 @@ def run_task(
     """
     if already_stopped:
         return None, 0, []
-    objective = Objective(
-        weak_distance,
-        n_dims=n_inputs,
-        record_samples=task.record_samples,
-        stop_at_zero=task.stop_at_zero,
-        max_samples=task.max_evals,
-        should_stop=should_stop,
-    )
+    objective = _objective(weak_distance, n_inputs, task, should_stop)
     try:
         result = task.backend.minimize(objective, task.start, task.rng)
     except RuntimeError:
@@ -340,9 +351,10 @@ class MultiStartOutcome:
     #: to a fresh executor; 0 = no worker ever crashed).
     n_crash_retries: int = 0
     #: True when a ``stop_event`` cancelled the round mid-flight: the
-    #: outcome covers only the starts that finished before the flag
-    #: landed (a *partial* round — still mergeable, see
-    #: :func:`merge_reports`).
+    #: outcome holds each start's progress up to where the flag landed
+    #: (its next evaluation, or the next step of a lockstep round), and
+    #: the starts that had not begun are absent — a *partial* round,
+    #: still mergeable, see :func:`merge_reports`.
     interrupted: bool = False
 
     @property
@@ -414,36 +426,28 @@ def _run_lockstep(
     weak_distance: WeakDistance,
     n_inputs: int,
     tasks: Sequence[StartTask],
-    early_cancel: bool,
     should_stop: Optional[Callable[[], bool]],
 ) -> List[Tuple[Optional[MOResult], int, List[Sample]]]:
     """Every start of the round stepped together by one ask/tell driver
     (:func:`repro.mo.base.drive`): each step scores all live starts'
     points in one vectorized kernel call.  Per start, the objective is
-    built as :func:`run_task` builds it, so each start's result,
-    evaluation count and samples are the ones a one-at-a-time run
-    produces."""
+    the one :func:`run_task` builds, so each start's result, evaluation
+    count and samples are the ones a one-at-a-time run produces; a
+    ``should_stop`` that fires mid-round ends every live start after
+    the same step, with its progress so far."""
+    if should_stop is not None and should_stop():
+        return []
     searches = [
         (
-            Objective(
-                weak_distance,
-                n_dims=n_inputs,
-                record_samples=task.record_samples,
-                stop_at_zero=task.stop_at_zero,
-                max_samples=task.max_evals,
-            ),
+            _objective(weak_distance, n_inputs, task, should_stop),
             task.backend.steps(task.start, task.rng),
         )
         for task in tasks
     ]
-    kept = drive(searches, cut_at_zero=early_cancel, should_stop=should_stop)
+    drive(searches)
     return [
-        (
-            objective.result(task.backend.name) if objective.n_evals else None,
-            objective.n_evals,
-            objective.samples,
-        )
-        for task, (objective, _) in zip(tasks, searches[:kept])
+        (objective.result(task.backend.name), objective.n_evals, objective.samples)
+        for task, (objective, _) in zip(tasks, searches)
     ]
 
 
@@ -458,28 +462,30 @@ def _run_starts_serial(
     pool: one fresh :class:`Objective` per start, so a serial run and a
     parallel run with the same seed walk identical trajectories.
 
-    When every start's backend speaks ask/tell and W has a vectorized
-    kernel, the round's starts run in lockstep (:func:`_run_lockstep`);
-    otherwise they run one at a time.  A wider step buys nothing on the
-    scalar tiers, and with ``early_cancel`` it would spend evaluations
-    on starts the serial loop never reaches.
-
     ``early_cancel`` plays the role of the pool's racing cancellation:
     when set, a zero stops the remaining starts (Algorithm 2's serial
     loop); when clear, every start runs like the deterministic pool
-    path, so attempts/eval counts/samples match it exactly.  Lockstep
-    keeps those semantics.  ``stop_event`` is the cooperative
-    job-cancellation hook (:meth:`repro.api.session.JobHandle.cancel`);
-    it never fires in an uncancelled run, so it cannot perturb
-    determinism.
+    path, so attempts/eval counts/samples match it exactly.
+    ``stop_event`` is the cooperative job-cancellation hook
+    (:meth:`repro.api.session.JobHandle.cancel`); it never fires in an
+    uncancelled run, so it cannot perturb determinism.
+
+    A round that no zero can cut short, whose starts' backends all
+    speak ask/tell, on a W with a vectorized kernel, runs its starts in
+    lockstep (:func:`_run_lockstep`); every other round runs them one
+    at a time.  A wider step buys nothing on the scalar tiers, and in a
+    racing round it would spend evaluations on starts that the first
+    zero cancels.
     """
     should_stop = None if stop_event is None else stop_event.is_set
+    racing = early_cancel and any(task.stop_at_zero for task in tasks)
     if (
         tasks
+        and not racing
         and all(task.backend.ask_tell for task in tasks)
         and getattr(weak_distance, "supports_batch", False)
     ):
-        runs = _run_lockstep(weak_distance, n_inputs, tasks, early_cancel, should_stop)
+        runs = _run_lockstep(weak_distance, n_inputs, tasks, should_stop)
     else:
         runs = []
         for task in tasks:
@@ -551,10 +557,12 @@ def run_multistart(
     while preserving the verdict.
 
     ``stop_event`` (a :class:`threading.Event`) cancels the remaining
-    work cooperatively — between starts on the serial path, mid-round
-    through the pool's cancel slots on the pooled path.  A cancelled
-    round returns a *partial* outcome (``interrupted=True``) holding
-    every start that finished before the flag landed.
+    work cooperatively — on the serial path the running start stops at
+    its next evaluation (every start of a lockstep round after the
+    current step) and no later start runs; on the pooled path mid-round
+    through the pool's cancel slots.  A cancelled round returns a
+    *partial* outcome (``interrupted=True``) holding each start's
+    progress so far.
 
     ``max_crash_retries`` bounds the salvage cycles a round may spend
     on crashed workers (``None`` = :data:`DEFAULT_CRASH_RETRIES`):

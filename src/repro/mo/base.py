@@ -28,15 +28,16 @@ step concatenates the live searches' asks and scores them with one
 ``fn.evaluate_batch`` call when the wrapped function exposes a
 vectorized kernel (``fn.supports_batch``, e.g. a
 :class:`repro.core.weak_distance.WeakDistance` in
-``eval_mode="vectorized"``); otherwise it calls ``fn`` point by point.
-Each search's slice is absorbed by :meth:`Objective.absorb_batch`,
-which is observationally identical to evaluating the points one by one
-with ``__call__`` — same evaluation count, best-point tracking and
-sample recording, and the same stop at the same point in the sequence
-(a zero, the budget), with any later points discarded uncounted.
-Because searches are independent and the semantics are identical
-either way, an ask/tell backend produces bit-identical trajectories in
-every ``eval_mode``, alone or in lockstep with other starts.
+``eval_mode="vectorized"``); otherwise it evaluates the points one by
+one with the objective's ``__call__`` bookkeeping.  A scored batch is
+absorbed per search by :meth:`Objective.absorb_batch`, which is
+observationally identical to that — same evaluation count, best-point
+tracking and sample recording, and the same stop at the same point in
+the sequence (a zero, the budget), with any later points discarded
+uncounted.  Because searches are independent and the semantics are
+identical either way, an ask/tell backend produces bit-identical
+trajectories in every ``eval_mode``, alone or in lockstep with other
+starts.
 """
 
 from __future__ import annotations
@@ -140,14 +141,6 @@ class Objective:
             raise StopMinimization()
         return value
 
-    def _room(self, n: int) -> int:
-        """How many of the next ``n`` evaluations fit in ``max_samples``
-        (at least one: ``__call__`` counts a point before it checks the
-        budget)."""
-        if self.max_samples is None:
-            return n
-        return min(n, max(1, self.max_samples - self.n_evals))
-
     def absorb_batch(
         self, points: Sequence[Point], values: Sequence[float]
     ) -> List[float]:
@@ -165,7 +158,11 @@ class Objective:
         with NaN read as ``inf``.
         """
         values = [math.inf if v != v else float(v) for v in values]
-        head = values[: self._room(len(values))]
+        head = values
+        if self.max_samples is not None:
+            # At least one point: ``__call__`` counts a point before it
+            # checks the budget.
+            head = values[: max(1, self.max_samples - self.n_evals)]
         lowest = min(head)
         if self.stop_at_zero and lowest <= 0.0:
             head = head[: next(k for k, v in enumerate(head) if v <= 0.0) + 1]
@@ -198,59 +195,30 @@ class Objective:
         )
 
 
-def _score_scalar(objective: Objective, points: Sequence[Point]) -> List[float]:
-    """``objective.fn`` point by point, up to where ``absorb_batch`` will
-    stop — so a scalar step never evaluates a point that cannot count."""
-    fn = objective.fn
-    values = []
-    for x in points[: objective._room(len(points))]:
-        value = fn(x)
-        values.append(value)
-        if objective.stop_at_zero and value <= 0.0:
-            break
-    return values
-
-
-def drive(
-    searches: Sequence[Tuple[Objective, Steps]],
-    cut_at_zero: bool = False,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> int:
-    """Run ask/tell searches in lockstep; returns how many count.
+def drive(searches: Sequence[Tuple[Objective, Steps]]) -> None:
+    """Run ask/tell searches in lockstep until every one has ended.
 
     ``searches`` pairs each start's :class:`Objective` with its
     :meth:`MOBackend.steps` generator; every objective must wrap the
     same function.  Each step collects the live searches' asks in start
-    order and scores them together — one ``fn.evaluate_batch`` call on
-    an ``(N, d)`` array when the function supports batches and the step
-    holds more than one point, otherwise ``fn`` point by point on the
-    tuples — then absorbs each search's slice in order
-    (:meth:`Objective.absorb_batch`).  A search ends when its objective
-    stops or its generator returns; the points a stopped search asked
-    for past its stop point are computed in vain and never counted.
-    Searches are independent, so stepping them together changes no
-    search's evaluations, samples or result.
-
-    ``cut_at_zero`` gives the serial multi-start loop's early cancel:
-    once search ``i`` ends at a zero (under ``stop_at_zero``), every
-    search after it is dropped as if it never ran, while the ones before
-    it run to completion — and a zero in one of those moves the cut
-    earlier.  ``should_stop`` is checked before every step; once it
-    fires, every live search ends with its progress so far.  The return
-    value ``k`` says that ``searches[:k]`` count.
+    order.  When the function supports batches and the step holds more
+    than one point, one ``fn.evaluate_batch`` call on an ``(N, d)``
+    array scores them all and each search's slice is absorbed in order
+    (:meth:`Objective.absorb_batch`); otherwise each point is scored by
+    ``fn`` on its tuple and absorbed as ``__call__`` absorbs it.  A
+    search ends when its objective stops (a zero, the budget,
+    ``should_stop``) or its generator returns; the points a stopped
+    search asked for past its stop point are computed in vain and never
+    counted.  Searches are independent, so stepping them together
+    changes no search's evaluations, samples or result.
     """
-    kept = len(searches)
-    if not kept:
-        return 0
+    if not searches:
+        return
     fn = searches[0][0].fn
     batch = searches[0][0].supports_batch
-    asks: List[Optional[List[Point]]] = []
-    for _, steps in searches:
-        asks.append(next(steps, None))
+    asks: List[Optional[List[Point]]] = [next(steps, None) for _, steps in searches]
     live = [i for i, ask in enumerate(asks) if ask is not None]
     while live:
-        if should_stop is not None and should_stop():
-            break
         values = None
         if batch and (len(live) > 1 or len(asks[live[0]]) > 1):
             points = [x for i in live for x in asks[i]]
@@ -261,25 +229,22 @@ def drive(
         still = []
         offset = 0
         for i in live:
-            if i >= kept:
-                break
             objective, steps = searches[i]
             ask = asks[i]
-            if values is None:
-                got = _score_scalar(objective, ask)
-                ask = ask[: len(got)]
-            else:
-                got = values[offset : offset + len(ask)]
-                offset += len(ask)
             try:
-                asks[i] = steps.send(objective.absorb_batch(ask, got))
+                if values is None:
+                    told = [objective._absorb(x, float(fn(x))) for x in ask]
+                else:
+                    told = objective.absorb_batch(
+                        ask, values[offset : offset + len(ask)]
+                    )
+                asks[i] = steps.send(told)
             except (StopMinimization, StopIteration):
-                if cut_at_zero and objective.stop_at_zero and objective.best_f <= 0.0:
-                    kept = i + 1
-                continue
-            still.append(i)
+                pass
+            else:
+                still.append(i)
+            offset += len(ask)
         live = still
-    return kept
 
 
 class MOBackend:

@@ -18,10 +18,7 @@ from repro.core import parallel
 from repro.core.parallel import StartTask, run_multistart, run_task
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.batch_eval import BatchExecutionError, BatchProgram
-from repro.fpir.builder import FunctionBuilder, eq, num, v
 from repro.fpir.instrument import instrument
-from repro.fpir.program import Program
-from repro.mo.base import MOBackend
 from repro.mo.mcmc import PurePythonBasinhopping
 from repro.mo.population import PopulationBackend
 from repro.mo.random_search import RandomSearchBackend
@@ -132,71 +129,50 @@ def test_lockstep_equals_one_at_a_time(backend, program, spec, config,
 
 
 class TestEarlyCancel:
-    def test_later_zero_first_in_lockstep_time(self, monkeypatch):
+    def test_racing_round_runs_one_start_at_a_time(self, monkeypatch):
         """fig2's overflow W, seed 9: start 2 samples a zero at its start
-        point (step 1), start 0 only in its second step.  Lockstep cuts
-        starts 3-4 at step 1, then start 0's zero cuts starts 1-2: the
-        outcome is the serial loop's, start 0 alone."""
+        point, start 0 only in its second step.  A racing round
+        (``early_cancel`` and ``stop_at_zero``) is not stepped in
+        lockstep: start 0 runs alone, its zero cancels starts 1-4 before
+        they evaluate anything, and the kernel scores start 0's 32-point
+        step and nothing else."""
         wd = _weak_distance("fig2", "overflow")
         n = wd.program.num_inputs
         backend = BACKENDS["random-search"]
         solo = _one_at_a_time(wd, n, _tasks(backend(), 9, 5, n))[0]
         assert solo[2].stopped_at_zero and solo[2].n_evals == 1
         assert solo[0].stopped_at_zero and solo[0].n_evals > 1
-        outcome = _lockstep(wd, n, backend(), 9, 5, monkeypatch,
-                            early_cancel=True)
         reference = _one_at_a_time(wd, n, _tasks(backend(), 9, 5, n),
                                    early_cancel=True)
+        widths, calls = [], []
+        drive, evaluate_batch = parallel.drive, wd.evaluate_batch
+        monkeypatch.setattr(parallel, "drive",
+                            lambda searches: widths.append(len(searches))
+                            or drive(searches))
+        wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
+        outcome = run_multistart(wd, n, backend(), _starts(9, 5, n),
+                                 n_workers=1, record_samples=True,
+                                 early_cancel=True)
+        assert widths == []
+        assert calls == [32]
         _assert_same(outcome, reference)
         assert outcome.attempts == [solo[0]]
 
-    def test_scripted_cut_moves_earlier(self, monkeypatch):
-        """Start 2 reaches a zero at step 2 and cuts start 3; start 0
-        reaches one at step 4 and cuts starts 1 and 2 as well."""
-        scripts = {
-            0: [100.0, 50.0, 20.0, 7.0, 1.0],
-            1: [90.0] * 6,
-            2: [80.0, 7.0, 2.0],
-            3: [70.0] * 6,
-        }
-        wd = WeakDistance(instrument(_equality_program(), multiplicative_spec()),
-                          eval_mode="vectorized")
-        backend = _Scripted(scripts)
-        starts = [((float(i),), None) for i in scripts]
-        for early_cancel, kept in ((True, [0]), (False, [0, 1, 2, 3])):
-            outcome = run_multistart(wd, 1, backend, starts, n_workers=1,
-                                     record_samples=True,
-                                     early_cancel=early_cancel)
-            tasks = [StartTask(index=i, start=s, rng=None, backend=backend,
-                               record_samples=True)
-                     for i, (s, _) in enumerate(starts)]
-            _assert_same(outcome, _one_at_a_time(wd, 1, tasks, early_cancel))
-            assert [int(a.x_star[0]) for a in outcome.attempts] == [
-                7 if i in (0, 2) else int(scripts[i][0]) for i in kept
-            ]
-
-
-def _equality_program(target: float = 7.0) -> Program:
-    """A program whose multiplicative boundary W is |x - target|."""
-    fb = FunctionBuilder("prog", params=["x"])
-    with fb.if_(eq(v("x"), num(target))):
-        fb.let("reached", num(1.0))
-    fb.ret(num(0.0))
-    return Program([fb.build()], entry="prog")
-
-
-class _Scripted(MOBackend):
-    """Asks for one scripted point per step; the script is chosen by
-    the start's value."""
-
-    name = "scripted"
-
-    def __init__(self, scripts):
-        self.scripts = scripts
-
-    def steps(self, start, rng):
-        for x in self.scripts[int(start[0])]:
-            yield [(x,)]
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_round_without_stop_at_zero_runs_in_lockstep(self, backend,
+                                                         monkeypatch):
+        """``early_cancel`` cuts nothing when zeros do not stop starts,
+        so such a round still runs in lockstep."""
+        wd = _weak_distance("fig2", "overflow")
+        n = wd.program.num_inputs
+        outcome = _lockstep(wd, n, BACKENDS[backend](), 9, 5, monkeypatch,
+                            early_cancel=True, stop_at_zero=False)
+        reference = _one_at_a_time(
+            wd, n, _tasks(BACKENDS[backend](), 9, 5, n, stop_at_zero=False),
+            early_cancel=True,
+        )
+        _assert_same(outcome, reference)
+        assert len(outcome.attempts) == 5
 
 
 class TestOtherPaths:
@@ -236,12 +212,19 @@ class TestOtherPaths:
 
 
 class TestStopEvent:
-    def test_set_before_the_round(self, monkeypatch):
+    def test_set_before_the_round(self):
+        """A round cancelled before it starts evaluates nothing."""
         wd = _weak_distance("fig2", "multiplicative")
         stop = threading.Event()
         stop.set()
-        outcome = _lockstep(wd, 1, BACKENDS["population"](), 1, 3,
-                            monkeypatch, stop_event=stop)
+        calls = []
+        evaluate_batch = wd.evaluate_batch
+        wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
+        outcome = run_multistart(wd, 1, BACKENDS["population"](),
+                                 _starts(1, 3, 1), n_workers=1,
+                                 record_samples=True, early_cancel=False,
+                                 stop_event=stop)
+        assert calls == []
         assert outcome.interrupted
         assert outcome.attempts == []
         assert outcome.n_evals == 0

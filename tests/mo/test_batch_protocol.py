@@ -118,6 +118,26 @@ class TestEvaluateBatch:
         assert _one_step(obj, [[3.0]]) == [1.0]
         assert fn.batch_calls == 0
 
+    def test_should_stop_polled_per_point_or_per_batch(self):
+        """Scored point by point, a step stops at the first point after
+        which ``should_stop`` holds, as ``__call__`` does; a kernel-
+        scored step polls it once, after absorbing the whole batch."""
+        points = [[1.0], [2.0], [3.0], [4.0]]
+        scored = []
+
+        def fn(x):
+            scored.append(x)
+            return 1.0
+
+        scalar = Objective(fn, n_dims=1, stop_at_zero=False,
+                           should_stop=lambda: len(scored) >= 2)
+        assert _one_step(scalar, points) is None
+        assert scalar.n_evals == len(scored) == 2
+        batched = Objective(_VectorizedSquare(), n_dims=1,
+                            stop_at_zero=False, should_stop=lambda: True)
+        assert _one_step(batched, points) is None
+        assert batched.n_evals == 4
+
     def test_nan_sanitized_in_batch(self):
         obj = Objective(lambda x: float("nan"), n_dims=1,
                         stop_at_zero=False)
