@@ -28,14 +28,14 @@ def boundary_instrumented():
 
 
 def test_weak_distance_eval_compiled(benchmark, boundary_instrumented):
-    wd = WeakDistance(boundary_instrumented, use_compiler=True)
+    wd = WeakDistance(boundary_instrumented, eval_mode="compiled")
     wd((0.5,))  # compile once before timing
     benchmark(wd, (0.5,))
 
 
 def test_weak_distance_eval_interpreted(benchmark,
                                         boundary_instrumented):
-    wd = WeakDistance(boundary_instrumented, use_compiler=False)
+    wd = WeakDistance(boundary_instrumented, eval_mode="interpreter")
     benchmark(wd, (0.5,))
 
 

@@ -35,7 +35,8 @@ events::
   cycle; ``EngineConfig.max_crash_retries`` bounds them per round).
 * :meth:`Session.run_many` submits a whole campaign and gathers the
   reports; campaign-level and start-level parallelism compose under
-  the one worker budget (`repro.core.batch` is built on it).
+  the one worker budget (`repro.core.batch` submits its campaigns to
+  one session the same way, job by job).
 * Determinism is unchanged from the engine: per-start randomness is a
   pure function of ``(seed, round, start)`` and deterministic mode
   never races, so a serial run and a warm-pool ``n_workers=4`` run
@@ -584,10 +585,10 @@ class Session:
         # Checkpointed rounds replay through the same loop with the
         # stored outcome in place of `run_multistart`: no stop check,
         # no rng derivation, no checkpoint.  plan_round and absorb are
-        # deterministic functions of the state, and the label-set
-        # write-back mirrors what merge_reports did in the original
-        # run, so the state (and every later round's randomness, a pure
-        # function of (seed, round, start)) evolves exactly as before.
+        # deterministic functions of the state (a round never changes
+        # label sets; only prepare and absorb do), so the state (and
+        # every later round's randomness, a pure function of (seed,
+        # round, start)) evolves exactly as before.
         replay = list(resume_rounds or ())
 
         def on_crash(notice) -> None:
@@ -639,15 +640,10 @@ class Session:
             )
             if replaying:
                 outcome = replay[round_index]
-                for set_name, labels in outcome.label_sets.items():
-                    plan.weak_distance.label_sets.setdefault(
-                        set_name, set()
-                    ).update(labels)
                 interrupted = False
             else:
                 outcome = run_multistart(
                     plan.weak_distance,
-                    plan.n_inputs,
                     backend=backend,
                     starts=starts,
                     n_workers=cfg.n_workers,

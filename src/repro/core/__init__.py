@@ -12,7 +12,7 @@ three-layer architecture of Section 5:
 * :mod:`repro.core.parallel` — the process-pool multi-start engine
   (``KernelConfig.n_workers``) with racing early-cancel;
 * :mod:`repro.core.pool` — the persistent worker-pool service
-  (warm workers, payload cache by content hash, cancel slots) behind
+  (warm workers, program cache by content digest, cancel slots) behind
   :class:`repro.api.session.Session`;
 * :mod:`repro.core.batch` — concurrent analysis × program campaigns
   (and multi-formula SAT campaigns) over one shared session;

@@ -116,7 +116,6 @@ class ReductionKernel:
             starts.append((cfg.start_sampler(rng, n_inputs), rng))
         merged = run_multistart(
             weak_distance,
-            n_inputs,
             backend=self.backend,
             starts=starts,
             n_workers=cfg.n_workers,

@@ -6,14 +6,13 @@ rule — once *any* start samples ``W(x) == 0`` no smaller minimum can
 exist (Section 4.4), so all other starts may stop.  This module fans
 the starts of one reduction across a pool of worker processes:
 
-* **Shipping W.**  A live :class:`~repro.core.weak_distance.WeakDistance`
-  is not picklable (its compiled form holds ``exec``-generated code
-  objects), so the parent ships a :class:`WeakDistancePayload` — the
-  instrumented FPIR program (hook-free, see
-  :class:`~repro.fpir.instrument.InstrumentationSpec`) and the executor
-  settings — plus the current label-set state with every start.  Each
-  worker rebuilds and re-compiles W once per program and reuses it for
-  every start it is handed.
+* **Shipping W.**  A :class:`~repro.core.weak_distance.WeakDistance`
+  pickles as its instrumented FPIR program (hook-free, see
+  :class:`~repro.fpir.instrument.InstrumentationSpec`) and executor
+  settings — no label sets, no compiled code — so every pool task
+  carries the program itself, plus a snapshot of the parent's label
+  sets.  Each worker unpickles and compiles W once per program and
+  reuses it for every start it is handed.
 
 * **Determinism.**  The parent derives one child generator per start
   (:func:`repro.util.rng.derive_start_rngs`), samples the starting
@@ -25,13 +24,13 @@ the starts of one reduction across a pool of worker processes:
   round's cancel flag; every other worker's
   :class:`~repro.mo.base.Objective` polls it per evaluation and stops.
 
-* **Merged bookkeeping.**  Per-start label-set *deltas* (labels a
-  worker added on top of the shipped snapshot — in practice empty,
-  since the drivers only grow label sets between rounds), recorded
-  sampling sequences, and evaluation counts are merged back (in start
-  order) into the parent's ``WeakDistance`` and the returned
-  :class:`MultiStartOutcome`, so stateful analyses (Algorithm 3's set
-  ``L``, coverage's set ``B``) keep converging across rounds.
+* **One merge for every round.**  Every round — one start at a time,
+  lockstep or pooled — yields one :class:`StartReport` per start it
+  ran, and :func:`merge_reports` folds them in start order into a
+  :class:`MultiStartOutcome` (attempts, evaluation counts, recorded
+  sampling sequences).  Label sets are not part of it: Algorithm 3's
+  set ``L`` and coverage's set ``B`` grow only between rounds, in the
+  parent, so a round reads them and never writes them.
 
 * **Self-healing rounds.**  A crash in any worker does not discard
   the round: completed sibling reports are kept and only the lost
@@ -49,8 +48,8 @@ the starts of one reduction across a pool of worker processes:
 
 There is one executor: :class:`repro.core.pool.WorkerPool`.
 ``run_multistart(..., pool=...)`` fans a round across a persistent
-pool whose warm workers cache rebuilt weak distances by payload
-content hash (see :mod:`repro.core.pool` and
+pool whose warm workers cache unpickled weak distances by content
+digest (see :mod:`repro.core.pool` and
 :class:`repro.api.session.Session`); without a pool, ``n_workers > 1``
 runs the round on a transient pool that is closed when the round ends.
 """
@@ -62,13 +61,12 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import Sample
 from repro.core.weak_distance import WeakDistance
-from repro.fpir.instrument import InstrumentedProgram
 from repro.mo.base import MOBackend, MOResult, Objective, drive
 
 
@@ -148,25 +146,8 @@ class CrashNotice:
 
 
 # ---------------------------------------------------------------------------
-# Picklable weak-distance reconstruction
+# Label state: parent -> worker, per task
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class WeakDistancePayload:
-    """Everything a worker needs to rebuild an executable W."""
-
-    instrumented: InstrumentedProgram
-    n_inputs: int
-    use_compiler: bool
-    exact: bool
-    max_loop_steps: int
-    #: Evaluation tier the rebuilt W runs in (``"compiled"``,
-    #: ``"interpreter"`` or ``"vectorized"``).  Part of the payload —
-    #: and therefore of the persistent pool's content hash — because it
-    #: selects a different executable: warm workers lower the batch
-    #: bytecode once per (program, tier) digest.
-    eval_mode: str = "compiled"
 
 
 def snapshot_label_state(
@@ -177,34 +158,6 @@ def snapshot_label_state(
         name: frozenset(labels)
         for name, labels in weak_distance.label_sets.items()
     }
-
-
-def make_payload(weak_distance: WeakDistance, n_inputs: int) -> WeakDistancePayload:
-    """Snapshot ``weak_distance``'s program and execution settings.
-
-    Runtime label state is not part of it: the worker pool ships label
-    sets with each task, so the payload (and therefore its content
-    digest) depends only on the program.
-    """
-    return WeakDistancePayload(
-        instrumented=weak_distance.instrumented,
-        n_inputs=n_inputs,
-        use_compiler=weak_distance.use_compiler,
-        exact=weak_distance.exact,
-        max_loop_steps=weak_distance.max_loop_steps,
-        eval_mode=weak_distance.eval_mode,
-    )
-
-
-def rebuild_weak_distance(payload: WeakDistancePayload) -> WeakDistance:
-    """Reconstruct an executable W from a payload (worker side)."""
-    return WeakDistance(
-        payload.instrumented,
-        use_compiler=payload.use_compiler,
-        exact=payload.exact,
-        max_loop_steps=payload.max_loop_steps,
-        eval_mode=payload.eval_mode,
-    )
 
 
 def sync_label_state(
@@ -221,32 +174,14 @@ def sync_label_state(
         current.update(labels)
 
 
-def label_state_delta(
-    weak_distance: WeakDistance, base: Dict[str, FrozenSet[str]]
-) -> Dict[str, Set[str]]:
-    """Labels present on ``weak_distance`` but absent from ``base``.
-
-    This is what a worker ships back per start: in the common case the
-    drivers only grow label sets *between* rounds (parent side), so the
-    delta is empty and the merge payload stays tiny no matter how large
-    the accumulated sets are.
-    """
-    delta: Dict[str, Set[str]] = {}
-    for name, labels in weak_distance.label_sets.items():
-        fresh = set(labels) - set(base.get(name, frozenset()))
-        if fresh:
-            delta[name] = fresh
-    return delta
-
-
 # ---------------------------------------------------------------------------
-# Worker side
+# One start, on every round path
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class StartTask:
-    """One start of a multi-start run, shipped to a worker."""
+    """One start of a round, run in-process or shipped to a worker."""
 
     index: int
     start: Tuple[float, ...]
@@ -262,33 +197,27 @@ class StartTask:
 
 @dataclasses.dataclass
 class StartReport:
-    """What a worker sends back for one start."""
+    """What one start of a round yields, on every round path."""
 
     index: int
     #: ``None`` when the start was cancelled before its first evaluation.
     result: Optional[MOResult]
-    n_evals: int
-    #: Label-set *delta*: labels this worker's W accumulated on top of
-    #: the state the parent shipped (usually empty — see
-    #: :func:`label_state_delta`).
-    label_state: Dict[str, Set[str]]
-    samples: List[Sample]
-    #: True when serving this start forced a worker-side payload
-    #: rebuild (a worker-cache miss: the worker had not yet served this
-    #: program).
+    n_evals: int = 0
+    samples: List[Sample] = dataclasses.field(default_factory=list)
+    #: True when serving this start made a pool worker unpickle W (a
+    #: worker-cache miss: the worker had not yet served this program).
     rebuilt: bool = False
 
 
 def _objective(
     weak_distance: WeakDistance,
-    n_inputs: int,
     task: StartTask,
     should_stop: Optional[Callable[[], bool]],
 ) -> Objective:
     """The objective of one start, built the same way on every path."""
     return Objective(
         weak_distance,
-        n_dims=n_inputs,
+        n_dims=len(task.start),
         record_samples=task.record_samples,
         stop_at_zero=task.stop_at_zero,
         max_samples=task.max_evals,
@@ -298,22 +227,18 @@ def _objective(
 
 def run_task(
     weak_distance: WeakDistance,
-    n_inputs: int,
     task: StartTask,
-    should_stop=None,
-    already_stopped: bool = False,
-) -> Tuple[Optional[MOResult], int, List[Sample]]:
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> StartReport:
     """Run one start against ``weak_distance`` (any execution context).
 
     Shared by the pool worker and the in-process serial loop, so both
     paths construct the objective identically — the heart of the
-    serial == parallel determinism contract.  Returns ``(result,
-    n_evals, samples)``; ``result`` is ``None`` when the start was
-    cancelled before its first evaluation.
+    serial == parallel determinism contract.  The report's ``result``
+    is ``None`` when the start was cancelled before its first
+    evaluation.
     """
-    if already_stopped:
-        return None, 0, []
-    objective = _objective(weak_distance, n_inputs, task, should_stop)
+    objective = _objective(weak_distance, task, should_stop)
     try:
         result = task.backend.minimize(objective, task.start, task.rng)
     except RuntimeError:
@@ -321,7 +246,7 @@ def run_task(
             raise  # a genuine backend failure, not a cancellation
         # Cancelled between the pre-check and the first evaluation.
         result = None
-    return result, objective.n_evals, list(objective.samples)
+    return StartReport(task.index, result, objective.n_evals, objective.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +256,17 @@ def run_task(
 
 @dataclasses.dataclass
 class MultiStartOutcome:
-    """Merged result of fanning one reduction's starts across workers."""
+    """Merged result of one round's starts, however they ran."""
 
     #: Per-start MO results in start order (cancelled-unevaluated
     #: starts are absent).
     attempts: List[MOResult]
     n_evals: int
-    #: Union of every worker's label-set state (also merged in place
-    #: into the parent ``WeakDistance``).
-    label_sets: Dict[str, Set[str]]
     #: Recorded sampling sequences, concatenated in start order.
     samples: List[Sample]
-    #: Starts that never ran because the race was already over.
+    #: Starts cancelled before their first evaluation (the race was
+    #: already over, or the job was cancelled).
     n_cancelled: int = 0
-    #: Worker-side payload rebuilds this round forced (worker-cache
-    #: misses; 0 on the serial path).
-    n_rebuilds: int = 0
     #: Crash-salvage cycles this round needed (lost starts resubmitted
     #: to a fresh executor; 0 = no worker ever crashed).
     n_crash_retries: int = 0
@@ -373,50 +293,34 @@ def pool_context() -> multiprocessing.context.BaseContext:
 
 
 def merge_reports(
-    weak_distance: WeakDistance,
     reports: Sequence[StartReport],
     n_crash_retries: int = 0,
     interrupted: bool = False,
 ) -> MultiStartOutcome:
-    """Fold per-start worker reports into one :class:`MultiStartOutcome`.
+    """Fold per-start reports into one :class:`MultiStartOutcome`.
 
-    Reports are merged in start order, and the label-set union is
-    written back into the parent's ``WeakDistance`` so stateful
-    analyses see exactly what a serial run would have accumulated.
-    ``reports`` may cover only a subset of the round's starts — a
-    cancelled or crash-salvaged round merges whatever finished, and
-    the per-start determinism contract guarantees each merged report
-    is byte-identical to its serial counterpart.
+    Reports are merged in start order.  ``reports`` may cover only a
+    subset of the round's starts — an early-cancelled, stopped or
+    crash-salvaged round merges whatever ran, and the per-start
+    determinism contract guarantees each merged report is
+    byte-identical to its serial counterpart.
     """
-    ordered = sorted(reports, key=lambda report: report.index)
-    merged_labels: Dict[str, Set[str]] = {
-        name: set(labels) for name, labels in weak_distance.label_sets.items()
-    }
-    samples: List[Sample] = []
     attempts: List[MOResult] = []
+    samples: List[Sample] = []
     n_evals = 0
     n_cancelled = 0
-    n_rebuilds = 0
-    for report in ordered:
+    for report in sorted(reports, key=lambda report: report.index):
         n_evals += report.n_evals
         if report.result is None:
             n_cancelled += 1
         else:
             attempts.append(report.result)
-        for name, labels in report.label_state.items():
-            merged_labels.setdefault(name, set()).update(labels)
         samples.extend(report.samples)
-        if report.rebuilt:
-            n_rebuilds += 1
-    for name, labels in merged_labels.items():
-        weak_distance.label_sets.setdefault(name, set()).update(labels)
     return MultiStartOutcome(
         attempts=attempts,
         n_evals=n_evals,
-        label_sets=merged_labels,
         samples=samples,
         n_cancelled=n_cancelled,
-        n_rebuilds=n_rebuilds,
         n_crash_retries=n_crash_retries,
         interrupted=interrupted,
     )
@@ -424,36 +328,39 @@ def merge_reports(
 
 def _run_lockstep(
     weak_distance: WeakDistance,
-    n_inputs: int,
     tasks: Sequence[StartTask],
     should_stop: Optional[Callable[[], bool]],
-) -> List[Tuple[Optional[MOResult], int, List[Sample]]]:
+) -> List[StartReport]:
     """Every start of the round stepped together by one ask/tell driver
     (:func:`repro.mo.base.drive`): each step scores all live starts'
     points in one vectorized kernel call.  Per start, the objective is
-    the one :func:`run_task` builds, so each start's result, evaluation
-    count and samples are the ones a one-at-a-time run produces; a
-    ``should_stop`` that fires mid-round ends every live start after
-    the same step, with its progress so far."""
+    the one :func:`run_task` builds, so each start's report is the one
+    a one-at-a-time run produces; a ``should_stop`` that fires
+    mid-round ends every live start after the same step, with its
+    progress so far."""
     if should_stop is not None and should_stop():
         return []
     searches = [
         (
-            _objective(weak_distance, n_inputs, task, should_stop),
+            _objective(weak_distance, task, should_stop),
             task.backend.steps(task.start, task.rng),
         )
         for task in tasks
     ]
     drive(searches)
     return [
-        (objective.result(task.backend.name), objective.n_evals, objective.samples)
+        StartReport(
+            task.index,
+            objective.result(task.backend.name),
+            objective.n_evals,
+            objective.samples,
+        )
         for task, (objective, _) in zip(tasks, searches)
     ]
 
 
 def _run_starts_serial(
     weak_distance: WeakDistance,
-    n_inputs: int,
     tasks: Sequence[StartTask],
     early_cancel: bool,
     stop_event: Optional[threading.Event] = None,
@@ -485,40 +392,28 @@ def _run_starts_serial(
         and all(task.backend.ask_tell for task in tasks)
         and getattr(weak_distance, "supports_batch", False)
     ):
-        runs = _run_lockstep(weak_distance, n_inputs, tasks, should_stop)
+        reports = _run_lockstep(weak_distance, tasks, should_stop)
     else:
-        runs = []
+        reports = []
         for task in tasks:
             if should_stop is not None and should_stop():
                 break
-            run = run_task(weak_distance, n_inputs, task, should_stop=should_stop)
-            runs.append(run)
-            result = run[0]
+            report = run_task(weak_distance, task, should_stop)
+            reports.append(report)
             if (
                 task.stop_at_zero
                 and early_cancel
-                and result is not None
-                and result.stopped_at_zero
+                and report.result is not None
+                and report.result.stopped_at_zero
             ):
                 break
-    samples: List[Sample] = []
-    for _, _, task_samples in runs:
-        samples.extend(task_samples)
-    return MultiStartOutcome(
-        attempts=[result for result, _, _ in runs if result is not None],
-        n_evals=sum(n for _, n, _ in runs),
-        label_sets={
-            name: set(labels) for name, labels in weak_distance.label_sets.items()
-        },
-        samples=samples,
-        n_cancelled=0,
-        interrupted=stop_event is not None and stop_event.is_set(),
+    return merge_reports(
+        reports, interrupted=stop_event is not None and stop_event.is_set()
     )
 
 
 def run_multistart(
     weak_distance: WeakDistance,
-    n_inputs: int,
     backend: MOBackend,
     starts: Sequence[Tuple[Tuple[float, ...], np.random.Generator]],
     n_workers: int,
@@ -539,9 +434,9 @@ def run_multistart(
     the weak distance must be picklable for the pooled path.
 
     ``pool`` fans the starts across a persistent
-    :class:`repro.core.pool.WorkerPool`: its warm workers cache rebuilt
-    weak distances by payload content hash, so repeated rounds and jobs
-    over the same program skip the rebuild/re-compile entirely.  When a
+    :class:`repro.core.pool.WorkerPool`: its warm workers cache
+    unpickled weak distances by content digest, so repeated rounds and
+    jobs over the same program skip the unpickle/re-compile entirely.  When a
     pool is given it owns the worker budget and ``n_workers`` is
     ignored.  Without one, ``n_workers > 1`` runs the round on a
     transient ``WorkerPool(min(n_workers, len(starts)))`` that is
@@ -587,9 +482,7 @@ def run_multistart(
         for i, (start, rng) in enumerate(starts)
     ]
     if not tasks or (pool is None and (n_workers <= 1 or len(tasks) <= 1)):
-        return _run_starts_serial(
-            weak_distance, n_inputs, tasks, early_cancel, stop_event
-        )
+        return _run_starts_serial(weak_distance, tasks, early_cancel, stop_event)
     transient = None
     if pool is None:
         # Lazy import: repro.core.pool builds on this module.
@@ -597,9 +490,8 @@ def run_multistart(
 
         pool = transient = WorkerPool(min(n_workers, len(tasks)))
     try:
-        round_result = pool.run_round(
+        return pool.run_round(
             weak_distance,
-            n_inputs,
             tasks,
             race=bool(stop_at_zero and early_cancel),
             stop_event=stop_event,
@@ -609,9 +501,3 @@ def run_multistart(
     finally:
         if transient is not None:
             transient.close()
-    return merge_reports(
-        weak_distance,
-        round_result.reports,
-        n_crash_retries=round_result.n_crash_retries,
-        interrupted=round_result.interrupted,
-    )

@@ -7,24 +7,25 @@ transient one it builds for the round when it is given ``n_workers >
 1`` and no pool.  A pool owns one
 :class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime, so
 a long-lived pool amortizes process startup and the worker-side
-payload rebuild across rounds and jobs:
+unpickle and compile of W across rounds and jobs:
 
 * **Warm workers.**  Processes are spawned once (lazily, on the first
   round) and reused by every subsequent round and job, no matter which
   analysis or program they serve.
 
-* **Payload cache by content digest.**  The parent pickles one
-  label-free :class:`~repro.core.parallel.WeakDistancePayload` per
-  distinct program and keys it by the payload's identity-blind
-  :func:`~repro.util.digest.content_digest` (the scan store's recipe),
-  so equal programs share a key however their objects are aliased.
-  Workers keep a small LRU of rebuilt weak distances keyed by that
-  digest, so they rebuild and re-compile W only when the *program*
-  actually changes — a second job over the same program, or the
-  twentieth round of Algorithm 3, reuses the compiled W directly.
+* **Program cache by content digest.**  A
+  :class:`~repro.core.weak_distance.WeakDistance` pickles without its
+  label sets or compiled code, so the parent pickles W once per live
+  object and keys the blob by W's identity-blind
+  :func:`~repro.util.digest.content_digest` (the scan store's recipe):
+  equal programs share a key however their objects are aliased.  Every
+  task carries the blob; workers keep a small LRU of unpickled weak
+  distances keyed by the digest and unpickle (and re-compile) only
+  when the *program* changes — a second job over the same program, or
+  the twentieth round of Algorithm 3, reuses the compiled W directly.
   Runtime label state (Algorithm 3's ``L``, coverage's ``B``) travels
-  with each task and is synced into the cached W in place, so the
-  digest never churns on driver progress.
+  with each task and is synced into the cached W in place; rounds
+  never change it, so nothing travels back.
 
 * **Cancel slots.**  A pool runs many rounds — from many concurrent
   jobs — over one set of workers, so it allocates each round a *slot*
@@ -56,7 +57,6 @@ the rest resubmit to its replacement.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import threading
 import weakref
@@ -69,13 +69,12 @@ from repro.core.parallel import (
     DEFAULT_CRASH_RETRIES,
     STOP_POLL_SECONDS,
     CrashNotice,
+    MultiStartOutcome,
     StartReport,
     StartTask,
     WorkerCrashError,
-    label_state_delta,
-    make_payload,
+    merge_reports,
     pool_context,
-    rebuild_weak_distance,
     run_task,
     snapshot_label_state,
     sync_label_state,
@@ -89,7 +88,7 @@ from repro.util.digest import content_digest
 #: rounds) instead of blocking.
 CANCEL_SLOTS = 32
 
-#: Rebuilt weak distances each worker keeps (LRU by program digest).
+#: Unpickled weak distances each worker keeps (LRU by program digest).
 WORKER_CACHE_SIZE = 8
 
 # ---------------------------------------------------------------------------
@@ -97,35 +96,17 @@ WORKER_CACHE_SIZE = 8
 # ---------------------------------------------------------------------------
 
 
-class _PayloadCacheMiss(Exception):
-    """A worker lacked the payload for a digest shipped without its blob.
-
-    Not a crash: the parent resubmits the start with the blob attached
-    (happens when a worker never served the digest's warm-up round —
-    e.g. it sat idle, or the executor was recreated after a break).
-    """
-
-    def __init__(self, digest: str) -> None:
-        super().__init__(digest)
-        self.digest = digest
-
-
 class _PoolTask:
-    """One start plus the context a warm worker needs to serve it.
-
-    ``blob`` is the pickled program payload — shipped while the digest
-    is cold (first round per program), dropped to ``None`` once the
-    pool has seen a full round complete for it, so steady-state rounds
-    pay digest-plus-label-state IPC instead of re-sending the program
-    with every start.
-    """
+    """One start plus the context a warm worker needs to serve it:
+    the pickled W (``blob``, unpickled only on a worker-cache miss),
+    its ``digest``, and the parent's label sets for this round."""
 
     __slots__ = ("digest", "blob", "label_state", "slot", "race", "task")
 
     def __init__(
         self,
         digest: str,
-        blob: Optional[bytes],
+        blob: bytes,
         label_state: Dict[str, FrozenSet[str]],
         slot: Optional[int],
         race: bool,
@@ -152,19 +133,6 @@ class _SlotPoll:
         return self.flags[self.slot] != 0
 
 
-@dataclasses.dataclass
-class RoundResult:
-    """What :meth:`WorkerPool.run_round` hands back for one round."""
-
-    #: Unordered per-start reports; covers every start of a clean
-    #: round, a subset for a cancelled one.
-    reports: List[StartReport]
-    #: Crash-salvage cycles this round needed.
-    n_crash_retries: int = 0
-    #: True when the round's ``stop_event`` cancelled it mid-flight.
-    interrupted: bool = False
-
-
 _POOL_STATE: dict = {}
 
 
@@ -174,43 +142,34 @@ def _init_pool_worker(cancel_flags) -> None:
     _POOL_STATE["cache"] = OrderedDict()
 
 
-def _cached_weak_distance(ptask: _PoolTask) -> Tuple[WeakDistance, int, bool]:
-    """The worker's rebuilt W for this task's program (LRU by digest)."""
+def _cached_weak_distance(ptask: _PoolTask) -> Tuple[WeakDistance, bool]:
+    """The worker's W for this task's program (LRU by digest), and
+    whether it had to be unpickled."""
     cache: OrderedDict = _POOL_STATE["cache"]
-    entry = cache.get(ptask.digest)
-    rebuilt = False
-    if entry is None:
-        if ptask.blob is None:
-            raise _PayloadCacheMiss(ptask.digest)
-        payload = pickle.loads(ptask.blob)
-        entry = (rebuild_weak_distance(payload), payload.n_inputs)
-        cache[ptask.digest] = entry
-        rebuilt = True
-        while len(cache) > WORKER_CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
+    weak_distance = cache.get(ptask.digest)
+    if weak_distance is not None:
         cache.move_to_end(ptask.digest)
-    return entry[0], entry[1], rebuilt
+        return weak_distance, False
+    weak_distance = cache[ptask.digest] = pickle.loads(ptask.blob)
+    while len(cache) > WORKER_CACHE_SIZE:
+        cache.popitem(last=False)
+    return weak_distance, True
 
 
 def _run_pool_start(ptask: _PoolTask) -> StartReport:
-    weak_distance, n_inputs, rebuilt = _cached_weak_distance(ptask)
-    sync_label_state(weak_distance, ptask.label_state)
+    task = ptask.task
     flags = _POOL_STATE["flags"]
     slot = ptask.slot
-    task = ptask.task
-    should_stop = None
-    already_stopped = False
-    if slot is not None:
-        should_stop = _SlotPoll(flags, slot)
-        already_stopped = should_stop()
-    result, n_evals, samples = run_task(
-        weak_distance,
-        n_inputs,
-        task,
-        should_stop=should_stop,
-        already_stopped=already_stopped,
-    )
+    should_stop = None if slot is None else _SlotPoll(flags, slot)
+    if should_stop is not None and should_stop():
+        # The round is over (a zero landed, or the job was cancelled):
+        # leave the cache alone, the start never runs.
+        return StartReport(task.index, None)
+    weak_distance, rebuilt = _cached_weak_distance(ptask)
+    sync_label_state(weak_distance, ptask.label_state)
+    report = run_task(weak_distance, task, should_stop)
+    report.rebuilt = rebuilt
+    result = report.result
     if (
         result is not None
         and result.stopped_at_zero
@@ -219,14 +178,7 @@ def _run_pool_start(ptask: _PoolTask) -> StartReport:
         and slot is not None
     ):
         flags[slot] = 1
-    return StartReport(
-        index=task.index,
-        result=result,
-        n_evals=n_evals,
-        label_state=label_state_delta(weak_distance, ptask.label_state),
-        samples=samples,
-        rebuilt=rebuilt,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +192,7 @@ class WorkerPool:
     Use as a context manager, or call :meth:`close` when done::
 
         with WorkerPool(4) as pool:
-            outcome = run_multistart(w, n, backend, starts, 0, pool=pool)
+            outcome = run_multistart(w, backend, starts, 0, pool=pool)
 
     Most callers never construct one directly —
     :class:`repro.api.session.Session` owns a pool for its lifetime and
@@ -262,7 +214,7 @@ class WorkerPool:
         self._closed = False
         #: Rounds executed over the pool's lifetime.
         self.n_rounds = 0
-        #: Worker-side payload rebuilds observed (cache misses; at most
+        #: Worker-side unpickles of W observed (cache misses; at most
         #: ``n_workers`` per distinct program).
         self.n_rebuilds = 0
         #: Crash-salvage cycles performed (lost starts resubmitted to a
@@ -272,10 +224,6 @@ class WorkerPool:
         self.n_broken_executors = 0
         #: Distinct program digests shipped so far.
         self._digests: set = set()
-        #: Digests with a completed round behind them: their blobs are
-        #: no longer attached to every task (workers that still miss
-        #: one raise :class:`_PayloadCacheMiss` and get a resend).
-        self._warm_digests: set = set()
         # Spawn the workers now, from the constructing thread.  Session
         # drivers call run_round from a thread pool, and forking a
         # multi-threaded parent there can inherit locks mid-operation;
@@ -331,25 +279,22 @@ class WorkerPool:
             if broken is not None and self._executor is not broken:
                 return
             executor, self._executor = self._executor, None
-            # Fresh workers start with empty caches: blobs must ship
-            # again until each digest re-warms.
-            self._warm_digests.clear()
             if executor is not None:
                 self.n_broken_executors += 1
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    # -- payload blobs -----------------------------------------------------
+    # -- program blobs -----------------------------------------------------
 
-    def _program_blob(
-        self, weak_distance: WeakDistance, n_inputs: int
-    ) -> Tuple[str, bytes]:
-        """The label-free payload blob and its content digest.
+    def _program_blob(self, weak_distance: WeakDistance) -> Tuple[str, bytes]:
+        """The pickled W (label-free, see
+        :meth:`~repro.core.weak_distance.WeakDistance.__reduce__`) and
+        its content digest.
 
         Cached per live ``WeakDistance`` (weakly, so finished jobs do
-        not pin programs in parent memory).  The digest is the
-        payload's :func:`~repro.util.digest.content_digest`, not a hash
-        of ``blob``: two distinct objects instrumenting equal programs
+        not pin programs in parent memory).  The digest is W's
+        :func:`~repro.util.digest.content_digest`, not a hash of
+        ``blob``: two distinct objects instrumenting equal programs
         share one digest — the worker-side cache key — even when their
         blobs differ in how pickle's memo shared their objects.
         """
@@ -357,9 +302,8 @@ class WorkerPool:
             cached = self._blobs.get(weak_distance)
         if cached is not None:
             return cached
-        payload = make_payload(weak_distance, n_inputs)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = content_digest(payload)
+        blob = pickle.dumps(weak_distance, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = content_digest(weak_distance)
         with self._lock:
             self._blobs[weak_distance] = (digest, blob)
             self._digests.add(digest)
@@ -367,7 +311,7 @@ class WorkerPool:
 
     @property
     def n_programs(self) -> int:
-        """Distinct program payloads shipped over the pool's lifetime."""
+        """Distinct programs shipped over the pool's lifetime."""
         return len(self._digests)
 
     # -- cancel slots ------------------------------------------------------
@@ -394,33 +338,32 @@ class WorkerPool:
     def run_round(
         self,
         weak_distance: WeakDistance,
-        n_inputs: int,
         tasks: Sequence[StartTask],
         race: bool = False,
         stop_event: Optional[threading.Event] = None,
         max_crash_retries: int = DEFAULT_CRASH_RETRIES,
         on_crash=None,
-    ) -> RoundResult:
+    ) -> MultiStartOutcome:
         """Fan one round's ``tasks`` across the warm workers.
 
         ``race=True`` lets the first zero cancel the round's remaining
         starts (the racing mode); ``stop_event`` cancels the round from
-        the parent mid-flight (job cancellation) and marks the result
-        ``interrupted`` — the completed starts are still returned.
-        Reports come back unordered;
-        :func:`repro.core.parallel.merge_reports` sorts and merges
-        them.  A crashing start (raising backend or a process death
-        that breaks the executor) costs only the unfinished starts,
-        which are resubmitted to a fresh executor for up to
-        ``max_crash_retries`` salvage cycles (each reported to
-        ``on_crash`` as a :class:`~repro.core.parallel.CrashNotice`);
-        only exhaustion aborts the round with
-        :class:`WorkerCrashError`, and even then the pool stays
-        serviceable.
+        the parent mid-flight (job cancellation) and marks the outcome
+        ``interrupted`` — the completed starts are still merged, and a
+        round whose event is set before it starts dispatches nothing.
+        The reports are folded by
+        :func:`repro.core.parallel.merge_reports`.  A crashing start
+        (raising backend or a process death that breaks the executor)
+        costs only the unfinished starts, which are resubmitted to a
+        fresh executor for up to ``max_crash_retries`` salvage cycles
+        (each reported to ``on_crash`` as a
+        :class:`~repro.core.parallel.CrashNotice`); only exhaustion
+        aborts the round with :class:`WorkerCrashError`, and even then
+        the pool stays serviceable.
         """
-        if not tasks:
-            return RoundResult([])
-        digest, blob = self._program_blob(weak_distance, n_inputs)
+        if not tasks or (stop_event is not None and stop_event.is_set()):
+            return merge_reports([], interrupted=bool(tasks))
+        digest, blob = self._program_blob(weak_distance)
         label_state = snapshot_label_state(weak_distance)
         slot = self._acquire_slot() if (race or stop_event is not None) else None
         reports: List[StartReport] = []
@@ -428,21 +371,15 @@ class WorkerPool:
         all_futures: List[object] = []
         n_retries = 0
         interrupted = False
-        flagged = False
-        clean = False
         try:
             while pending_tasks:
                 executor = self._ensure_executor()
-                with self._lock:
-                    shipped_blob = None if digest in self._warm_digests else blob
                 crash: Optional[BaseException] = None
                 crash_index = 0
                 broken = False
-                futures: Dict[object, _PoolTask] = {}
+                futures: Dict[object, int] = {}
                 for task in sorted(pending_tasks.values(), key=lambda t: t.index):
-                    ptask = _PoolTask(
-                        digest, shipped_blob, label_state, slot, race, task
-                    )
+                    ptask = _PoolTask(digest, blob, label_state, slot, race, task)
                     try:
                         future = executor.submit(_run_pool_start, ptask)
                     except RuntimeError as exc:
@@ -455,7 +392,7 @@ class WorkerPool:
                         crash, crash_index = exc, task.index
                         broken = True
                         break
-                    futures[future] = ptask
+                    futures[future] = task.index
                 all_futures.extend(futures)
                 pending = set(futures)
                 while pending:
@@ -465,56 +402,27 @@ class WorkerPool:
                         return_when=FIRST_COMPLETED,
                     )
                     for future in done:
-                        ptask = futures[future]
+                        index = futures[future]
                         try:
                             reports.append(future.result())
-                            pending_tasks.pop(ptask.task.index, None)
+                            pending_tasks.pop(index, None)
                         except CancelledError:
                             # A future this round withdrew after its
                             # stop flag landed: the start never ran
                             # and must not be resubmitted.
-                            pending_tasks.pop(ptask.task.index, None)
-                        except _PayloadCacheMiss:
-                            if flagged or (
-                                stop_event is not None and stop_event.is_set()
-                            ):
-                                # The round is being cancelled: do not
-                                # resubmit on the cache-miss path
-                                # either — the start stays unserved.
-                                pending_tasks.pop(ptask.task.index, None)
-                                continue
-                            # The worker serving this start never saw
-                            # the digest's warm-up blob (idle then, or
-                            # a fresh process): resend the start with
-                            # it attached.
-                            retry = _PoolTask(
-                                digest, blob, label_state, slot, race, ptask.task
-                            )
-                            try:
-                                retry_future = executor.submit(
-                                    _run_pool_start, retry
-                                )
-                            except RuntimeError as exc:
-                                # Executor gone mid-round (see the
-                                # dispatch loop): leave the start in
-                                # pending_tasks for the retry cycle.
-                                broken = True
-                                if crash is None:
-                                    crash = exc
-                                    crash_index = ptask.task.index
-                                continue
-                            futures[retry_future] = retry
-                            all_futures.append(retry_future)
-                            pending.add(retry_future)
+                            pending_tasks.pop(index, None)
                         except BrokenProcessPool as exc:
                             broken = True
                             if crash is None:
-                                crash, crash_index = exc, ptask.task.index
+                                crash, crash_index = exc, index
                         except Exception as exc:
                             if crash is None:
-                                crash, crash_index = exc, ptask.task.index
-                    if stop_event is not None and not flagged and stop_event.is_set():
-                        flagged = True
+                                crash, crash_index = exc, index
+                    if (
+                        stop_event is not None
+                        and not interrupted
+                        and stop_event.is_set()
+                    ):
                         interrupted = True
                         if slot is not None:
                             self._flags[slot] = 1
@@ -530,7 +438,7 @@ class WorkerPool:
                     self._retire_broken_executor(executor)
                 if crash is None or not pending_tasks:
                     break
-                if flagged:
+                if interrupted:
                     # The job is being cancelled anyway: salvage what
                     # completed instead of spending retries.
                     break
@@ -554,17 +462,12 @@ class WorkerPool:
                             error=repr(crash),
                         )
                     )
-            clean = not interrupted
         except BaseException:
             if slot is not None:
                 self._flags[slot] = 1
             for future in all_futures:
                 future.cancel()
             raise
-        else:
-            if clean:
-                with self._lock:
-                    self._warm_digests.add(digest)
         finally:
             # Wait out any starts still running so no worker can touch
             # the slot after it is recycled, then release it cleared.
@@ -573,11 +476,7 @@ class WorkerPool:
             with self._lock:
                 self.n_rounds += 1
                 self.n_rebuilds += sum(1 for r in reports if r.rebuilt)
-        return RoundResult(
-            reports=reports,
-            n_crash_retries=n_retries,
-            interrupted=interrupted,
-        )
+        return merge_reports(reports, n_retries, interrupted)
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters (rounds served, cache and crash behavior)."""

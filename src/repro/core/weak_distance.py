@@ -50,7 +50,6 @@ class WeakDistance:
     def __init__(
         self,
         instrumented: InstrumentedProgram,
-        use_compiler: bool = True,
         exact: bool = False,
         max_loop_steps: int = 2_000_000,
         eval_mode: Optional[str] = None,
@@ -61,14 +60,14 @@ class WeakDistance:
         artifacts in W at ~10× interpreter cost.  Implies the
         interpreter backend.
 
-        ``eval_mode`` (``"compiled"``/``"interpreter"``/``"vectorized"``)
-        supersedes ``use_compiler`` when given; ``"vectorized"`` keeps
-        the compiled scalar path for single-point calls and adds the
-        batched kernel for :meth:`evaluate_batch`.  ``exact`` always
-        forces the (exact) interpreter and disables batching.
+        ``eval_mode`` (``"compiled"``/``"interpreter"``/``"vectorized"``,
+        ``None`` = ``"compiled"``) selects the tier; ``"vectorized"``
+        keeps the compiled scalar path for single-point calls and adds
+        the batched kernel for :meth:`evaluate_batch`.  ``exact``
+        always forces the (exact) interpreter and disables batching.
         """
         if eval_mode is None:
-            eval_mode = "compiled" if use_compiler else "interpreter"
+            eval_mode = "compiled"
         if eval_mode not in EVAL_MODES:
             raise ValueError(
                 f"unknown eval_mode {eval_mode!r}; expected one of "
@@ -92,6 +91,19 @@ class WeakDistance:
         }
         #: Events observed during the most recent evaluation.
         self.last_events: Dict[str, str] = {}
+
+    def __reduce__(self):
+        """Pickle the program and the executor settings only.
+
+        Label sets, compiled code and ``last_events`` are per-process
+        state: an unpickled W starts with empty label sets and compiles
+        lazily, and a pool task ships the parent's label sets next to
+        it (:func:`repro.core.parallel.sync_label_state`).
+        """
+        return (
+            WeakDistance,
+            (self.instrumented, self.exact, self.max_loop_steps, self.eval_mode),
+        )
 
     # -- execution ------------------------------------------------------------
 

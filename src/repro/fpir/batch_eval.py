@@ -235,25 +235,48 @@ def _int_probes() -> np.ndarray:
 
 
 def _bits_equal(vec: np.ndarray, ref: List[Any]) -> bool:
+    """Lane-for-lane equality, float lanes bit for bit — NaN lanes too:
+    the bit intrinsics (``__hi``/``__lo``) read a NaN's sign."""
     ref_arr = np.asarray(ref)
     if vec.shape != ref_arr.shape:
         return False
     if vec.dtype == np.float64 and ref_arr.dtype == np.float64:
-        both_nan = np.isnan(vec) & np.isnan(ref_arr)
-        same = vec.view(np.uint64) == ref_arr.view(np.uint64)
-        return bool(np.all(same | both_nan))
+        return bool(np.all(vec.view(np.uint64) == ref_arr.view(np.uint64)))
     try:
         return bool(np.all(vec == ref_arr)) and vec.dtype == ref_arr.dtype
     except Exception:
         return False
 
 
+def _plus_nan(fn: Callable, keep_operand_nans: bool) -> Callable:
+    """``fn`` with its NaN results rewritten to ``+nan``, the NaN the
+    scalar externals produce; with ``keep_operand_nans``, lanes with a
+    NaN operand keep ``fn``'s NaN (the operand's, propagated)."""
+
+    def plus_nan(*args):
+        out = fn(*args)
+        nan = np.isnan(out)
+        if not nan.any():
+            return out
+        if keep_operand_nans:
+            for arg in args:
+                nan &= ~np.isnan(arg)
+        return np.where(nan, math.nan, out)
+
+    return plus_nan
+
+
 def _calibrate(name: str) -> Optional[Callable]:
     """The admitted vector implementation for ``name``, or None.
 
-    Deterministic per process: the probe set is fixed-seeded, so an
-    external either always vectorizes on a given platform or never
-    does — reproducibility is never platform-rounding-dependent.
+    The first candidate that reproduces the scalar external bit for bit
+    on the probe set is admitted: the bare NumPy function, then the
+    same with the NaNs it makes of non-NaN operands rewritten to
+    ``+nan`` (NumPy's default NaN has its sign bit set), then with
+    every NaN result rewritten.  Deterministic per process: the probe
+    set is fixed-seeded, so an external either always vectorizes on a
+    given platform or never does — reproducibility is never
+    platform-rounding-dependent.
     """
     if name in _calibration_cache:
         return _calibration_cache[name]
@@ -268,7 +291,7 @@ def _calibrate(name: str) -> Optional[Callable]:
         try:
             with np.errstate(all="ignore"):
                 if arity == 1:
-                    vec = candidate(probes)
+                    args = (probes,)
                     ref = [scalar(v.item()) for v in probes]
                 else:
                     if name == "ldexp":
@@ -298,12 +321,18 @@ def _calibrate(name: str) -> Optional[Callable]:
                         half = len(floats) // 2
                         a = floats[:half]
                         b = floats[half : 2 * half]
-                    vec = candidate(a, b)
+                    args = (a, b)
                     ref = [
                         scalar(x.item(), y.item()) for x, y in zip(a, b)
                     ]
-            if _bits_equal(np.asarray(vec), ref):
-                result = candidate
+                for vector in (
+                    candidate,
+                    _plus_nan(candidate, keep_operand_nans=True),
+                    _plus_nan(candidate, keep_operand_nans=False),
+                ):
+                    if _bits_equal(np.asarray(vector(*args)), ref):
+                        result = vector
+                        break
         except Exception:
             result = None
     _calibration_cache[name] = result

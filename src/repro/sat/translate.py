@@ -128,9 +128,9 @@ def formula_to_weak_distance(formula: Formula, metric: str = ULP, eval_mode=None
     ``R`` already stores its value in the global ``w``, so a trivial
     (hook-free) :class:`~repro.fpir.instrument.InstrumentationSpec` is
     enough — no rewriting happens.  The wrapper is what lets the SAT
-    instance ride the same parallel payload as every other analysis:
-    :func:`repro.core.parallel.make_payload` ships the program to the
-    worker processes, which rebuild and re-compile it once each.
+    instance ride the same pool tasks as every other analysis: the
+    pickled W carries the program to the worker processes, which
+    rebuild and re-compile it once each.
     """
     from repro.core.weak_distance import WeakDistance
     from repro.fpir.instrument import (

@@ -13,10 +13,12 @@ event types:
   base64-wrapped, plus the digest of those pickled bytes (checked on
   load: a round whose blob no longer matches is dropped, which ends
   the replayable prefix there).  This *is* the paper
-  engine's whole inter-round state: merged label sets travel inside
-  the outcome, and the per-start randomness of every later round is a
-  pure function of ``(seed, round, start)``, so no generator state
-  needs saving — the round counter is the ``SeedSequence`` state;
+  engine's whole inter-round state: the analysis state, label sets
+  included, is a deterministic function of the outcomes it absorbed
+  (a round never changes a label set), and the per-start randomness of
+  every later round is a pure function of ``(seed, round, start)``, so
+  no generator state needs saving — the round counter is the
+  ``SeedSequence`` state;
 * ``done`` — the job settled (state, final report rendering, error).
 
 ``repro serve --resume`` loads the journal

@@ -1,8 +1,8 @@
-"""Content digests shared by the worker payload cache and the scan store.
+"""Content digests shared by the workers' program cache and the scan store.
 
 One identity, two consumers: the worker pool keys its worker-side LRU
 of compiled weak distances by :func:`content_digest` of the label-free
-payload (:meth:`repro.core.pool.WorkerPool._program_blob`), and the
+weak distance (:meth:`repro.core.pool.WorkerPool._program_blob`), and the
 incremental scan store (:mod:`repro.scan.store`) keys persisted
 verdicts by :func:`content_digest` of the lowered FPIR program.  "The
 program changed" is therefore decided identically everywhere: if a

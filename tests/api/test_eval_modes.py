@@ -59,7 +59,8 @@ def test_vectorized_matches_interpreter_population(name, target, options,
                                                    monkeypatch):
     """The default backend scores one point at a time, so the legs
     above never reach the batch kernel; the batch-native population
-    backend does, through ``Objective.evaluate_batch``."""
+    backend does, through the ask/tell loop
+    (:func:`repro.mo.base.drive`) and ``WeakDistance.evaluate_batch``."""
     from repro.fpir.batch_eval import BatchProgram
 
     kernel_calls = []

@@ -58,7 +58,8 @@ class TestCheckpointHook:
         for outcome in seen:
             clone = pickle.loads(pickle.dumps(outcome))
             assert clone.n_evals == outcome.n_evals
-            assert clone.label_sets == outcome.label_sets
+            assert clone.attempts == outcome.attempts
+            assert clone.samples == outcome.samples
 
 
     def test_resumed_job_checkpoints_only_live_rounds(self):

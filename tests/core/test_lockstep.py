@@ -60,16 +60,16 @@ def _tasks(backend, seed, n_starts, n_inputs, stop_at_zero=True,
     ]
 
 
-def _one_at_a_time(wd, n_inputs, tasks, early_cancel=False):
+def _one_at_a_time(wd, tasks, early_cancel=False):
     """The serial loop, spelled out: one start after another through
     ``run_task``, stopping after the first zero under early cancel."""
     attempts, n_evals, samples = [], 0, []
     for task in tasks:
-        result, task_evals, task_samples = run_task(wd, n_inputs, task)
-        attempts.append(result)
-        n_evals += task_evals
-        samples.extend(task_samples)
-        if early_cancel and task.stop_at_zero and result.stopped_at_zero:
+        report = run_task(wd, task)
+        attempts.append(report.result)
+        n_evals += report.n_evals
+        samples.extend(report.samples)
+        if early_cancel and task.stop_at_zero and report.result.stopped_at_zero:
             break
     return attempts, n_evals, samples
 
@@ -88,7 +88,7 @@ def _lockstep(wd, n_inputs, backend, seed, n_starts, monkeypatch,
     with monkeypatch.context() as patch:
         patch.setattr(parallel, "drive", recording_drive)
         outcome = run_multistart(
-            wd, n_inputs, backend, _starts(seed, n_starts, n_inputs),
+            wd, backend, _starts(seed, n_starts, n_inputs),
             n_workers=1, record_samples=record_samples,
             max_evals_per_start=max_evals, stop_at_zero=stop_at_zero,
             early_cancel=early_cancel, stop_event=stop_event,
@@ -119,7 +119,7 @@ def test_lockstep_equals_one_at_a_time(backend, program, spec, config,
     outcome = _lockstep(wd, n, BACKENDS[backend](), 5, 4, monkeypatch,
                         **options)
     reference = _one_at_a_time(
-        wd, n, _tasks(BACKENDS[backend](), 5, 4, n, **options)
+        wd, _tasks(BACKENDS[backend](), 5, 4, n, **options)
     )
     _assert_same(outcome, reference)
     assert len(outcome.attempts) == 4
@@ -139,10 +139,10 @@ class TestEarlyCancel:
         wd = _weak_distance("fig2", "overflow")
         n = wd.program.num_inputs
         backend = BACKENDS["random-search"]
-        solo = _one_at_a_time(wd, n, _tasks(backend(), 9, 5, n))[0]
+        solo = _one_at_a_time(wd, _tasks(backend(), 9, 5, n))[0]
         assert solo[2].stopped_at_zero and solo[2].n_evals == 1
         assert solo[0].stopped_at_zero and solo[0].n_evals > 1
-        reference = _one_at_a_time(wd, n, _tasks(backend(), 9, 5, n),
+        reference = _one_at_a_time(wd, _tasks(backend(), 9, 5, n),
                                    early_cancel=True)
         widths, calls = [], []
         drive, evaluate_batch = parallel.drive, wd.evaluate_batch
@@ -150,7 +150,7 @@ class TestEarlyCancel:
                             lambda searches: widths.append(len(searches))
                             or drive(searches))
         wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
-        outcome = run_multistart(wd, n, backend(), _starts(9, 5, n),
+        outcome = run_multistart(wd, backend(), _starts(9, 5, n),
                                  n_workers=1, record_samples=True,
                                  early_cancel=True)
         assert widths == []
@@ -168,7 +168,7 @@ class TestEarlyCancel:
         outcome = _lockstep(wd, n, BACKENDS[backend](), 9, 5, monkeypatch,
                             early_cancel=True, stop_at_zero=False)
         reference = _one_at_a_time(
-            wd, n, _tasks(BACKENDS[backend](), 9, 5, n, stop_at_zero=False),
+            wd, _tasks(BACKENDS[backend](), 9, 5, n, stop_at_zero=False),
             early_cancel=True,
         )
         _assert_same(outcome, reference)
@@ -182,7 +182,7 @@ class TestOtherPaths:
         scalar tier; the round is unchanged."""
         wd = _weak_distance("fig2", "multiplicative")
         n = wd.program.num_inputs
-        reference = _one_at_a_time(wd, n, _tasks(BACKENDS[backend](), 3, 3, n))
+        reference = _one_at_a_time(wd, _tasks(BACKENDS[backend](), 3, 3, n))
         faults = []
 
         def faulting_run(self, *args, **kwargs):
@@ -190,7 +190,7 @@ class TestOtherPaths:
             raise BatchExecutionError("injected fault")
 
         monkeypatch.setattr(BatchProgram, "run", faulting_run)
-        outcome = run_multistart(wd, n, BACKENDS[backend](), _starts(3, 3, n),
+        outcome = run_multistart(wd, BACKENDS[backend](), _starts(3, 3, n),
                                  n_workers=1, record_samples=True,
                                  early_cancel=False)
         assert faults
@@ -204,7 +204,7 @@ class TestOtherPaths:
         n = vec.program.num_inputs
         backend = BACKENDS["population"]
         lockstep = _lockstep(vec, n, backend(), 4, 3, monkeypatch)
-        outcome = run_multistart(scalar, n, backend(), _starts(4, 3, n),
+        outcome = run_multistart(scalar, backend(), _starts(4, 3, n),
                                  n_workers=1, record_samples=True,
                                  early_cancel=False)
         _assert_same(outcome, (lockstep.attempts, lockstep.n_evals,
@@ -220,7 +220,7 @@ class TestStopEvent:
         calls = []
         evaluate_batch = wd.evaluate_batch
         wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
-        outcome = run_multistart(wd, 1, BACKENDS["population"](),
+        outcome = run_multistart(wd, BACKENDS["population"](),
                                  _starts(1, 3, 1), n_workers=1,
                                  record_samples=True, early_cancel=False,
                                  stop_event=stop)
@@ -236,7 +236,7 @@ class TestStopEvent:
         are a prefix of its uninterrupted run's."""
         wd = _weak_distance("fig2", "multiplicative")
         full = _one_at_a_time(
-            wd, 1, _tasks(BACKENDS["population"](), 2, 3, 1,
+            wd, _tasks(BACKENDS["population"](), 2, 3, 1,
                           stop_at_zero=False)
         )
         stop = threading.Event()

@@ -13,11 +13,7 @@ from repro.core import (
     Verdict,
     WorkerCrashError,
 )
-from repro.core.parallel import (
-    make_payload,
-    rebuild_weak_distance,
-    run_multistart,
-)
+from repro.core.parallel import run_multistart
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import FunctionBuilder, eq, fmul, gt, num, v
 from repro.fpir.instrument import InstrumentationSpec, instrument
@@ -98,20 +94,23 @@ class TestPayload:
             instrument(fig2.make_program(), spec)
 
     def test_payload_round_trip_is_label_free(self):
-        """The payload carries the program and its execution settings,
-        never runtime label state (the pool ships that per task)."""
+        """A pickled W carries the program and its execution settings,
+        never runtime label state (the pool ships that per task) nor
+        compiled code or the last run's events."""
         instrumented = instrument(fig2.make_program(), overflow_spec())
         weak_distance = WeakDistance(
             instrumented, max_loop_steps=123, eval_mode="interpreter"
         )
-        weak_distance.label_sets["L"].add("l1")
-        payload = pickle.loads(
-            pickle.dumps(make_payload(weak_distance, n_inputs=1))
-        )
-        rebuilt = rebuild_weak_distance(payload)
+        weak_distance((0.5,))
+        weak_distance.label_sets["L"].add("covered-in-parent")
+        blob = pickle.dumps(weak_distance)
+        rebuilt = pickle.loads(blob)
+        assert b"covered-in-parent" not in blob
         assert rebuilt.label_sets["L"] == set()
+        assert rebuilt.last_events == {}
         assert rebuilt.max_loop_steps == 123
         assert rebuilt.eval_mode == "interpreter"
+        assert not rebuilt.use_compiler
         for x in [(0.5,), (1.0,), (-3.0,)]:
             assert rebuilt(x) == WeakDistance(instrumented)(x)
 
@@ -272,11 +271,11 @@ class TestWorkerCrash:
             ]
 
         serial = run_multistart(
-            weak_distance, 1, chaos(), starts(), n_workers=1,
+            weak_distance, chaos(), starts(), n_workers=1,
             early_cancel=False,
         )
         healed = run_multistart(
-            weak_distance, 1, chaos(), starts(), n_workers=2,
+            weak_distance, chaos(), starts(), n_workers=2,
             early_cancel=False,
         )
         assert (tmp_path / "killed").exists()
@@ -307,11 +306,49 @@ class TestOneShotStopEvent:
         stop = threading.Event()
         stop.set()
         outcome = run_multistart(
-            weak_distance, 1, backend, starts, n_workers=2,
+            weak_distance, backend, starts, n_workers=2,
             early_cancel=False, stop_event=stop,
         )
         assert outcome.interrupted
         assert len(outcome.attempts) < 8
+
+
+class StopBeforeEvaluating(MOBackend):
+    """Cancels the job, then gives up without evaluating anything."""
+
+    name = "stop-first"
+
+    def __init__(self, stop):
+        self.stop = stop
+
+    def minimize(self, objective, start, rng):
+        self.stop.set()
+        return objective.result(self.name)  # never evaluated: raises
+
+
+class TestSerialStopEvent:
+    def test_start_cancelled_before_first_evaluation_counts(self):
+        """A start cancelled between the pre-check and its first
+        evaluation counts in ``n_cancelled`` on the serial path, as it
+        does in the pool, and no later start runs."""
+        import threading
+
+        weak_distance = WeakDistance(
+            instrument(_equality_program(), multiplicative_spec())
+        )
+        stop = threading.Event()
+        starts = [
+            (uniform_sampler(10.0, 20.0)(rng, 1), rng)
+            for rng in derive_start_rngs(3, 3)
+        ]
+        outcome = run_multistart(
+            weak_distance, StopBeforeEvaluating(stop), starts, n_workers=1,
+            early_cancel=False, stop_event=stop,
+        )
+        assert outcome.interrupted
+        assert outcome.attempts == []
+        assert outcome.n_evals == 0
+        assert outcome.n_cancelled == 1
 
 
 class TestLabelSetMerge:
@@ -369,6 +406,58 @@ class TestLabelSetMerge:
         assert outcome.w_star == 1.0
 
 
+class TestRoundsKeepLabelSets:
+    """A round reads the label sets and never writes them: Algorithm
+    3's ``L`` grows between rounds only, which is what lets every
+    round path drop label state from its outcome."""
+
+    @pytest.mark.parametrize("path", ["one-at-a-time", "lockstep", "pooled"])
+    def test_round_leaves_label_sets_as_found(self, path, monkeypatch):
+        from repro.core import WorkerPool, parallel
+        from repro.mo.population import PopulationBackend
+        from repro.programs.suite import get_program
+
+        eval_mode = "vectorized" if path == "lockstep" else "compiled"
+        weak_distance = WeakDistance(
+            instrument(get_program("gsl-bessel"), overflow_spec()),
+            eval_mode=eval_mode,
+        )
+        labels = sorted(
+            site.label for site in weak_distance.instrumented.index.fp_ops
+        )
+        covered = weak_distance.label_sets["L"]
+        covered.update(labels[::2])
+        before = {name: set(s) for name, s in weak_distance.label_sets.items()}
+        n = weak_distance.program.num_inputs
+        starts = [
+            (wide_log_sampler(-4.0, 4.0)(rng, n), rng)
+            for rng in derive_start_rngs(2, 4)
+        ]
+        widths = []
+        drive = parallel.drive
+        monkeypatch.setattr(
+            parallel,
+            "drive",
+            lambda searches: widths.append(len(searches)) or drive(searches),
+        )
+        backend = PopulationBackend(n_generations=10)
+        if path == "pooled":
+            with WorkerPool(2) as pool:
+                outcome = run_multistart(
+                    weak_distance, backend, starts, n_workers=1,
+                    early_cancel=False, pool=pool,
+                )
+        else:
+            outcome = run_multistart(
+                weak_distance, backend, starts, n_workers=1,
+                early_cancel=False,
+            )
+        assert len(outcome.attempts) == 4
+        assert widths == ([4] if path == "lockstep" else [])
+        assert weak_distance.label_sets == before
+        assert weak_distance.label_sets["L"] is covered
+
+
 class TestRunMultistartDirect:
     def test_reports_in_start_order_and_counts_evals(self):
         weak_distance = WeakDistance(
@@ -379,7 +468,6 @@ class TestRunMultistartDirect:
         starts = [(sampler(rng, 1), rng) for rng in rngs]
         outcome = run_multistart(
             weak_distance,
-            n_inputs=1,
             backend=RandomSearchBackend(
                 n_samples=50, sampler=uniform_sampler(10.0, 20.0)
             ),

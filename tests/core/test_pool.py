@@ -1,6 +1,7 @@
 """The persistent worker-pool service (repro.core.pool)."""
 
 import threading
+import time
 
 import pytest
 
@@ -52,6 +53,33 @@ class CrashBackend(MOBackend):
         raise ValueError("backend exploded")
 
 
+class MarkStartBackend(MOBackend):
+    """Creates ``marker`` when a start begins, then runs ``inner``."""
+
+    name = "mark-start"
+
+    def __init__(self, marker, inner):
+        self.marker = str(marker)
+        self.inner = inner
+
+    def minimize(self, objective, start, rng):
+        open(self.marker, "a").close()
+        return self.inner.minimize(objective, start, rng)
+
+
+def _set_when_exists(path, event):
+    """Set ``event`` from a helper thread once ``path`` exists."""
+
+    def watch():
+        while not path.exists():
+            time.sleep(0.001)
+        event.set()
+
+    thread = threading.Thread(target=watch, daemon=True)
+    thread.start()
+    return thread
+
+
 def _kill_once(marker):
     """Shared chaos backend wired to this suite's sampler range."""
     return KillWorkerOnceBackend(marker, inner=_backend(40))
@@ -61,12 +89,12 @@ class TestPooledRounds:
     def test_pooled_round_matches_serial(self):
         serial_wd, pooled_wd = _weak_distance(), _weak_distance()
         serial = run_multistart(
-            serial_wd, 1, _backend(), _starts(5, 3), n_workers=1,
+            serial_wd, _backend(), _starts(5, 3), n_workers=1,
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             pooled = run_multistart(
-                pooled_wd, 1, _backend(), _starts(5, 3), n_workers=1,
+                pooled_wd, _backend(), _starts(5, 3), n_workers=1,
                 early_cancel=False, pool=pool,
             )
         assert [r.f_star for r in serial.attempts] == [
@@ -82,7 +110,7 @@ class TestPooledRounds:
         with WorkerPool(1) as pool:
             for round_seed in (1, 2, 3):
                 run_multistart(
-                    weak_distance, 1, _backend(), _starts(round_seed, 2),
+                    weak_distance, _backend(), _starts(round_seed, 2),
                     n_workers=1, pool=pool,
                 )
             stats = pool.stats()
@@ -95,7 +123,7 @@ class TestPooledRounds:
         with WorkerPool(1) as pool:
             for target in (7.0, 9.0):
                 run_multistart(
-                    _weak_distance(target), 1, _backend(),
+                    _weak_distance(target), _backend(),
                     _starts(4, 2), n_workers=1, pool=pool,
                 )
             assert pool.n_programs == 2
@@ -107,26 +135,26 @@ class TestPooledRounds:
         with WorkerPool(1) as pool:
             for _ in range(2):
                 run_multistart(
-                    _weak_distance(), 1, _backend(), _starts(4, 2),
+                    _weak_distance(), _backend(), _starts(4, 2),
                     n_workers=1, pool=pool,
                 )
             assert pool.n_programs == 1
             assert pool.n_rebuilds == 1
 
     def test_blob_dropped_after_warmup_with_miss_recovery(self):
-        """After a digest's first completed round the blob stops
-        shipping; a worker that missed the warm-up recovers via the
-        cache-miss resend instead of failing the round."""
+        """Every task carries the program, so a worker that missed the
+        warm-up round (a cold worker) serves a warm program: it
+        unpickles W itself instead of failing the round."""
         weak_distance = _weak_distance()
         with WorkerPool(2) as pool:
             # Warm-up round touches (at most) one of the two workers.
             run_multistart(
-                weak_distance, 1, _backend(), _starts(1, 1),
+                weak_distance, _backend(), _starts(1, 1),
                 n_workers=1, pool=pool,
             )
-            assert pool._warm_digests
+            assert pool.n_rebuilds == 1
             outcome = run_multistart(
-                weak_distance, 1, _backend(), _starts(2, 4),
+                weak_distance, _backend(), _starts(2, 4),
                 n_workers=1, pool=pool,
             )
         assert len(outcome.attempts) == 4
@@ -144,12 +172,12 @@ class TestPooledRounds:
         ]
         with WorkerPool(1) as pool:
             run_multistart(
-                program_wd, 1, _backend(), _starts(4, 2),
+                program_wd, _backend(), _starts(4, 2),
                 n_workers=1, pool=pool,
             )
             program_wd.label_sets["L"].update(labels)
             outcome = run_multistart(
-                program_wd, 1, _backend(), _starts(4, 2),
+                program_wd, _backend(), _starts(4, 2),
                 n_workers=1, pool=pool,
             )
             # Same digest both rounds: the label growth must not force
@@ -168,7 +196,7 @@ class TestCrashRecovery:
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
-                    weak_distance, 1, CrashBackend(), _starts(1, 3),
+                    weak_distance, CrashBackend(), _starts(1, 3),
                     n_workers=1, pool=pool,
                 )
             # Every cancel slot was released cleared by the teardown.
@@ -176,7 +204,7 @@ class TestCrashRecovery:
             assert all(flag == 0 for flag in pool._flags)
             # The same pool serves the next round.
             outcome = run_multistart(
-                weak_distance, 1, _backend(), _starts(5, 3),
+                weak_distance, _backend(), _starts(5, 3),
                 n_workers=1, pool=pool,
             )
             assert len(outcome.attempts) == 3
@@ -186,7 +214,7 @@ class TestCrashRecovery:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             run_multistart(
-                _weak_distance(), 1, _backend(), _starts(5, 2),
+                _weak_distance(), _backend(), _starts(5, 2),
                 n_workers=1, pool=pool,
             )
 
@@ -199,12 +227,12 @@ class TestChaosCrashRecovery:
     ):
         backend = _kill_once(tmp_path / "killed")
         serial = run_multistart(
-            _weak_distance(), 1, backend, _starts(5, 6), n_workers=1,
+            _weak_distance(), backend, _starts(5, 6), n_workers=1,
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             healed = run_multistart(
-                _weak_distance(), 1, backend, _starts(5, 6), n_workers=1,
+                _weak_distance(), backend, _starts(5, 6), n_workers=1,
                 early_cancel=False, pool=pool,
             )
             stats = pool.stats()
@@ -227,7 +255,7 @@ class TestChaosCrashRecovery:
         backend = _kill_once(tmp_path / "killed")
         with WorkerPool(2) as pool:
             run_multistart(
-                _weak_distance(), 1, backend, _starts(5, 4), n_workers=1,
+                _weak_distance(), backend, _starts(5, 4), n_workers=1,
                 early_cancel=False, pool=pool,
             )
             # Every cancel slot came back cleared and the (recreated)
@@ -235,7 +263,7 @@ class TestChaosCrashRecovery:
             assert len(pool._free_slots) == CANCEL_SLOTS
             assert all(flag == 0 for flag in pool._flags)
             outcome = run_multistart(
-                _weak_distance(), 1, _backend(), _starts(6, 3),
+                _weak_distance(), _backend(), _starts(6, 3),
                 n_workers=1, early_cancel=False, pool=pool,
             )
             assert len(outcome.attempts) == 3
@@ -246,7 +274,7 @@ class TestChaosCrashRecovery:
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
-                    _weak_distance(), 1, CrashBackend(), _starts(1, 3),
+                    _weak_distance(), CrashBackend(), _starts(1, 3),
                     n_workers=1, pool=pool, max_crash_retries=1,
                 )
             assert pool.stats()["crash_retries"] == 1
@@ -255,63 +283,68 @@ class TestChaosCrashRecovery:
             assert all(flag == 0 for flag in pool._flags)
             # The pool survives even budget exhaustion.
             outcome = run_multistart(
-                _weak_distance(), 1, _backend(), _starts(5, 2),
+                _weak_distance(), _backend(), _starts(5, 2),
                 n_workers=1, pool=pool,
             )
             assert len(outcome.attempts) == 2
 
 
 class TestStopEventSalvage:
-    def test_slotless_round_still_observes_stop_event(self):
+    def test_slotless_round_still_observes_stop_event(self, tmp_path):
         """All cancel slots taken: the round used to ignore its
         stop_event entirely; it must now stop dispatching parent-side
         and return the harvested partial outcome."""
         weak_distance = _weak_distance()
+        marker = tmp_path / "started"
+        backend = MarkStartBackend(marker, _backend(20_000))
         with WorkerPool(1) as pool:
             held = [pool._acquire_slot() for _ in range(CANCEL_SLOTS)]
             assert all(slot is not None for slot in held)
             assert pool._acquire_slot() is None
             stop = threading.Event()
-            stop.set()  # cancelled before the round can dispatch
+            # Cancelled once the first start is running, so the round
+            # has dispatched and must withdraw its queued starts.
+            watcher = _set_when_exists(marker, stop)
             outcome = run_multistart(
-                weak_distance, 1, _backend(20_000), _starts(3, 8),
+                weak_distance, backend, _starts(3, 8),
                 n_workers=1, early_cancel=False, pool=pool,
                 stop_event=stop,
             )
+            watcher.join(timeout=60)
+            assert not watcher.is_alive()
             for slot in held:
                 pool._release_slot(slot)
             assert outcome.interrupted
             assert len(outcome.attempts) < 8
             # The pool still serves the next (slotted) round.
             follow_up = run_multistart(
-                weak_distance, 1, _backend(), _starts(5, 3),
+                weak_distance, _backend(), _starts(5, 3),
                 n_workers=1, early_cancel=False, pool=pool,
             )
             assert len(follow_up.attempts) == 3
             assert not follow_up.interrupted
 
-    def test_cache_miss_not_resubmitted_once_cancelled(self):
-        """A cold worker's payload-cache miss must not resurrect a
-        start after the round's cancel flag landed."""
+    def test_round_cancelled_before_dispatch_rebuilds_nothing(self):
+        """A round whose stop event is set before it starts dispatches
+        nothing: no cold worker unpickles the program for it."""
         weak_distance = _weak_distance()
         with WorkerPool(2) as pool:
             # Warm the digest with a one-start round: at most one of
-            # the two workers saw the blob.
+            # the two workers holds the program.
             run_multistart(
-                weak_distance, 1, _backend(), _starts(1, 1),
+                weak_distance, _backend(), _starts(1, 1),
                 n_workers=1, pool=pool,
             )
             assert pool.n_rebuilds == 1
             stop = threading.Event()
             stop.set()
             outcome = run_multistart(
-                weak_distance, 1, _backend(20_000), _starts(2, 6),
+                weak_distance, _backend(20_000), _starts(2, 6),
                 n_workers=1, early_cancel=False, pool=pool,
                 stop_event=stop,
             )
             assert outcome.interrupted
-            # The cold worker's misses were dropped, not resubmitted
-            # with the blob: no new worker-side rebuild happened.
+            # No start reached a worker: no new worker-side rebuild.
             assert pool.n_rebuilds == 1
 
 
@@ -328,7 +361,7 @@ class TestRacingCancellation:
         ]
         with WorkerPool(4) as pool:
             outcome = run_multistart(
-                weak_distance, 1, backend, starts, n_workers=1,
+                weak_distance, backend, starts, n_workers=1,
                 pool=pool, early_cancel=True,
             )
         assert outcome.best is not None

@@ -31,8 +31,8 @@ class TestEvaluation:
         instrumented = instrument(
             fig2.make_program(), multiplicative_spec()
         )
-        fast = WeakDistance(instrumented, use_compiler=True)
-        slow = WeakDistance(instrumented, use_compiler=False)
+        fast = WeakDistance(instrumented, eval_mode="compiled")
+        slow = WeakDistance(instrumented, eval_mode="interpreter")
         for x in (-3.0, 0.5, 1.0, 2.0, 17.25, -1e100):
             assert fast((x,)) == slow((x,))
 
@@ -165,7 +165,7 @@ class TestReplay:
 
         wd = WeakDistance(
             instrument(fig2.make_program(), hits_spec()),
-            use_compiler=False,
+            eval_mode="interpreter",
         )
         _, counters = wd.replay((1.0,))
         assert any(kind == HIT_EVENT for (kind, _l) in counters)

@@ -336,16 +336,10 @@ def test_integer_arm_runs_only_on_its_lanes(name, program, xs, want):
     assert_bit_equal(got, reference, name)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="calibration compares NaNs without their sign: NumPy's default "
-    "NaN (sign bit set) is admitted where the scalar externals return "
-    "+nan, and only the bit intrinsics can observe it",
-)
 def test_nan_sign_from_calibrated_external():
-    """``__hi(sqrt(-1))`` differs between the tiers: a known gap in the
-    parity contract (W is unaffected unless a bit intrinsic reads the
-    NaN)."""
+    """``__hi(sqrt(-1))`` agrees between the tiers: calibration compares
+    NaN lanes bit for bit, so the admitted ``sqrt`` returns the scalar
+    externals' ``+nan``, not NumPy's default NaN (sign bit set)."""
     from repro.fpir.batch_eval import compile_batch
     from repro.fpir.interpreter import Interpreter
 

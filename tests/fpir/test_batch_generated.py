@@ -161,17 +161,10 @@ class Gen:
         return c.pick(INT_BUILDERS)(self.iexpr(depth + 1), self.iexpr(depth + 1))
 
     def word(self, depth):
-        """An int from a double: ``__d2i``, or a word of its bits.
-
-        The bit intrinsics see a NaN's sign, where the batch and scalar
-        externals can differ (see test_batch_eval's NaN-sign xfail), so
-        their argument has NaN replaced first.
-        """
+        """An int from a double: ``__d2i``, or a word of its bits (which
+        see a NaN's sign)."""
         e = self.fexpr(depth)
-        name = self.c.pick(("__hi", "__lo", "__d2i"))
-        if name != "__d2i":
-            e = ternary(eq(e, e), e, num(0.0))
-        return call(name, e)
+        return call(self.c.pick(("__hi", "__lo", "__d2i")), e)
 
     def cond(self, depth=0):
         c = self.c

@@ -11,12 +11,11 @@ from repro.serve.wire import normalize_job_payload, payload_fingerprint
 from repro.util.digest import digest_bytes
 
 
-def outcome(n_evals=10, labels=None):
+def outcome(n_evals=10, samples=None):
     return MultiStartOutcome(
         attempts=[],
         n_evals=n_evals,
-        label_sets={"B": set(labels or ())},
-        samples=[],
+        samples=list(samples or ()),
     )
 
 
@@ -29,8 +28,8 @@ class TestRoundTrip:
     def test_job_rounds_done_round_trip(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "store")
         journal.record_job("j0", "team-a", PAYLOAD)
-        journal.record_round("j0", 0, outcome(10, ["b1:T"]))
-        journal.record_round("j0", 1, outcome(20, ["b1:F"]))
+        journal.record_round("j0", 0, outcome(10, [((1.0,), 0.5)]))
+        journal.record_round("j0", 1, outcome(20, [((2.0,), 0.0)]))
         journal.record_done("j0", "done", report={"verdict": "found"})
 
         jobs = CheckpointJournal(tmp_path / "store").load()
@@ -43,7 +42,7 @@ class TestRoundTrip:
         assert entry.report == {"verdict": "found"}
         decoded = entry.outcomes()
         assert [o.n_evals for o in decoded] == [10, 20]
-        assert decoded[0].label_sets == {"B": {"b1:T"}}
+        assert decoded[0].samples == [((1.0,), 0.5)]
 
     def test_unsettled_job_left_resumable(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "store")
@@ -106,13 +105,13 @@ class TestRoundDigests:
     def test_digest_names_the_pickled_bytes(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "store")
         journal.record_job("j0", "t", PAYLOAD)
-        journal.record_round("j0", 0, outcome(10, ["b1:T"]))
+        journal.record_round("j0", 0, outcome(10, [((1.0,), 0.5)]))
         (_, line) = journal.path.read_text().splitlines()
         record = json.loads(line)
         blob = base64.b64decode(record["outcome"])
         assert record["digest"] == digest_bytes(blob)[:16]
         assert blob == pickle.dumps(
-            outcome(10, ["b1:T"]), protocol=pickle.HIGHEST_PROTOCOL
+            outcome(10, [((1.0,), 0.5)]), protocol=pickle.HIGHEST_PROTOCOL
         )
 
     def test_corrupt_round_ends_the_replayable_prefix(self, tmp_path):
@@ -160,5 +159,67 @@ class TestRoundDigests:
             for t in got.trace
         ] == [
             (t.index, t.n_starts, t.n_evals, t.best_w, t.found_zero)
+            for t in want.trace
+        ]
+
+
+class TestParentJournal:
+    def test_parent_written_journal_resumes(self, tmp_path, monkeypatch):
+        """Journals written while outcomes still carried ``label_sets``
+        and ``n_rebuilds`` load and replay: the extra attributes in
+        their pickles are ignored, and the resumed report equals the
+        uninterrupted one."""
+        import copy
+
+        from repro.api import session as session_module
+
+        run_multistart = session_module.run_multistart
+        round_labels = []
+
+        def recording(weak_distance, *args, **kwargs):
+            # What such a journal stored: W's label sets at the round.
+            round_labels.append(
+                {name: set(s) for name, s in weak_distance.label_sets.items()}
+            )
+            return run_multistart(weak_distance, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "run_multistart", recording)
+        journal = CheckpointJournal(tmp_path / "store")
+        journal.record_job("j0", "t", PAYLOAD)
+        options = {"max_rounds": 3, "n_starts": 4}
+        outcomes = []
+        with Session(EngineConfig(seed=13)) as session:
+            want = session.submit(
+                "overflow",
+                "gsl-bessel",
+                checkpoint=lambda i, o: outcomes.append(o),
+                **options,
+            ).result(timeout=120)
+            assert want.rounds == 3 and len(round_labels) == 3
+            assert any(labels["L"] for labels in round_labels)
+            for index, (round_outcome, labels) in enumerate(
+                zip(outcomes, round_labels)
+            ):
+                legacy = copy.copy(round_outcome)
+                legacy.label_sets = labels
+                legacy.n_rebuilds = 0
+                journal.record_round("j0", index, legacy)
+            replay = journal.load()["j0"].outcomes()
+            assert [o.label_sets for o in replay] == round_labels
+            got = session.submit(
+                "overflow", "gsl-bessel", resume_rounds=replay, **options
+            ).result(timeout=120)
+        assert len(round_labels) == 3  # the replay ran no round
+        assert got.verdict == want.verdict
+        assert got.n_evals == want.n_evals
+        assert got.rounds == want.rounds
+        assert [(f.kind, f.label, f.x) for f in got.findings] == [
+            (f.kind, f.label, f.x) for f in want.findings
+        ]
+        assert [
+            (t.index, t.n_starts, t.n_evals, t.best_w, t.found_zero, t.note)
+            for t in got.trace
+        ] == [
+            (t.index, t.n_starts, t.n_evals, t.best_w, t.found_zero, t.note)
             for t in want.trace
         ]
