@@ -36,7 +36,7 @@ Packages
     Instance 5: XSat-style QF-FP satisfiability.
 :mod:`repro.mo`
     MO backends (Basinhopping / Differential Evolution / Powell /
-    pure-Python MCMC / random search).
+    population / random search / portfolio).
 :mod:`repro.gsl`, :mod:`repro.libm`
     The benchmark substrate: mini-GSL (bessel / hyperg / airy) and the
     Glibc 2.19 ``sin`` branch structure.

@@ -41,10 +41,15 @@ the starts of one reduction across a pool of worker processes:
 
 * **Lockstep serial rounds.**  Without a pool, a round that no zero
   can cut short, whose backend speaks ask/tell
-  (:meth:`repro.mo.base.MOBackend.steps`) on a vectorized W, steps all
-  its starts together, one kernel call per step
-  (:func:`repro.mo.base.drive`); each start still walks the trajectory
-  it walks alone.
+  (:meth:`repro.mo.base.MOBackend.steps`: basinhopping, population,
+  random-search) on a vectorized W, steps all its starts together
+  through the one driver loop (:func:`repro.mo.base.drive`).  A step
+  of at least :data:`~repro.mo.base.BATCH_MIN_POINTS` points (a
+  population generation) is one kernel call; a narrower one is scored
+  point by point.  Basinhopping asks one point per live start, so its
+  steps stay scalar while fewer than ``BATCH_MIN_POINTS`` starts are
+  live, and reach the kernel in a wider round.  Each start still walks
+  the trajectory it walks alone.
 
 There is one executor: :class:`repro.core.pool.WorkerPool`.
 ``run_multistart(..., pool=...)`` fans a round across a persistent
@@ -333,7 +338,8 @@ def _run_lockstep(
 ) -> List[StartReport]:
     """Every start of the round stepped together by one ask/tell driver
     (:func:`repro.mo.base.drive`): each step scores all live starts'
-    points in one vectorized kernel call.  Per start, the objective is
+    points together, in one vectorized kernel call when the step is
+    wide enough.  Per start, the objective is
     the one :func:`run_task` builds, so each start's report is the one
     a one-at-a-time run produces; a ``should_stop`` that fires
     mid-round ends every live start after the same step, with its

@@ -1,15 +1,15 @@
 """Mathematical-optimization backends (the paper's Section 4.1 black box).
 
 ``repro.mo`` provides the uniform :class:`~repro.mo.base.MOBackend`
-interface, the three SciPy backends evaluated in the paper's Table 1
-(Basinhopping, Differential Evolution, Powell), a from-scratch MCMC
-basin-hopper, a batch-native population backend (one vectorized kernel
-call per generation), a random-search baseline, and magnitude-aware
-starting-point samplers.
+interface, the three backends evaluated in the paper's Table 1
+(Basinhopping, Differential Evolution, Powell), a batch-native
+population backend (one vectorized kernel call per generation), a
+random-search baseline, a racing portfolio, and magnitude-aware
+starting-point samplers.  Every in-tree search is an ask/tell
+generator run by :func:`repro.mo.base.drive`.
 """
 
 from repro.mo.base import MOBackend, MOResult, Objective, StopMinimization
-from repro.mo.mcmc import PurePythonBasinhopping
 from repro.mo.population import PopulationBackend
 from repro.mo.portfolio import PortfolioBackend
 from repro.mo.random_search import RandomSearchBackend
@@ -42,7 +42,6 @@ __all__ = [
     "PopulationBackend",
     "PortfolioBackend",
     "PowellBackend",
-    "PurePythonBasinhopping",
     "RandomSearchBackend",
     "StartSampler",
     "StopMinimization",

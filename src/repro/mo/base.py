@@ -18,26 +18,26 @@ optimization" (Section 4.1).  This module fixes the black-box interface:
 Ask/tell protocol
 -----------------
 
-Backends that can use a vectorized weak distance speak ask/tell:
-:meth:`MOBackend.steps` is a generator that *yields* a non-empty list
-of candidate points (tuples of Python floats), *receives* their values
-(Python floats, NaN already read as ``inf``), and returns when its
-search is done.  :func:`drive` runs such searches — one, or every start
-of a multi-start round in lockstep (:mod:`repro.core.parallel`).  Each
-step concatenates the live searches' asks and scores them with one
-``fn.evaluate_batch`` call when the wrapped function exposes a
-vectorized kernel (``fn.supports_batch``, e.g. a
+Every in-tree search speaks ask/tell: :meth:`MOBackend.steps` is a
+generator that *yields* a non-empty list of candidate points (tuples of
+Python floats), *receives* their values (Python floats, NaN already
+read as ``inf``), and returns when its search is done.  :func:`drive`
+is the one loop that runs such searches — one start alone, or every
+start of a multi-start round in lockstep (:mod:`repro.core.parallel`).
+Each step concatenates the live searches' asks.  When the wrapped
+function exposes a vectorized kernel (``fn.supports_batch``, e.g. a
 :class:`repro.core.weak_distance.WeakDistance` in
-``eval_mode="vectorized"``); otherwise it evaluates the points one by
-one with the objective's ``__call__`` bookkeeping.  A scored batch is
-absorbed per search by :meth:`Objective.absorb_batch`, which is
-observationally identical to that — same evaluation count, best-point
-tracking and sample recording, and the same stop at the same point in
-the sequence (a zero, the budget), with any later points discarded
-uncounted.  Because searches are independent and the semantics are
-identical either way, an ask/tell backend produces bit-identical
-trajectories in every ``eval_mode``, alone or in lockstep with other
-starts.
+``eval_mode="vectorized"``) and the step holds at least
+:data:`BATCH_MIN_POINTS` points, one ``fn.evaluate_batch`` call scores
+them all; otherwise ``fn`` scores them one by one with the objective's
+``__call__`` bookkeeping.  A scored batch is absorbed per search by
+:meth:`Objective.absorb_batch`, which is observationally identical to
+that — same evaluation count, best-point tracking and sample recording,
+and the same stop at the same point in the sequence (a zero, the
+budget), with any later points discarded uncounted.  Because searches
+are independent and the semantics are identical either way, an
+ask/tell backend produces bit-identical trajectories in every
+``eval_mode``, alone or in lockstep with other starts.
 """
 
 from __future__ import annotations
@@ -53,6 +53,17 @@ Point = Tuple[float, ...]
 
 #: What :meth:`MOBackend.steps` returns: yields asks, receives values.
 Steps = Generator[List[Point], List[float], None]
+
+#: The narrowest step :func:`drive` sends to ``fn.evaluate_batch``;
+#: narrower steps are scored point by point on W's scalar tier.  Kernel
+#: vs compiled tier, µs per point on the overflow W at N = 4 / 16 / 32 /
+#: 64 points (2 CPUs): fig2 20.6 / 5.4 / 2.8 / 1.4 vs 3.0, gsl-bessel
+#: 49.8 / 17.7 / 9.9 / 4.7 vs 5.1, glibc-sin 125 / 45 / 31 / 22 vs 8.6.
+#: Below 16 points the kernel loses on every suite program, so a few
+#: lockstep basinhopping starts' one-point asks stay scalar while a
+#: population generation (32 points) still reaches the kernel.  The
+#: crossover is per program; a constant cannot follow it.
+BATCH_MIN_POINTS = 32
 
 
 class StopMinimization(Exception):
@@ -108,7 +119,7 @@ class Objective:
         self.best_f = math.inf
 
     def __call__(self, x) -> float:
-        # The scalar search's hot path: coerce to a tuple of Python floats.
+        # The SciPy callbacks' entry: coerce to a tuple of Python floats.
         if isinstance(x, (list, tuple)):
             xs = tuple(map(float, x))
         else:  # scalars and arrays
@@ -201,66 +212,74 @@ def drive(searches: Sequence[Tuple[Objective, Steps]]) -> None:
     ``searches`` pairs each start's :class:`Objective` with its
     :meth:`MOBackend.steps` generator; every objective must wrap the
     same function.  Each step collects the live searches' asks in start
-    order.  When the function supports batches and the step holds more
-    than one point, one ``fn.evaluate_batch`` call on an ``(N, d)``
-    array scores them all and each search's slice is absorbed in order
-    (:meth:`Objective.absorb_batch`); otherwise each point is scored by
-    ``fn`` on its tuple and absorbed as ``__call__`` absorbs it.  A
-    search ends when its objective stops (a zero, the budget,
-    ``should_stop``) or its generator returns; the points a stopped
-    search asked for past its stop point are computed in vain and never
-    counted.  Searches are independent, so stepping them together
-    changes no search's evaluations, samples or result.
+    order.  When the function supports batches and the step holds at
+    least :data:`BATCH_MIN_POINTS` points, one ``fn.evaluate_batch``
+    call on an ``(N, d)`` array scores them all and each search's slice
+    is absorbed in order (:meth:`Objective.absorb_batch`); otherwise
+    each point is scored by ``fn`` on its tuple and absorbed as
+    ``__call__`` absorbs it.  A search ends when its objective stops (a
+    zero, the budget, ``should_stop``) or its generator returns; the
+    points a stopped search asked for past its stop point are computed
+    in vain and never counted.  Searches are independent, so stepping
+    them together changes no search's evaluations, samples or result.
     """
     if not searches:
         return
     fn = searches[0][0].fn
     batch = searches[0][0].supports_batch
-    asks: List[Optional[List[Point]]] = [next(steps, None) for _, steps in searches]
-    live = [i for i, ask in enumerate(asks) if ask is not None]
+    # Each live search is [its ask, objective, steps.send]; on a
+    # batch-capable W a running width (points asked for the next step)
+    # decides the kernel.
+    live = [[next(steps, None), o, steps.send] for o, steps in searches]
+    live = [search for search in live if search[0] is not None]
+    width = sum(len(search[0]) for search in live) if batch else 0
     while live:
         values = None
-        if batch and (len(live) > 1 or len(asks[live[0]]) > 1):
-            points = [x for i in live for x in asks[i]]
-            values = np.asarray(
-                fn.evaluate_batch(np.array(points, dtype=np.float64)),
-                dtype=np.float64,
-            ).tolist()
-        still = []
-        offset = 0
-        for i in live:
-            objective, steps = searches[i]
-            ask = asks[i]
+        if width >= BATCH_MIN_POINTS:
+            values = _evaluate_batch(fn, [x for search in live for x in search[0]])
+        offset = width = 0
+        ended = False
+        for search in live:
+            ask, objective, send = search
             try:
                 if values is None:
                     told = [objective._absorb(x, float(fn(x))) for x in ask]
                 else:
-                    told = objective.absorb_batch(
-                        ask, values[offset : offset + len(ask)]
-                    )
-                asks[i] = steps.send(told)
+                    chunk = values[offset : offset + len(ask)]
+                    offset += len(ask)
+                    told = objective.absorb_batch(ask, chunk)
+                ask = search[0] = send(told)
+                if batch:
+                    width += len(ask)
             except (StopMinimization, StopIteration):
-                pass
-            else:
-                still.append(i)
-            offset += len(ask)
-        live = still
+                search[0] = None
+                ended = True
+        if ended:
+            live = [search for search in live if search[0] is not None]
+
+
+def _evaluate_batch(fn, points: List[Point]) -> List[float]:
+    """``fn``'s kernel on ``points``, as Python floats."""
+    X = np.array(points, dtype=np.float64)
+    return np.asarray(fn.evaluate_batch(X), dtype=np.float64).tolist()
 
 
 class MOBackend:
     """Interface all backends implement.
 
     An ask/tell backend implements :meth:`steps` and inherits
-    :meth:`minimize`, which drives it; a callback backend overrides
-    :meth:`minimize` (usually through :meth:`_guarded`/:meth:`_run`)
-    and hands the :class:`Objective` to a library loop.
+    :meth:`minimize`, which runs it through :func:`drive`; that is
+    every in-tree search (basinhopping, population, random-search).  A
+    black-box backend (the SciPy loops, the portfolio, custom
+    backends) overrides :meth:`minimize` and hands the
+    :class:`Objective` to a loop of its own.
     """
 
     name = "abstract"
 
     def steps(self, start: Sequence[float], rng: np.random.Generator) -> Steps:
         """The search from ``start`` as an ask/tell generator (see the
-        module docstring).  Callback backends do not implement it."""
+        module docstring).  Black-box backends do not implement it."""
         raise NotImplementedError(f"backend {self.name!r} does not speak ask/tell")
 
     @property
@@ -281,24 +300,4 @@ class MOBackend:
         :class:`StopMinimization` (it is converted to a result).  The
         default drives :meth:`steps` for this one start."""
         drive([(objective, self.steps(start, rng))])
-        return objective.result(self.name)
-
-    def _run(
-        self,
-        objective: Objective,
-        start: Sequence[float],
-        rng: np.random.Generator,
-    ) -> None:
-        raise NotImplementedError
-
-    def _guarded(
-        self,
-        objective: Objective,
-        start: Sequence[float],
-        rng: np.random.Generator,
-    ) -> MOResult:
-        try:
-            self._run(objective, start, rng)
-        except StopMinimization:
-            pass
         return objective.result(self.name)

@@ -1,35 +1,76 @@
 """Population-based basin-hopping — the batch-native backend.
 
-Where :mod:`repro.mo.mcmc` walks one candidate at a time, this backend
+Where basinhopping's Nelder–Mead asks one point at a time, this backend
 asks for a whole *generation* of candidates around the incumbent as one
 ask/tell step — one vectorized kernel invocation per generation when
 the weak distance supports batching, shared with the other starts of a
 lockstep round.  A generation mixes two proposal families:
 
 * **compass probes** — ``x_i ± scale·(1 + |x_i|)`` and a sign flip per
-  coordinate, the same magnitude-aware moves pattern search uses, so
-  halving ``scale`` on failed generations gives the geometric local
+  coordinate, magnitude-aware pattern-search moves, so halving
+  ``scale`` on failed generations gives the geometric local
   convergence of compass search;
-* **random jumps** — the magnitude-aware additive/multiplicative/
-  sign-flip proposals of the MCMC basin-hopper, for global exploration
-  across the doubles.
+* **random jumps** (:func:`random_jump`) — magnitude-aware additive/
+  multiplicative/sign-flip proposals, for global exploration across
+  the doubles.
 
 Acceptance is greedy on improvement with a Metropolis fallback on the
-generation's best candidate, so the chain can still escape plateaus.
-The backend only speaks ask/tell; its trajectory is therefore
-bit-identical in every ``eval_mode`` (the protocol guarantees
-sequential-call semantics, see :mod:`repro.mo.base`).
+generation's best candidate (:func:`metropolis_accept`), so the chain
+can still escape plateaus.  The backend only speaks ask/tell; its
+trajectory is therefore bit-identical in every ``eval_mode`` (the
+protocol guarantees sequential-call semantics, see
+:mod:`repro.mo.base`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.mo.base import MOBackend, Point, Steps
-from repro.mo.mcmc import metropolis_accept, random_jump
+
+
+def random_jump(
+    x: Sequence[float], rng: np.random.Generator, scale: float = 1.0
+) -> Point:
+    """One magnitude-aware Markov-chain proposal around ``x``.
+
+    Per coordinate: an additive Gaussian step scaled to the magnitude
+    (half the time), a multiplicative jump by ``10^U(-2, 2)``, or a
+    sign flip with a ``10^U(-1, 1)`` rescale; overflow saturates at
+    ``±1e308``.  ``lo + (hi - lo) * rng.random()`` is NumPy's own
+    ``rng.uniform(lo, hi)`` formula over the same one-double draw, at a
+    third of the call cost.
+    """
+    out = []
+    for xi in x:
+        mode = rng.random()
+        if mode < 0.5:
+            xi = xi + rng.normal(0.0, scale * (1.0 + abs(xi) * 0.5))
+        elif mode < 0.9:
+            xi = xi * 10.0 ** (-2.0 + 4.0 * rng.random())
+        else:
+            xi = -xi * 10.0 ** (-1.0 + 2.0 * rng.random())
+        if not math.isfinite(xi):
+            xi = math.copysign(1e308, xi)
+        out.append(float(xi))
+    return tuple(out)
+
+
+def metropolis_accept(
+    fx: float, fcand: float, temperature: float, rng: np.random.Generator
+) -> bool:
+    """Metropolis acceptance of a worse candidate, on the relative gap
+    (weak distances span hundreds of orders of magnitude)."""
+    if not math.isfinite(fcand):
+        return False
+    if not math.isfinite(fx):
+        return True
+    spread = abs(fx) + abs(fcand) + 1e-300
+    delta = (fcand - fx) / (spread * temperature)
+    return rng.random() < math.exp(-min(delta, 700.0))
 
 
 class PopulationBackend(MOBackend):

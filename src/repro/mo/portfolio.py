@@ -36,8 +36,9 @@ from repro.mo.base import MOBackend, MOResult, Objective
 from repro.util.rng import spawn
 
 #: Member line-up used when none is given: the paper's workhorse, the
-#: dependency-free MCMC basin-hopper, and the random-search baseline.
-DEFAULT_MEMBERS = ("basinhopping", "py-basinhopping", "random-search")
+#: batch-native population basin-hopper, and the random-search
+#: baseline.
+DEFAULT_MEMBERS = ("basinhopping", "population", "random-search")
 
 
 class PortfolioBackend(MOBackend):

@@ -14,7 +14,6 @@ import inspect
 from typing import Callable, Dict, Optional, Union
 
 from repro.mo.base import MOBackend
-from repro.mo.mcmc import PurePythonBasinhopping
 from repro.mo.population import PopulationBackend
 from repro.mo.portfolio import PortfolioBackend
 from repro.mo.random_search import RandomSearchBackend
@@ -30,7 +29,6 @@ _FACTORIES: Dict[str, Callable[[], MOBackend]] = {
     "population": PopulationBackend,
     "portfolio": PortfolioBackend,
     "powell": PowellBackend,
-    "py-basinhopping": PurePythonBasinhopping,
     "random-search": RandomSearchBackend,
 }
 
@@ -40,15 +38,18 @@ def available_backends() -> list:
     return sorted(_FACTORIES)
 
 
-def make_backend(name: str, **kwargs) -> MOBackend:
-    """Instantiate a backend by name."""
+def _factory(name: str) -> Callable[..., MOBackend]:
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown MO backend {name!r}; known: {available_backends()}"
         ) from None
-    return factory(**kwargs)
+
+
+def make_backend(name: str, **kwargs) -> MOBackend:
+    """Instantiate a backend by name."""
+    return _factory(name)(**kwargs)
 
 
 def resolve_backend(
@@ -67,13 +68,7 @@ def resolve_backend(
     """
     if isinstance(backend, MOBackend):
         return backend
-    name = backend or default
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown MO backend {name!r}; known: {available_backends()}"
-        ) from None
+    factory = _factory(backend or default)
     params = inspect.signature(factory).parameters
     accepts_kwargs = any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()

@@ -8,23 +8,34 @@
   ``scipy.optimize.basinhopping`` (checked bit for bit in
   ``tests/mo/test_basinhopping_parity.py``), without the per-call
   array bookkeeping that dominates on 1–3-dimensional weak distances.
+  It is an ask/tell generator (Nelder–Mead asks one point per
+  evaluation), so :func:`repro.mo.base.drive` runs it alone and in
+  lockstep rounds.
 * **Differential Evolution** [35] — population-based direct search
   (SciPy, imported on first use).
 * **Powell** [30] — derivative-free local search (SciPy, imported on
   first use).
 
-All three are used strictly as black boxes, per Section 4.1.
+All three are used strictly as black boxes, per Section 4.1; the two
+SciPy loops take the :class:`~repro.mo.base.Objective` as a callback.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, List, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mo.base import MOBackend, Objective
+from repro.mo.base import (
+    MOBackend,
+    MOResult,
+    Objective,
+    Point,
+    Steps,
+    StopMinimization,
+)
 
 
 class _MagnitudeStep:
@@ -59,10 +70,6 @@ class _MagnitudeStep:
         return out
 
 
-class _Exhausted(Exception):
-    """Nelder–Mead's own evaluation budget (``maxfev``) ran out."""
-
-
 def _order(sim: list, fsim: List[float]) -> Tuple[list, List[float]]:
     """``sim``/``fsim`` reordered by ``np.argsort(fsim)``, as SciPy does.
 
@@ -82,47 +89,37 @@ def _order(sim: list, fsim: List[float]) -> Tuple[list, List[float]]:
     return [sim[i] for i in order], values
 
 
-def _nelder_mead(
-    f: Callable[[List[float]], float],
-    x0: List[float],
-    maxiter: int,
-    maxfev: int,
-) -> Tuple[List[float], float, bool]:
-    """SciPy's ``minimize(method="Nelder-Mead")`` with ``xatol=fatol=0``.
+#: What a local search returns to basinhopping: ``(x, fun, success)``.
+Local = Generator[List[Point], List[float], Tuple[List[float], float, bool]]
 
-    Returns ``(x, fun, success)``.  Every arithmetic step is SciPy's,
-    in its order (standard coefficients rho=1, chi=2, psi=sigma=0.5),
-    so the evaluated points are bit-identical.  Zero tolerances let the
-    search collapse onto *exact* zeros of a weak distance (its minima
-    are exact doubles, and Theorem 3.3 needs ``W(x*) == 0``, not
-    ``W(x*) ≈ 0``): "converged" means every vertex and value equals the
-    best one, the only way to succeed, and a NaN difference (``inf -
-    inf``) never converges.  One-dimensional starts, the common case,
-    run the same steps on scalars (:func:`_nelder_mead_1d`).
+
+def _nelder_mead(x0: List[float], maxiter: int, maxfev: int) -> Local:
+    """SciPy's ``minimize(method="Nelder-Mead")`` with ``xatol=fatol=0``,
+    as an ask/tell sub-search: it asks one point per evaluation and
+    returns ``(x, fun, success)``.
+
+    Every arithmetic step is SciPy's, in its order (standard
+    coefficients rho=1, chi=2, psi=sigma=0.5), so the evaluated points
+    are bit-identical.  Zero tolerances let the search collapse onto
+    *exact* zeros of a weak distance (its minima are exact doubles, and
+    Theorem 3.3 needs ``W(x*) == 0``, not ``W(x*) ≈ 0``): "converged"
+    means every vertex and value equals the best one, the only way to
+    succeed, and a NaN difference (``inf - inf``) never converges.
+    SciPy stops at ``maxfev`` evaluations even mid-iteration: no point
+    is asked once the budget is spent, and the rest of that iteration
+    is skipped.  One-dimensional starts, the common case, take
+    :func:`_nelder_mead_1d`: the same steps on scalars.
     """
     n = len(x0)
-    if n == 1:
-        return _nelder_mead_1d(f, x0[0], maxiter, maxfev)
     sim = [x0]
     for k in range(n):
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     fsim = [math.inf] * (n + 1)
-    fcalls = 0
-
-    def call(x: List[float]) -> float:
-        nonlocal fcalls
-        if fcalls >= maxfev:
-            raise _Exhausted
-        fcalls += 1
-        return f(x)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _Exhausted:
-        pass
+    fcalls = min(n + 1, maxfev)
+    for k in range(fcalls):
+        (fsim[k],) = yield [tuple(sim[k])]
     # SciPy orders the initial simplex twice (which matters on ties).
     sim, fsim = _order(*_order(sim, fsim))
     iterations = 1
@@ -132,55 +129,63 @@ def _nelder_mead(
         raise ValueError(
             "zero-size array to reduction operation maximum which has no identity"
         )
+    # Every ask after the reflection first checks the budget.  Once it
+    # is spent the loop ends, so a cut-short iteration still counting
+    # towards ``maxiter`` changes nothing.
     while fcalls < maxfev and iterations < maxiter:
-        try:
-            s0 = sim[0]
-            # Best vs worst value first: it rejects most iterations.
-            if fsim[0] - fsim[n] == 0.0 and _collapsed(sim, fsim):
-                return s0, fsim[0], True
-            # np.add.reduce: rows summed in order onto the identity
-            # +0.0 (so a -0.0 column sums to +0.0), then divided by n.
-            xbar = [0.0] * n
-            for row in sim[:n]:
-                xbar = list(map(operator.add, xbar, row))
-            xbar = [a / n for a in xbar]
-            last = sim[n]
-            xr = [2.0 * b - s for b, s in zip(xbar, last)]
-            fxr = call(xr)
-            if fxr < fsim[0]:
+        s0 = sim[0]
+        # Best vs worst value first: it rejects most iterations.
+        if fsim[0] - fsim[n] == 0.0 and _collapsed(sim, fsim):
+            return s0, fsim[0], True
+        # np.add.reduce: rows summed in order onto the identity +0.0
+        # (so a -0.0 column sums to +0.0), then divided by n.
+        xbar = [0.0] * n
+        for row in sim[:n]:
+            xbar = list(map(operator.add, xbar, row))
+        xbar = [a / n for a in xbar]
+        last = sim[n]
+        xr = [2.0 * b - s for b, s in zip(xbar, last)]
+        fcalls += 1
+        (fxr,) = yield [tuple(xr)]
+        if fxr < fsim[0]:
+            if fcalls < maxfev:
                 xe = [3.0 * b - 2.0 * s for b, s in zip(xbar, last)]
-                fxe = call(xe)
+                fcalls += 1
+                (fxe,) = yield [tuple(xe)]
                 if fxe < fxr:
                     sim[n], fsim[n] = xe, fxe
                 else:
                     sim[n], fsim[n] = xr, fxr
-            elif fxr < fsim[n - 1]:
-                sim[n], fsim[n] = xr, fxr
-            else:
-                shrink = False
-                if fxr < fsim[n]:
-                    xc = [1.5 * b - 0.5 * s for b, s in zip(xbar, last)]
-                    fxc = call(xc)
-                    if fxc <= fxr:
-                        sim[n], fsim[n] = xc, fxc
-                    else:
-                        shrink = True
+        elif fxr < fsim[n - 1]:
+            sim[n], fsim[n] = xr, fxr
+        elif fcalls < maxfev:
+            shrink = False
+            if fxr < fsim[n]:
+                xc = [1.5 * b - 0.5 * s for b, s in zip(xbar, last)]
+                fcalls += 1
+                (fxc,) = yield [tuple(xc)]
+                if fxc <= fxr:
+                    sim[n], fsim[n] = xc, fxc
                 else:
-                    xcc = [0.5 * b + 0.5 * s for b, s in zip(xbar, last)]
-                    fxcc = call(xcc)
-                    if fxcc < fsim[n]:
-                        sim[n], fsim[n] = xcc, fxcc
-                    else:
-                        shrink = True
-                if shrink:
-                    for j in range(1, n + 1):
-                        # The vertex moves before it is evaluated, so a
-                        # budget stop here leaves it with a stale value.
-                        sim[j] = [a + 0.5 * (c - a) for a, c in zip(s0, sim[j])]
-                        fsim[j] = call(sim[j])
-            iterations += 1
-        except _Exhausted:
-            pass
+                    shrink = True
+            else:
+                xcc = [0.5 * b + 0.5 * s for b, s in zip(xbar, last)]
+                fcalls += 1
+                (fxcc,) = yield [tuple(xcc)]
+                if fxcc < fsim[n]:
+                    sim[n], fsim[n] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    # The vertex moves before the budget check, so a
+                    # stop here leaves it with a stale value.
+                    sim[j] = [a + 0.5 * (c - a) for a, c in zip(s0, sim[j])]
+                    if fcalls >= maxfev:
+                        break
+                    fcalls += 1
+                    (fsim[j],) = yield [tuple(sim[j])]
+        iterations += 1
         sim, fsim = _order(sim, fsim)
     return sim[0], fsim[0], False
 
@@ -193,72 +198,63 @@ def _collapsed(sim: list, fsim: List[float]) -> bool:
     return same_x and all(f0 - fj == 0.0 for fj in fsim[1:])
 
 
-def _nelder_mead_1d(
-    f: Callable[[List[float]], float],
-    x0: float,
-    maxiter: int,
-    maxfev: int,
-) -> Tuple[List[float], float, bool]:
+def _nelder_mead_1d(x0: List[float], maxiter: int, maxfev: int) -> Local:
     """:func:`_nelder_mead` for ``n == 1``: the same steps on scalars.
 
     The simplex is ``(s0, f0)``, ``(s1, f1)`` with ``f0 <= f1``, the
     centroid is ``0.0 + s0``, and SciPy's "reflection beats the
     second-worst vertex" branch never runs (that vertex is the best).
     """
-    s0, s1 = x0, ((1 + 0.05) * x0 if x0 != 0 else 0.00025)
+    s0 = x0[0]
+    s1 = (1 + 0.05) * s0 if s0 != 0 else 0.00025
     f0 = f1 = math.inf
-    fcalls = 0
-
-    def call(x: float) -> float:
-        nonlocal fcalls
-        if fcalls >= maxfev:
-            raise _Exhausted
-        fcalls += 1
-        return f([x])
-
-    try:
-        f0 = call(s0)
-        f1 = call(s1)
-    except _Exhausted:
-        pass
+    fcalls = min(2, maxfev)
+    if fcalls > 0:
+        (f0,) = yield [(s0,)]
+    if fcalls > 1:
+        (f1,) = yield [(s1,)]
     # SciPy orders the initial simplex twice (which matters on ties).
     for _ in range(2):
         if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
             s0, f0, s1, f1 = s1, f1, s0, f0
     iterations = 1
     while fcalls < maxfev and iterations < maxiter:
-        try:
-            if s1 - s0 == 0.0 and f0 - f1 == 0.0:
-                return [s0], f0, True
-            xbar = 0.0 + s0
-            xr = 2.0 * xbar - s1
-            fxr = call(xr)
-            if fxr < f0:
+        if s1 - s0 == 0.0 and f0 - f1 == 0.0:
+            return [s0], f0, True
+        xbar = 0.0 + s0
+        xr = 2.0 * xbar - s1
+        fcalls += 1
+        (fxr,) = yield [(xr,)]
+        if fxr < f0:
+            if fcalls < maxfev:
                 xe = 3.0 * xbar - 2.0 * s1
-                fxe = call(xe)
+                fcalls += 1
+                (fxe,) = yield [(xe,)]
                 s1, f1 = (xe, fxe) if fxe < fxr else (xr, fxr)
-            else:
-                shrink = False
-                if fxr < f1:
-                    xc = 1.5 * xbar - 0.5 * s1
-                    fxc = call(xc)
-                    if fxc <= fxr:
-                        s1, f1 = xc, fxc
-                    else:
-                        shrink = True
+        elif fcalls < maxfev:
+            shrink = False
+            if fxr < f1:
+                xc = 1.5 * xbar - 0.5 * s1
+                fcalls += 1
+                (fxc,) = yield [(xc,)]
+                if fxc <= fxr:
+                    s1, f1 = xc, fxc
                 else:
-                    xcc = 0.5 * xbar + 0.5 * s1
-                    fxcc = call(xcc)
-                    if fxcc < f1:
-                        s1, f1 = xcc, fxcc
-                    else:
-                        shrink = True
-                if shrink:
-                    s1 = s0 + 0.5 * (s1 - s0)
-                    f1 = call(s1)
-            iterations += 1
-        except _Exhausted:
-            pass
+                    shrink = True
+            else:
+                xcc = 0.5 * xbar + 0.5 * s1
+                fcalls += 1
+                (fxcc,) = yield [(xcc,)]
+                if fxcc < f1:
+                    s1, f1 = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                s1 = s0 + 0.5 * (s1 - s0)
+                if fcalls < maxfev:
+                    fcalls += 1
+                    (f1,) = yield [(s1,)]
+        iterations += 1
         if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
             s0, f0, s1, f1 = s1, f1, s0, f0
     return [s0], f0, False
@@ -288,18 +284,16 @@ class BasinhoppingBackend(MOBackend):
         self.stepsize = stepsize
         self.local_maxiter = local_maxiter
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def _run(self, objective: Objective, start, rng) -> None:
+    def steps(self, start, rng) -> Steps:
         take_step = _MagnitudeStep(rng, self.stepsize)
         accept = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
         x0 = np.atleast_1d(np.asarray(start, dtype=float))
         if x0.ndim != 1:
             raise ValueError("'x0' must only have one dimension.")
+        local = _nelder_mead_1d if x0.size == 1 else _nelder_mead
         maxiter = self.local_maxiter
         maxfev = 2 * maxiter
-        x, energy, success = _nelder_mead(objective, x0.tolist(), maxiter, maxfev)
+        x, energy, success = yield from local(x0.tolist(), maxiter, maxfev)
         naccept = 0
         for nstep in range(1, self.niter + 1):
             if nstep % 50 == 0:
@@ -307,7 +301,7 @@ class BasinhoppingBackend(MOBackend):
                     take_step.stepsize /= 0.9
                 else:
                     take_step.stepsize *= 0.9
-            trial, f_trial, ok = _nelder_mead(objective, take_step(x), maxiter, maxfev)
+            trial, f_trial, ok = yield from local(take_step(x), maxiter, maxfev)
             # Metropolis at T=1: one uniform draw per step, and a failed
             # local search never replaces a successful incumbent.
             w = math.exp(min(0, -(f_trial - energy)))
@@ -333,25 +327,26 @@ class DifferentialEvolutionBackend(MOBackend):
         self.popsize = popsize
         self.tol = tol
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def _run(self, objective: Objective, start, rng) -> None:
+    def minimize(self, objective: Objective, start, rng) -> MOResult:
         from scipy import optimize
 
         bounds = list(self.bounds)
         if len(bounds) == 1 and objective.n_dims > 1:
             bounds = bounds * objective.n_dims
-        with np.errstate(all="ignore"):
-            optimize.differential_evolution(
-                objective,
-                bounds,
-                maxiter=self.maxiter,
-                popsize=self.popsize,
-                tol=self.tol,
-                seed=int(rng.integers(0, 2**31 - 1)),
-                polish=False,
-            )
+        try:
+            with np.errstate(all="ignore"):
+                optimize.differential_evolution(
+                    objective,
+                    bounds,
+                    maxiter=self.maxiter,
+                    popsize=self.popsize,
+                    tol=self.tol,
+                    seed=int(rng.integers(0, 2**31 - 1)),
+                    polish=False,
+                )
+        except StopMinimization:
+            pass
+        return objective.result(self.name)
 
 
 class PowellBackend(MOBackend):
@@ -362,20 +357,21 @@ class PowellBackend(MOBackend):
     def __init__(self, maxiter: int = 200) -> None:
         self.maxiter = maxiter
 
-    def minimize(self, objective, start, rng):
-        return self._guarded(objective, start, rng)
-
-    def _run(self, objective: Objective, start, rng) -> None:
+    def minimize(self, objective: Objective, start, rng) -> MOResult:
         from scipy import optimize
 
         # NOTE: unlike Nelder-Mead, zero tolerances make Powell's Brent
         # line searches burn the whole budget without returning their
         # best point; the default tolerances actually land on exact
         # kink minimizers more reliably.
-        with np.errstate(all="ignore"):
-            optimize.minimize(
-                objective,
-                np.asarray(start, dtype=float),
-                method="Powell",
-                options={"maxiter": self.maxiter},
-            )
+        try:
+            with np.errstate(all="ignore"):
+                optimize.minimize(
+                    objective,
+                    np.asarray(start, dtype=float),
+                    method="Powell",
+                    options={"maxiter": self.maxiter},
+                )
+        except StopMinimization:
+            pass
+        return objective.result(self.name)

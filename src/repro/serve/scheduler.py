@@ -80,6 +80,10 @@ class ServerJob:
     #: Rounds journaled so far (includes the resumed prefix — the
     #: journal already holds those records).
     n_checkpointed_rounds: int = 0
+    #: Set once ``Session.submit`` has returned, so ``handle`` is final.
+    #: A job with nothing left to run (every round resumed) can emit
+    #: ``JobFinished`` before that.
+    submitted: threading.Event = dataclasses.field(default_factory=threading.Event)
 
     @property
     def settled(self) -> bool:
@@ -347,6 +351,8 @@ class Scheduler:
             )
         except BaseException as exc:  # session closed, bad state
             self._settle(job, FAILED, error=f"{type(exc).__name__}: {exc}")
+        finally:
+            job.submitted.set()
 
     # -- finalization ------------------------------------------------------
 
@@ -362,6 +368,7 @@ class Scheduler:
             self._pump()
 
     def _finalize_job(self, job: ServerJob) -> None:
+        job.submitted.wait()
         report = None
         state = DONE
         error = None

@@ -377,8 +377,11 @@ class ReproServer:
         without re-running an evaluation and continues the campaign at
         the first un-checkpointed round — bit-identical (per-round
         randomness is a pure function of ``(seed, round, start)``) to
-        the run the restart interrupted.  Returns how many jobs were
-        resubmitted live.
+        the run the restart interrupted.  An unsettled job whose
+        payload no longer validates (say, it names a backend this
+        version dropped) settles as ``failed`` with the validation
+        message, journaled and still queryable, and the other jobs
+        resume.  Returns how many jobs were resubmitted live.
         """
         resumed = 0
         for job_id, entry in self.journal.load().items():
@@ -393,13 +396,20 @@ class ReproServer:
                     entry.error,
                 )
                 continue
-            self.scheduler.submit(
-                entry.tenant,
-                entry.payload,
-                job_id=job_id,
-                resume_rounds=entry.outcomes(),
-                record=False,
-            )
+            try:
+                self.scheduler.submit(
+                    entry.tenant,
+                    entry.payload,
+                    job_id=job_id,
+                    resume_rounds=entry.outcomes(),
+                    record=False,
+                )
+            except WireError as exc:
+                self.journal.record_done(job_id, "failed", None, str(exc))
+                self.scheduler.restore_settled(
+                    job_id, entry.tenant, entry.payload, "failed", None, str(exc)
+                )
+                continue
             resumed += 1
         return resumed
 

@@ -57,9 +57,10 @@ def test_vectorized_matches_interpreter_serial(name, target, options):
 @pytest.mark.parametrize("name,target,options", CASES)
 def test_vectorized_matches_interpreter_population(name, target, options,
                                                    monkeypatch):
-    """The default backend scores one point at a time, so the legs
-    above never reach the batch kernel; the batch-native population
-    backend does, through the ask/tell loop
+    """The default backend asks one point per start per step, narrower
+    than ``BATCH_MIN_POINTS`` even when a lockstep round joins its
+    starts, so the legs above never reach the batch kernel; the
+    batch-native population backend does, through the ask/tell loop
     (:func:`repro.mo.base.drive`) and ``WeakDistance.evaluate_batch``."""
     from repro.fpir.batch_eval import BatchProgram
 

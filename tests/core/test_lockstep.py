@@ -2,7 +2,10 @@
 
 On a vectorized W, a serial round whose backend speaks ask/tell runs
 all its starts through one driver (:func:`repro.mo.base.drive`), one
-kernel call per step.  Starts are independent, so the round must equal
+kernel call per step that is wide enough for the kernel (population
+generations, random-search chunks) and point by point otherwise
+(basinhopping's one-point asks).  Starts are independent, so the round
+must equal
 the same tasks run one at a time through :func:`run_task` — per start
 (``MOResult``, evaluation count, samples) and for the round — and the
 serial loop's ``early_cancel`` and ``stop_event`` semantics must hold.
@@ -19,17 +22,17 @@ from repro.core.parallel import StartTask, run_multistart, run_task
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.batch_eval import BatchExecutionError, BatchProgram
 from repro.fpir.instrument import instrument
-from repro.mo.mcmc import PurePythonBasinhopping
 from repro.mo.population import PopulationBackend
 from repro.mo.random_search import RandomSearchBackend
+from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import DEFAULT_SAMPLER
 from repro.programs.suite import get_program
 from repro.util.rng import derive_start_rngs
 
 BACKENDS = {
+    "basinhopping": lambda: BasinhoppingBackend(niter=4, local_maxiter=10),
     "population": lambda: PopulationBackend(n_generations=20),
     "random-search": lambda: RandomSearchBackend(n_samples=300, batch_size=32),
-    "py-basinhopping": lambda: PurePythonBasinhopping(niter=4, local_iters=10),
 }
 SPECS = {"overflow": overflow_spec, "multiplicative": multiplicative_spec}
 #: (stop_at_zero, max_evals_per_start, record_samples)
@@ -179,7 +182,9 @@ class TestOtherPaths:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_batch_fault_reruns_scalar(self, backend, monkeypatch):
         """A kernel that faults on every batch re-runs each step on the
-        scalar tier; the round is unchanged."""
+        scalar tier; the round is unchanged.  Basinhopping's lockstep
+        steps (one point per start) are narrower than the kernel's
+        width, so none of them reaches the kernel."""
         wd = _weak_distance("fig2", "multiplicative")
         n = wd.program.num_inputs
         reference = _one_at_a_time(wd, _tasks(BACKENDS[backend](), 3, 3, n))
@@ -190,10 +195,8 @@ class TestOtherPaths:
             raise BatchExecutionError("injected fault")
 
         monkeypatch.setattr(BatchProgram, "run", faulting_run)
-        outcome = run_multistart(wd, BACKENDS[backend](), _starts(3, 3, n),
-                                 n_workers=1, record_samples=True,
-                                 early_cancel=False)
-        assert faults
+        outcome = _lockstep(wd, n, BACKENDS[backend](), 3, 3, monkeypatch)
+        assert bool(faults) == (backend != "basinhopping")
         _assert_same(outcome, reference)
 
     @pytest.mark.parametrize("eval_mode", ["compiled", "interpreter"])
@@ -231,9 +234,11 @@ class TestStopEvent:
         assert outcome.samples == []
 
     def test_set_mid_round_keeps_every_start_so_far(self, monkeypatch):
-        """The event lands after the third step: every start ends with
-        its first three steps (1 + 32 + 32 evaluations), whose samples
-        are a prefix of its uninterrupted run's."""
+        """The event lands in the third kernel call, the round's fourth
+        step (the first, one start point per start, is too narrow for
+        the kernel): every start ends with its first four steps
+        (1 + 32 + 32 + 32 evaluations), whose samples are a prefix of
+        its uninterrupted run's."""
         wd = _weak_distance("fig2", "multiplicative")
         full = _one_at_a_time(
             wd, _tasks(BACKENDS["population"](), 2, 3, 1,
@@ -252,10 +257,10 @@ class TestStopEvent:
         wd.evaluate_batch = stop_after_three
         outcome = _lockstep(wd, 1, BACKENDS["population"](), 2, 3,
                             monkeypatch, stop_at_zero=False, stop_event=stop)
-        assert calls == [3, 96, 96]
+        assert calls == [96, 96, 96]
         assert outcome.interrupted
-        assert [a.n_evals for a in outcome.attempts] == [65, 65, 65]
-        assert outcome.n_evals == 195
+        assert [a.n_evals for a in outcome.attempts] == [97, 97, 97]
+        assert outcome.n_evals == 291
         per_start = [full[2][i * 641:(i + 1) * 641] for i in range(3)]
         assert all(len(s) == 641 for s in per_start)
-        assert outcome.samples == [x for s in per_start for x in s[:65]]
+        assert outcome.samples == [x for s in per_start for x in s[:97]]

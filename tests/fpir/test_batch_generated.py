@@ -8,6 +8,8 @@ that lower to a select and ones that lower to a branch (integer
 division, array indexing), ``and``/``or`` on non-boolean operands,
 integer operators including int64 overflow, calibrated and lane-wise
 externals, label-set probes, and a loop that can exceed the budget.
+Every program ends by folding into ``w`` the high word of a NaN that a
+calibrated external makes, the one place a NaN's sign can show.
 
 Each program runs as one batch and lane by lane on the scalar tiers:
 
@@ -166,6 +168,23 @@ class Gen:
         e = self.fexpr(depth)
         return call(self.c.pick(("__hi", "__lo", "__d2i")), e)
 
+    def nan_sign(self):
+        """The high word of a NaN that a calibrated external makes
+        (``sqrt``/``log`` of a negative, ``fmod(e, 0.0)``), as a double.
+        W and the globals compare NaNs by value, so only the bits of a
+        word that reaches them show whether the batch tier gives that
+        NaN the scalar externals' sign."""
+        e = self.fexpr(1)
+        negative = fsub(num(-1.0), call("fabs", e))
+        nan = self.c.pick(
+            (
+                call("sqrt", negative),
+                call("log", negative),
+                call("fmod", e, num(0.0)),
+            )
+        )
+        return call("__i2d", call("__hi", nan))
+
     def cond(self, depth=0):
         c = self.c
         kind = c.integer(0, 4 if depth < 2 else 0)
@@ -303,6 +322,7 @@ def build_program(choices: Choices, kinds=None) -> Program:
     else:
         for kind in kinds:
             gen.stmt(fb, 0, kind)
+    fb.let("w", fadd(v("w"), gen.nan_sign()))
     fb.ret(fadd(v("w"), gen.fexpr()))
     return Program(
         [fb.build(), *helpers()],

@@ -2,8 +2,9 @@
 
 ``absorb_batch`` promises to be observationally identical to calling
 the objective once per point; :func:`repro.mo.base.drive` scores each
-ask/tell step through it, in one kernel call when the function batches;
-``MOBackend.steps`` is the generator batch-native backends implement.
+ask/tell step through it, in one kernel call when the function batches
+and the step holds at least ``BATCH_MIN_POINTS`` points;
+``MOBackend.steps`` is the generator every in-tree search implements.
 These tests pin all three contracts.
 """
 
@@ -12,11 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.mo.base import MOBackend, Objective, StopMinimization, drive
-from repro.mo.mcmc import PurePythonBasinhopping
+from repro.mo.base import (
+    BATCH_MIN_POINTS,
+    MOBackend,
+    Objective,
+    StopMinimization,
+    drive,
+)
 from repro.mo.population import PopulationBackend
 from repro.mo.random_search import RandomSearchBackend
 from repro.mo.registry import available_backends, make_backend
+from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import uniform_sampler
 from repro.util.rng import make_rng
 
@@ -106,9 +113,10 @@ class TestEvaluateBatch:
         fn = _VectorizedSquare()
         obj = Objective(fn, n_dims=1, stop_at_zero=False)
         assert obj.supports_batch
-        values = _one_step(obj, [[0.0], [2.0], [4.0]])
+        points = [[0.0], [2.0], [4.0]] + [[5.0]] * (BATCH_MIN_POINTS - 3)
+        values = _one_step(obj, points)
         assert fn.batch_calls == 1
-        assert values == [4.0, 0.0, 4.0]
+        assert values == [4.0, 0.0, 4.0] + [9.0] * (BATCH_MIN_POINTS - 3)
         assert obj.best_x == (2.0,)
 
     def test_single_point_stays_scalar(self):
@@ -118,11 +126,48 @@ class TestEvaluateBatch:
         assert _one_step(obj, [[3.0]]) == [1.0]
         assert fn.batch_calls == 0
 
+    @pytest.mark.parametrize("n_searches", [1, 2])
+    def test_width_rule(self, n_searches):
+        """A step narrower than ``BATCH_MIN_POINTS`` is scored point by
+        point, polling ``should_stop`` after each point; a step of
+        exactly that width is one ``evaluate_batch`` call — whether one
+        search asks for every point or two searches in lockstep share
+        the step."""
+        assert BATCH_MIN_POINTS == 32
+        polls = []
+
+        def should_stop():
+            polls.append(1)
+            return False
+
+        for width, batch_calls in ((31, 0), (32, 1)):
+            fn = _VectorizedSquare()
+            points = [(float(k),) for k in range(width)]
+            asks = [points] if n_searches == 1 else [points[:16], points[16:]]
+            told = []
+
+            def steps(ask):
+                told.append((yield ask))
+
+            del polls[:]
+            objectives = [
+                Objective(fn, n_dims=1, stop_at_zero=False,
+                          should_stop=should_stop)
+                for _ in asks
+            ]
+            drive([(o, steps(a)) for o, a in zip(objectives, asks)])
+            assert fn.batch_calls == batch_calls
+            assert [v for values in told for v in values] == [
+                (k - 2.0) ** 2 for k in range(width)
+            ]
+            assert sum(o.n_evals for o in objectives) == width
+            assert len(polls) == (width if batch_calls == 0 else n_searches)
+
     def test_should_stop_polled_per_point_or_per_batch(self):
         """Scored point by point, a step stops at the first point after
         which ``should_stop`` holds, as ``__call__`` does; a kernel-
         scored step polls it once, after absorbing the whole batch."""
-        points = [[1.0], [2.0], [3.0], [4.0]]
+        points = [[float(k)] for k in range(BATCH_MIN_POINTS)]
         scored = []
 
         def fn(x):
@@ -136,7 +181,7 @@ class TestEvaluateBatch:
         batched = Objective(_VectorizedSquare(), n_dims=1,
                             stop_at_zero=False, should_stop=lambda: True)
         assert _one_step(batched, points) is None
-        assert batched.n_evals == 4
+        assert batched.n_evals == BATCH_MIN_POINTS
 
     def test_nan_sanitized_in_batch(self):
         obj = Objective(lambda x: float("nan"), n_dims=1,
@@ -157,9 +202,9 @@ class TestEvaluateBatch:
         ]
         fn = _VectorizedSquare() if batched else (lambda x: (x[0] - 2.0) ** 2)
         for backend in (
-            RandomSearchBackend(n_samples=20, sampler=uniform_sampler(-1, 1)),
-            PopulationBackend(n_generations=3, population=4),
-            PurePythonBasinhopping(niter=2, local_iters=3),
+            RandomSearchBackend(n_samples=40, sampler=uniform_sampler(-1, 1)),
+            PopulationBackend(n_generations=3, population=32),
+            BasinhoppingBackend(niter=2, local_maxiter=3),
         ):
             results = []
             for start in starts:
@@ -188,7 +233,7 @@ class TestProposeBatch:
 
     @pytest.mark.parametrize("backend", [
         RandomSearchBackend(sampler=uniform_sampler(-1.0, 1.0)),
-        PurePythonBasinhopping(),
+        BasinhoppingBackend(),
         PopulationBackend(),
     ])
     def test_population_shape(self, backend):
@@ -202,6 +247,19 @@ class TestProposeBatch:
                 assert isinstance(point, tuple) and len(point) == 2
                 assert all(type(value) is float for value in point)
             ask = steps.send([float(len(ask))] * len(ask))
+
+    @pytest.mark.parametrize("name,ask_tell", [
+        ("basinhopping", True),
+        ("population", True),
+        ("random-search", True),
+        ("differential_evolution", False),
+        ("powell", False),
+        ("portfolio", False),
+    ])
+    def test_ask_tell(self, name, ask_tell):
+        """Every in-tree search is an ask/tell generator; the SciPy black
+        boxes and the portfolio take the objective as a callback."""
+        assert make_backend(name).ask_tell is ask_tell
 
     def test_population_backend_proposals_are_finite(self):
         rng = make_rng(7)
@@ -240,7 +298,7 @@ class TestPopulationBackend:
         """The backend runs entirely through ask/tell steps, so its
         trajectory is identical whether the function batches or not."""
         fn = _VectorizedSquare()
-        backend = PopulationBackend(n_generations=20, population=8)
+        backend = PopulationBackend(n_generations=20, population=32)
         batched = Objective(fn, n_dims=1)
         scalar = Objective(lambda x: (x[0] - 2.0) ** 2, n_dims=1)
         r1 = backend.minimize(batched, (50.0,), make_rng(9))

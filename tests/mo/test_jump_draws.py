@@ -1,11 +1,11 @@
 """The random-jump proposals, pinned draw for draw.
 
-:func:`repro.mo.mcmc.random_jump` draws ``U(lo, hi)`` as
+:func:`repro.mo.population.random_jump` draws ``U(lo, hi)`` as
 ``lo + (hi - lo) * rng.random()``: NumPy's own ``rng.uniform(lo, hi)``
 formula over the same one-double draw, at a third of the call cost.
-Proposals feed every verdict of the population and py-basinhopping
-backends, so a NumPy release that changes ``uniform`` (or an edit that
-changes a proposal) must fail here instead of silently moving results.
+Proposals feed every verdict of the population backend, so a NumPy
+release that changes ``uniform`` (or an edit that changes a proposal)
+must fail here instead of silently moving results.
 """
 
 import hashlib
@@ -14,8 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.mo.mcmc import random_jump
-from repro.mo.population import PopulationBackend
+from repro.mo.population import PopulationBackend, random_jump
 
 SEEDS = (0, 1, 2019)
 

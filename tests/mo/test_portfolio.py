@@ -11,27 +11,25 @@ from repro.mo import (
     make_backend,
 )
 from repro.mo.base import MOBackend
-from repro.mo.mcmc import PurePythonBasinhopping
+from repro.mo.population import PopulationBackend
 from repro.mo.random_search import RandomSearchBackend
+from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import uniform_sampler
 from repro.util.rng import make_rng
 
 
 class ProbeBackend(MOBackend):
-    """Evaluates a fixed list of points, records that it ran."""
+    """Asks a fixed list of points, one per step; records that it ran."""
 
     def __init__(self, name, points):
         self.name = name
         self.points = points
         self.runs = 0
 
-    def minimize(self, objective, start, rng):
+    def steps(self, start, rng):
         self.runs += 1
-        return self._guarded(objective, start, rng)
-
-    def _run(self, objective, start, rng):
         for point in self.points:
-            objective(point)
+            yield [point]
 
 
 def _abs_objective(**kwargs):
@@ -105,7 +103,7 @@ class TestConstructionAndRegistry:
         assert isinstance(backend, PortfolioBackend)
         assert [m.name for m in backend.members] == [
             "basinhopping",
-            "py-basinhopping",
+            "population",
             "random-search",
         ]
 
@@ -120,14 +118,16 @@ class TestConstructionAndRegistry:
     def test_picklable_for_the_parallel_driver(self):
         backend = PortfolioBackend(
             members=[
-                PurePythonBasinhopping(niter=3),
+                BasinhoppingBackend(niter=3),
+                PopulationBackend(n_generations=5),
                 RandomSearchBackend(n_samples=10),
             ],
             evals_per_member=20,
         )
         clone = pickle.loads(pickle.dumps(backend))
         assert [m.name for m in clone.members] == [
-            "py-basinhopping",
+            "basinhopping",
+            "population",
             "random-search",
         ]
         assert clone.evals_per_member == 20
@@ -138,7 +138,8 @@ class TestDeterminism:
         def run():
             portfolio = PortfolioBackend(
                 members=[
-                    PurePythonBasinhopping(niter=4, local_iters=10),
+                    BasinhoppingBackend(niter=4, local_maxiter=10),
+                    PopulationBackend(n_generations=5, population=8),
                     RandomSearchBackend(
                         n_samples=100, sampler=uniform_sampler(-10, 10)
                     ),

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.api import EngineConfig, Session
+from repro.api.events import JobFinished
 from repro.serve import CheckpointJournal, Scheduler, WireError
 
 
@@ -76,6 +77,37 @@ class TestLifecycle:
             assert journal.load()[job.job_id].settled
         finally:
             journal.release.set()
+            scheduler.close()
+
+    def test_job_finishing_before_submit_returns(self, session):
+        """A job may emit ``JobFinished`` before ``Session.submit`` has
+        returned its handle (a resumed job whose every round is
+        journaled does); the finalizer waits for the handle and the job
+        still settles as done."""
+
+        class LateHandle:
+            def __getattr__(self, name):
+                return getattr(session, name)
+
+            def submit(self, *args, on_event, **kwargs):
+                finished = threading.Event()
+
+                def relay(event):
+                    on_event(event)
+                    if isinstance(event, JobFinished):
+                        finished.set()
+
+                handle = session.submit(*args, on_event=relay, **kwargs)
+                assert finished.wait(60)
+                time.sleep(0.05)  # the finalizer has the job by now
+                return handle
+
+        scheduler = Scheduler(LateHandle())
+        try:
+            job = wait_settled(scheduler.submit("t", payload()))
+            assert job.state == "done", job.error
+            assert job.report["verdict"] == "found"
+        finally:
             scheduler.close()
 
     def test_bad_payload_rejected_without_journaling(

@@ -258,3 +258,34 @@ class TestResumeEndToEnd:
         for key in ("verdict", "n_evals", "rounds", "trace", "findings",
                     "seed"):
             assert resumed["report"][key] == clean["report"][key], key
+
+    def test_resume_fails_a_job_whose_payload_no_longer_validates(
+        self, tmp_path
+    ):
+        """An unsettled job naming a backend this version does not have
+        settles as ``failed`` (journaled, queryable) instead of keeping
+        the server from starting; the other unsettled job resumes to
+        the report an uninterrupted run gives."""
+        from repro.serve import CheckpointJournal
+
+        store = str(tmp_path / "store5")
+        journal = CheckpointJournal(store)
+        stale = dict(SMOKE, backend="py-basinhopping")
+        journal.record_job("j0", "anonymous", stale)
+        journal.record_job("j1", "anonymous", SMOKE)
+        with ReproServer(
+            ServeConfig(port=0, n_workers=2, store_dir=store, resume=True)
+        ).start() as server:
+            client = ServeClient(server.url)
+            assert server.n_resumed == 1
+            stale = client.job("j0")
+            assert stale["state"] == "failed"
+            assert "py-basinhopping" in stale["error"]
+            resumed = client.wait("j1", timeout=60)
+            clean = client.wait(client.submit(SMOKE)["id"], timeout=60)
+        assert resumed["state"] == clean["state"] == "done"
+        for key in ("verdict", "n_evals", "rounds", "trace", "findings",
+                    "seed"):
+            assert resumed["report"][key] == clean["report"][key], key
+        entry = CheckpointJournal(store).load()["j0"]
+        assert entry.state == "failed" and "py-basinhopping" in entry.error
