@@ -25,8 +25,9 @@ verdicts and representatives.
 Long-lived callers should hold a :class:`~repro.api.session.Session`
 (or share a :class:`~repro.core.pool.WorkerPool` via
 :attr:`EngineConfig.pool`) instead of calling ``Engine.run`` in a
-loop: a session keeps its workers warm and caches compiled weak
-distances by program content hash across jobs and rounds.
+loop: a session keeps its workers warm, caches compiled weak
+distances by program content hash across jobs and rounds, and serves
+a round equal to one it already ran from its round-outcome cache.
 """
 
 from __future__ import annotations

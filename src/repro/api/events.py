@@ -73,6 +73,10 @@ class RoundFinished(SessionEvent):
     #: True when the round was cut short (cancellation landed
     #: mid-round); the counts cover only the starts that finished.
     interrupted: bool = False
+    #: True when the session served the round from its round-outcome
+    #: cache (an equal round already ran); ``n_evals`` still counts
+    #: the round's evaluations.
+    cached: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,8 +141,10 @@ def render_event(event: SessionEvent) -> Optional[str]:
     if isinstance(event, RoundFinished):
         zero = "zero found" if event.found_zero else f"best W {event.best_w:.4g}"
         cut = " [interrupted]" if event.interrupted else ""
+        cached = " [cached]" if event.cached else ""
         return (
-            f"{tag} round {event.round_index} done: {event.n_evals} evals, {zero}{cut}"
+            f"{tag} round {event.round_index} done: {event.n_evals} evals, "
+            f"{zero}{cut}{cached}"
         )
     if isinstance(event, StartCrashed):
         return (

@@ -88,6 +88,10 @@ class AnalysisReport:
     #: Crash-salvage cycles the run needed (lost starts resubmitted
     #: after worker crashes; 0 = no worker ever crashed).
     n_crash_retries: int = 0
+    #: The part of ``n_evals`` served from the session's round-outcome
+    #: cache: evaluations an equal round already performed, which this
+    #: run counts without performing them again.
+    n_evals_cached: int = 0
 
     @property
     def found(self) -> bool:

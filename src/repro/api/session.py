@@ -42,6 +42,13 @@ events::
   never races, so a serial run and a warm-pool ``n_workers=4`` run
   return identical verdicts and representatives — and a crash-healed
   or salvaged run replays its retried starts byte-identically.
+* A round that a session completed does not run again: a
+  :class:`RoundCache` keyed by :func:`~repro.core.parallel.round_key`
+  serves a round equal to it (``inconsistency`` repeats ``overflow``'s
+  campaign round for round).  Only complete rounds that do not race and
+  record no samples are kept, and a job is served only rounds of its own
+  ``cache_scope``.  Reports are unchanged; ``n_evals_cached`` says how
+  many of their evaluations the cache served.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ import itertools
 import math
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from typing import (
     Any,
@@ -59,6 +67,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Type,
     Union,
 )
@@ -78,7 +87,7 @@ from repro.api.events import (
 )
 from repro.api.registry import canonical_name, get_analysis
 from repro.api.report import AnalysisReport, RoundTrace
-from repro.core.parallel import run_multistart
+from repro.core.parallel import MultiStartOutcome, round_key, run_multistart
 from repro.core.pool import WorkerPool
 from repro.mo.registry import resolve_backend
 from repro.util.rng import derive_round_rngs
@@ -95,6 +104,48 @@ AnalysisRef = Union[str, Type[Analysis], Analysis]
 #: Interrupted (cancelled mid-round) outcomes are never checkpointed:
 #: a resumed job re-runs that round in full.
 CheckpointCallback = Callable[[int, Any], None]
+
+#: Round outcomes a session keeps, least recently used evicted first.
+#: A kept outcome records no samples, so an entry is its per-start
+#: results: about a kilobyte.
+ROUND_CACHE_SIZE = 1024
+
+
+class RoundCache:
+    """Complete round outcomes by key, least recently used evicted first.
+
+    A key is a job's cache scope paired with the round's
+    :func:`~repro.core.parallel.round_key`.  A round that is still
+    running is not in the cache, so an equal round that starts
+    meanwhile runs too; whichever completes last is kept.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._outcomes: "OrderedDict[Any, MultiStartOutcome]" = OrderedDict()
+        #: Rounds served from the cache over its lifetime.
+        self.n_hits = 0
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def get(self, key: Any) -> Optional[MultiStartOutcome]:
+        """The kept outcome for ``key``, or ``None``."""
+        with self._lock:
+            outcome = self._outcomes.get(key)
+            if outcome is not None:
+                self._outcomes.move_to_end(key)
+                self.n_hits += 1
+            return outcome
+
+    def put(self, key: Any, outcome: MultiStartOutcome) -> None:
+        """Keep a complete round's outcome.  A kept outcome reports no
+        crash retries: a later job that is served it crashed nowhere."""
+        with self._lock:
+            self._outcomes[key] = dataclasses.replace(outcome, n_crash_retries=0)
+            self._outcomes.move_to_end(key)
+            while len(self._outcomes) > ROUND_CACHE_SIZE:
+                self._outcomes.popitem(last=False)
 
 
 @dataclasses.dataclass
@@ -289,6 +340,7 @@ class Session:
                 max_parallel_jobs = self.config.n_workers
         self._max_parallel_jobs = max(1, max_parallel_jobs)
         self._threads: Optional[ThreadPoolExecutor] = None
+        self._round_cache = RoundCache()
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
@@ -336,6 +388,7 @@ class Session:
         on_event: Optional[EventCallback] = None,
         checkpoint: Optional[CheckpointCallback] = None,
         resume_rounds: Optional[Sequence[Any]] = None,
+        cache_scope: Any = None,
         **options: Any,
     ) -> JobHandle:
         """Queue one job and return its :class:`JobHandle` immediately.
@@ -355,6 +408,10 @@ class Session:
         is a pure function of ``(seed, round, start)`` and ``absorb``
         is deterministic, a resumed job's report is bit-identical to an
         uninterrupted run's (timing aside).
+
+        ``cache_scope`` bounds round-cache sharing: a job is served only
+        rounds that jobs of an equal scope ran.  ``repro serve`` passes
+        the tenant, so no tenant learns what another one ran.
         """
         handle = self._make_handle(analysis, target)
         executor = self._ensure_threads()
@@ -369,6 +426,7 @@ class Session:
             on_event,
             checkpoint,
             resume_rounds,
+            cache_scope,
         )
         return handle
 
@@ -417,8 +475,13 @@ class Session:
         return results
 
     def stats(self) -> Dict[str, int]:
-        """Session counters plus the pool's lifetime cache counters."""
-        stats = {"jobs": self.n_jobs}
+        """Session counters (jobs, round-cache hits and entries) plus
+        the pool's lifetime cache counters."""
+        stats = {
+            "jobs": self.n_jobs,
+            "round_cache_hits": self._round_cache.n_hits,
+            "round_cache_entries": len(self._round_cache),
+        }
         if self._pool is not None:
             stats.update(self._pool.stats())
         return stats
@@ -489,6 +552,7 @@ class Session:
         on_event: Optional[EventCallback],
         checkpoint: Optional[CheckpointCallback] = None,
         resume_rounds: Optional[Sequence[Any]] = None,
+        cache_scope: Any = None,
     ) -> None:
         """Run one job's driver loop to completion (any thread)."""
         cfg = config or self.config
@@ -503,6 +567,7 @@ class Session:
                 on_event,
                 checkpoint,
                 resume_rounds,
+                cache_scope,
             )
         except BaseException as exc:
             self._emit(
@@ -551,6 +616,7 @@ class Session:
         on_event: Optional[EventCallback],
         checkpoint: Optional[CheckpointCallback] = None,
         resume_rounds: Optional[Sequence[Any]] = None,
+        cache_scope: Any = None,
     ):
         """The shared driver loop (the engine's former `run` body)."""
         if isinstance(analysis, str):
@@ -579,16 +645,20 @@ class Session:
         trace = []
         samples = []
         n_evals = 0
+        n_evals_cached = 0
         n_crash_retries = 0
         round_index = 0
         cancelled = False
-        # Checkpointed rounds replay through the same loop with the
-        # stored outcome in place of `run_multistart`: no stop check,
-        # no rng derivation, no checkpoint.  plan_round and absorb are
-        # deterministic functions of the state (a round never changes
-        # label sets; only prepare and absorb do), so the state (and
-        # every later round's randomness, a pure function of (seed,
-        # round, start)) evolves exactly as before.
+        # A round's outcome has three sources: the journal (resume),
+        # the round cache, or `run_multistart`.  Checkpointed rounds
+        # replay through the same loop with the stored outcome in place
+        # of `run_multistart`: no stop check, no rng derivation, no
+        # checkpoint.  plan_round and absorb are deterministic
+        # functions of the state (a round never changes label sets;
+        # only prepare and absorb do), so the state (and every later
+        # round's randomness, a pure function of (seed, round, start))
+        # evolves exactly as before.  A cached outcome is the one the
+        # equal round produced, so it goes everywhere a live one does.
         replay = list(resume_rounds or ())
 
         def on_crash(notice) -> None:
@@ -640,21 +710,10 @@ class Session:
             )
             if replaying:
                 outcome = replay[round_index]
-                interrupted = False
+                cached = interrupted = False
             else:
-                outcome = run_multistart(
-                    plan.weak_distance,
-                    backend=backend,
-                    starts=starts,
-                    n_workers=cfg.n_workers,
-                    record_samples=plan.record_samples,
-                    max_evals_per_start=plan.max_evals_per_start,
-                    stop_at_zero=plan.stop_at_zero,
-                    early_cancel=not cfg.deterministic,
-                    pool=pool,
-                    stop_event=handle._stop,
-                    max_crash_retries=cfg.max_crash_retries,
-                    on_crash=on_crash,
+                outcome, cached = self._run_round(
+                    plan, backend, starts, cfg, handle._stop, on_crash, cache_scope
                 )
                 interrupted = outcome.interrupted or handle._stop.is_set()
             n_crash_retries += outcome.n_crash_retries
@@ -690,9 +749,12 @@ class Session:
                     found_zero=best is not None and best.f_star == 0.0,
                     note=plan.note,
                     interrupted=interrupted,
+                    cached=cached,
                 )
             )
             n_evals += outcome.n_evals
+            if cached:
+                n_evals_cached += outcome.n_evals
             if plan.record_samples:
                 samples.extend(outcome.samples)
             round_index += 1
@@ -720,4 +782,57 @@ class Session:
         report.seed = cfg.seed
         report.n_workers = pool.n_workers if pool is not None else cfg.n_workers
         report.n_crash_retries = n_crash_retries
+        report.n_evals_cached = n_evals_cached
         return report, cancelled
+
+    def _run_round(
+        self,
+        plan,
+        backend,
+        starts,
+        cfg: EngineConfig,
+        stop: threading.Event,
+        on_crash,
+        cache_scope: Any,
+    ) -> Tuple[MultiStartOutcome, bool]:
+        """One live round's outcome, and whether the round cache
+        served it.
+
+        A round that does not race and records no samples is keyed by
+        :func:`~repro.core.parallel.round_key` within ``cache_scope``
+        (sample rounds are left out because a boundary round holds
+        thousands of samples): a kept outcome is served, and a round
+        this job completes is kept.  Every other round goes straight to
+        :func:`~repro.core.parallel.run_multistart`.
+        """
+        key = None
+        if not plan.record_samples and (cfg.deterministic or not plan.stop_at_zero):
+            digest = round_key(
+                plan.weak_distance,
+                backend,
+                starts,
+                plan.max_evals_per_start,
+                plan.stop_at_zero,
+            )
+            if digest is not None:
+                key = (cache_scope, digest)
+                outcome = self._round_cache.get(key)
+                if outcome is not None:
+                    return outcome, True
+        outcome = run_multistart(
+            plan.weak_distance,
+            backend=backend,
+            starts=starts,
+            n_workers=cfg.n_workers,
+            record_samples=plan.record_samples,
+            max_evals_per_start=plan.max_evals_per_start,
+            stop_at_zero=plan.stop_at_zero,
+            early_cancel=not cfg.deterministic,
+            pool=self._pool,
+            stop_event=stop,
+            max_crash_retries=cfg.max_crash_retries,
+            on_crash=on_crash,
+        )
+        if key is not None and not (outcome.interrupted or stop.is_set()):
+            self._round_cache.put(key, outcome)
+        return outcome, False

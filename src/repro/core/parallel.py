@@ -51,6 +51,11 @@ the starts of one reduction across a pool of worker processes:
   live, and reach the kernel in a wider round.  Each start still walks
   the trajectory it walks alone.
 
+* **Round identity.**  :func:`round_key` digests everything a
+  deterministic round's outcome depends on, so
+  :class:`repro.api.session.Session` can serve a round that already
+  ran from its round-outcome cache instead of running it again.
+
 There is one executor: :class:`repro.core.pool.WorkerPool`.
 ``run_multistart(..., pool=...)`` fans a round across a persistent
 pool whose warm workers cache unpickled weak distances by content
@@ -64,6 +69,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -73,6 +79,7 @@ import numpy as np
 from repro.core.result import Sample
 from repro.core.weak_distance import WeakDistance
 from repro.mo.base import MOBackend, MOResult, Objective, drive
+from repro.util.digest import canonical_pickle, digest_bytes
 
 
 #: Salvage cycles a round may spend resubmitting crashed starts before
@@ -177,6 +184,50 @@ def sync_label_state(
         current = weak_distance.label_sets.setdefault(name, set())
         current.clear()
         current.update(labels)
+
+
+# ---------------------------------------------------------------------------
+# Round identity
+# ---------------------------------------------------------------------------
+
+
+def round_key(
+    weak_distance: WeakDistance,
+    backend: MOBackend,
+    starts: Sequence[Tuple[Tuple[float, ...], np.random.Generator]],
+    max_evals_per_start: Optional[int],
+    stop_at_zero: bool,
+) -> Optional[str]:
+    """The identity of a deterministic round's outcome, or ``None``
+    when ``backend`` does not pickle.
+
+    A round that no zero can race, that records no samples and that
+    runs to completion has one outcome for these inputs, however it
+    runs (serial ≡ lockstep ≡ pooled): W's memoized content digest
+    (program, eval mode, executor settings), the label sets it reads,
+    the backend's pickle (what a pool task ships), each start's point
+    and generator state, and the per-start budget and zero rule.  Call
+    it before :func:`run_multistart`, which consumes the generators.
+    """
+    try:
+        backend_blob = canonical_pickle(backend)
+    except (pickle.PicklingError, TypeError, AttributeError, ValueError):
+        return None
+    labels = sorted(
+        (name, sorted(values)) for name, values in weak_distance.label_sets.items()
+    )
+    return digest_bytes(
+        canonical_pickle(
+            (
+                weak_distance.digest,
+                labels,
+                backend_blob,
+                [(tuple(start), rng.bit_generator.state) for start, rng in starts],
+                max_evals_per_start,
+                stop_at_zero,
+            )
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

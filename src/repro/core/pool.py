@@ -16,7 +16,7 @@ unpickle and compile of W across rounds and jobs:
 * **Program cache by content digest.**  A
   :class:`~repro.core.weak_distance.WeakDistance` pickles without its
   label sets or compiled code, so the parent pickles W once per live
-  object and keys the blob by W's identity-blind
+  object and keys the blob by W's identity-blind, memoized
   :func:`~repro.util.digest.content_digest` (the scan store's recipe):
   equal programs share a key however their objects are aliased.  Every
   task carries the blob; workers keep a small LRU of unpickled weak
@@ -81,7 +81,6 @@ from repro.core.parallel import (
     watch_parent,
 )
 from repro.core.weak_distance import WeakDistance
-from repro.util.digest import content_digest
 
 #: Concurrent rounds that can hold a cancel slot; rounds beyond this
 #: run without mid-round cancellation (still cancellable between
@@ -292,18 +291,19 @@ class WorkerPool:
         its content digest.
 
         Cached per live ``WeakDistance`` (weakly, so finished jobs do
-        not pin programs in parent memory).  The digest is W's
-        :func:`~repro.util.digest.content_digest`, not a hash of
-        ``blob``: two distinct objects instrumenting equal programs
-        share one digest — the worker-side cache key — even when their
-        blobs differ in how pickle's memo shared their objects.
+        not pin programs in parent memory).  The digest is W's memoized
+        :attr:`~repro.core.weak_distance.WeakDistance.digest`, not a
+        hash of ``blob``: two distinct objects instrumenting equal
+        programs share one digest — the worker-side cache key — even
+        when their blobs differ in how pickle's memo shared their
+        objects.
         """
         with self._lock:
             cached = self._blobs.get(weak_distance)
         if cached is not None:
             return cached
         blob = pickle.dumps(weak_distance, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = content_digest(weak_distance)
+        digest = weak_distance.digest
         with self._lock:
             self._blobs[weak_distance] = (digest, blob)
             self._digests.add(digest)

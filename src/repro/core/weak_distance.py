@@ -39,6 +39,7 @@ from repro.fpir.interpreter import (
     Interpreter,
     StepLimitExceeded,
 )
+from repro.util.digest import content_digest
 
 #: Valid ``eval_mode`` values, in documentation order.
 EVAL_MODES = ("compiled", "interpreter", "vectorized")
@@ -91,19 +92,34 @@ class WeakDistance:
         }
         #: Events observed during the most recent evaluation.
         self.last_events: Dict[str, str] = {}
+        self._digest: Optional[str] = None
 
     def __reduce__(self):
         """Pickle the program and the executor settings only.
 
-        Label sets, compiled code and ``last_events`` are per-process
-        state: an unpickled W starts with empty label sets and compiles
-        lazily, and a pool task ships the parent's label sets next to
-        it (:func:`repro.core.parallel.sync_label_state`).
+        Label sets, compiled code, ``last_events`` and the digest memo
+        are per-process state: an unpickled W starts with empty label
+        sets and compiles lazily, and a pool task ships the parent's
+        label sets next to it
+        (:func:`repro.core.parallel.sync_label_state`).
         """
         return (
             WeakDistance,
             (self.instrumented, self.exact, self.max_loop_steps, self.eval_mode),
         )
+
+    @property
+    def digest(self) -> str:
+        """W's :func:`~repro.util.digest.content_digest`: the program
+        and the executor settings :meth:`__reduce__` pickles, label
+        sets excluded.  Computed once per object (a large program takes
+        milliseconds to digest) and read by every consumer that keys
+        on W's identity: the pool's program cache and the session's
+        round-outcome cache (:func:`repro.core.parallel.round_key`).
+        """
+        if self._digest is None:
+            self._digest = content_digest(self)
+        return self._digest
 
     # -- execution ------------------------------------------------------------
 

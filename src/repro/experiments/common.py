@@ -19,35 +19,37 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.util.tables import format_table
 
-#: Shared persistent worker pools, keyed by worker count.  The whole
-#: experiment harness runs hundreds of engine calls; sharing one pool
-#: across them keeps the workers warm and lets the pool's payload
-#: cache carry compiled programs from one table to the next.
-_SHARED_POOLS: Dict[int, Any] = {}
+#: Shared sessions, keyed by worker count.  The whole experiment
+#: harness runs hundreds of analyses; sharing one session across them
+#: keeps its workers warm, lets the pool's program cache carry compiled
+#: programs from one table to the next, and lets the session's round
+#: cache serve a campaign another table already ran (Table 5 replays
+#: Table 3's overflow campaigns).
+_SHARED_SESSIONS: Dict[int, Any] = {}
 
 
-def shared_pool(n_workers: int):
-    """The harness-wide :class:`repro.core.pool.WorkerPool` for
-    ``n_workers`` (None for serial runs)."""
-    if n_workers <= 1:
-        return None
-    pool = _SHARED_POOLS.get(n_workers)
-    if pool is None or pool.closed:
-        from repro.core.pool import WorkerPool
+def shared_session(n_workers: int):
+    """The harness-wide :class:`repro.api.session.Session` for
+    ``n_workers`` (serial for ``n_workers <= 1``)."""
+    n_workers = max(1, n_workers)
+    session = _SHARED_SESSIONS.get(n_workers)
+    if session is None or session.closed:
+        from repro.api import EngineConfig, Session
 
-        pool = WorkerPool(n_workers)
-        _SHARED_POOLS[n_workers] = pool
-    return pool
-
-
-def close_shared_pools() -> None:
-    """Tear down the harness pools (atexit, and test isolation)."""
-    while _SHARED_POOLS:
-        _, pool = _SHARED_POOLS.popitem()
-        pool.close()
+        session = Session(EngineConfig(n_workers=n_workers))
+        _SHARED_SESSIONS[n_workers] = session
+    return session
 
 
-atexit.register(close_shared_pools)
+def close_shared_sessions() -> None:
+    """Close the harness sessions and their pools (atexit, and between
+    timed runs, so a run does not time another run's cached rounds)."""
+    while _SHARED_SESSIONS:
+        _, session = _SHARED_SESSIONS.popitem()
+        session.close()
+
+
+atexit.register(close_shared_sessions)
 
 
 def run_analysis(
@@ -67,13 +69,13 @@ def run_analysis(
     """Run one analysis through the :mod:`repro.api` facade.
 
     Every experiment drives its analyses through this helper, so the
-    whole harness inherits the engine's seeding discipline — and
-    setting ``REPRO_WORKERS=N`` in the environment fans each round's
-    starts across a *shared persistent* worker pool (one per worker
-    count, kept warm for the whole process) without touching any table
-    script.
+    whole harness inherits the engine's seeding discipline and runs in
+    one *shared* :class:`~repro.api.session.Session` per worker count,
+    kept for the whole process.  Setting ``REPRO_WORKERS=N`` in the
+    environment fans each round's starts across that session's worker
+    pool without touching any table script.
     """
-    from repro.api import Engine, EngineConfig
+    from repro.api import EngineConfig
 
     if n_workers is None:
         n_workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
@@ -85,9 +87,10 @@ def run_analysis(
         n_starts=n_starts,
         max_rounds=max_rounds,
         start_sampler=sampler,
-        pool=shared_pool(n_workers),
     )
-    return Engine(config).run(name, target, spec=spec, **options)
+    return shared_session(n_workers).run(
+        name, target, spec=spec, config=config, **options
+    )
 
 
 @dataclasses.dataclass

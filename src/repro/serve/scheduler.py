@@ -6,7 +6,9 @@ tenant (API key) gets its own FIFO queue, dispatch rotates round-robin
 across tenants with queued work, and a per-tenant quota caps how many
 of a tenant's jobs may *run* concurrently — so one tenant queueing a
 thousand campaigns delays its own backlog, not everyone else's, while
-the warm pool (and its compiled-kernel cache) stays shared.
+the warm pool (and its compiled-kernel cache) stays shared.  The
+session's round-outcome cache does not: each job runs with its tenant
+as its cache scope, so a tenant is served only rounds its own jobs ran.
 
 Lifecycle of one job::
 
@@ -347,6 +349,7 @@ class Scheduler:
                 on_event=on_event,
                 checkpoint=checkpoint,
                 resume_rounds=job.resume_rounds or None,
+                cache_scope=job.tenant,
                 **request.options,
             )
         except BaseException as exc:  # session closed, bad state

@@ -27,7 +27,8 @@ rather than silently skipping events; the client falls back to
 Multi-tenancy is by API key: when ``ServeConfig.api_keys`` is set,
 ``X-API-Key`` must match one of them (else 401) and becomes the
 tenant; each tenant sees and touches only its own jobs (foreign ids
-404).  With no keys configured every client shares the
+404), and the session's round cache serves a tenant only rounds its
+own jobs ran.  With no keys configured every client shares the
 ``"anonymous"`` tenant — single-user mode.
 """
 

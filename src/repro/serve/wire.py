@@ -184,7 +184,8 @@ def report_to_dict(report: Any) -> Dict[str, Any]:
     (verdict, findings with representative inputs, per-round trace,
     evaluation counts); the analysis-specific ``detail`` object and
     the raw sample stream stay server-side (not JSON-serializable /
-    unbounded).
+    unbounded).  ``elapsed_seconds`` and ``n_evals_cached`` say how
+    the run went, not what it found, so parity leaves them out.
     """
     return {
         "schema_version": WIRE_SCHEMA_VERSION,
@@ -218,6 +219,7 @@ def report_to_dict(report: Any) -> Dict[str, Any]:
         "n_workers": report.n_workers,
         "partial": report.partial,
         "n_crash_retries": report.n_crash_retries,
+        "n_evals_cached": report.n_evals_cached,
     }
 
 

@@ -1,13 +1,22 @@
-"""Content digests shared by the workers' program cache and the scan store.
+"""Content digests shared by the program, round and scan caches.
 
-One identity, two consumers: the worker pool keys its worker-side LRU
-of compiled weak distances by :func:`content_digest` of the label-free
-weak distance (:meth:`repro.core.pool.WorkerPool._program_blob`), and the
-incremental scan store (:mod:`repro.scan.store`) keys persisted
-verdicts by :func:`content_digest` of the lowered FPIR program.  "The
-program changed" is therefore decided identically everywhere: if a
-re-scan says a function's lowered FPIR is unchanged, the warm workers
-would have had a cache hit for it too.
+One identity, three consumers:
+
+* the worker pool keys its worker-side LRU of compiled weak distances
+  by :func:`content_digest` of the label-free weak distance
+  (:meth:`repro.core.pool.WorkerPool._program_blob`);
+* the session's round-outcome cache keys each round by that same
+  digest plus the round's other inputs
+  (:func:`repro.core.parallel.round_key`).  Both read the digest
+  memoized on the weak distance
+  (:attr:`repro.core.weak_distance.WeakDistance.digest`), so W is
+  digested once per object;
+* the incremental scan store (:mod:`repro.scan.store`) keys persisted
+  verdicts by :func:`content_digest` of the lowered FPIR program.
+
+"The program changed" is therefore decided identically everywhere: if
+a re-scan says a function's lowered FPIR is unchanged, the warm
+workers would have had a cache hit for it too.
 
 **Memo-free.**  A plain pickle memoizes objects by identity: the second
 reference to an object is written as a back-reference, so two equal

@@ -105,8 +105,13 @@ class TestPayloadCache:
         with WorkerPool(1) as pool:
             with Session(EngineConfig(seed=5, pool=pool)) as session:
                 first = session.run("overflow", "fig2")
-                second = session.run("overflow", "fig2")
+                # Another seed, so the round cache serves none of the
+                # second job's rounds: both jobs reach the pool.
+                second = session.run(
+                    "overflow", "fig2", config=EngineConfig(seed=6)
+                )
                 assert first.verdict == second.verdict
+                assert second.n_evals_cached == 0
                 # Both jobs, all their rounds: one program, one rebuild.
                 assert first.rounds + second.rounds > 2
                 assert pool.n_programs == 1
@@ -119,8 +124,12 @@ class TestPayloadCache:
     def test_rebuilds_bounded_by_workers(self):
         with Session(EngineConfig(seed=7, n_workers=2)) as session:
             session.run("path", "fig2", n_starts=6)
-            session.run("path", "fig2", n_starts=6)
+            second = session.run(
+                "path", "fig2", n_starts=6,
+                config=EngineConfig(seed=8, n_workers=2),
+            )
             stats = session.stats()
+        assert second.n_evals_cached == 0
         assert stats["jobs"] == 2
         assert stats["programs"] == 1
         assert stats["rebuilds"] <= 2  # at most one per worker

@@ -118,12 +118,17 @@ class TestRunBatch:
         job's starts fan across the same warm worker pool."""
         from repro.api import EngineConfig, Session
 
-        jobs = _tiny_jobs(analyses=("fpod",)) * 2
+        # Two seeds, so the round cache serves neither job: both fan
+        # their starts across the pool.
+        jobs = _tiny_jobs(analyses=("fpod",)) + _tiny_jobs(
+            analyses=("fpod",), seed=10
+        )
         with Session(EngineConfig(n_workers=2)) as session:
             results = run_batch(jobs, session=session)
             stats = session.stats()
         assert all(r.ok for r in results)
         assert stats["jobs"] == 2
+        assert stats["round_cache_hits"] == 0
         # Both fpod jobs analyze fig2: one program, a rebuild per
         # worker at most — never one per job or per round.
         assert stats["programs"] == 1

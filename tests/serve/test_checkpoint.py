@@ -145,9 +145,13 @@ class TestRoundDigests:
             _rewrite_round(journal, 1, blob)  # round 0's bytes as round 1
             replay = journal.load()["j0"].outcomes()
             assert len(replay) == 1
+        # A fresh session, so rounds 1 and 2 run live rather than being
+        # served from the first session's round cache.
+        with Session(EngineConfig(seed=13)) as session:
             got = session.submit(
                 "overflow", "gsl-bessel", resume_rounds=replay, **options
             ).result(timeout=120)
+        assert got.n_evals_cached == 0
         assert got.verdict == want.verdict
         assert got.n_evals == want.n_evals
         assert got.rounds == want.rounds

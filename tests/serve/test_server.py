@@ -59,6 +59,20 @@ class TestRoutes:
             urllib.request.urlopen(server.url + "/v2/nope")
         assert exc.value.code == 404
 
+    def test_identical_job_is_served_from_the_round_cache(self, client):
+        """Every job runs in the server's one Session, so a copy of a
+        finished job runs no round again and reports the same."""
+        first = client.wait(client.submit(SMOKE)["id"], timeout=60)
+        job = client.submit(SMOKE)
+        rounds = [r for r in client.watch(job["id"]) if r["event"] == "RoundFinished"]
+        second = client.wait(job["id"], timeout=60)
+        assert rounds and all(r["cached"] for r in rounds)
+        report = second["report"]
+        assert report["n_evals_cached"] == report["n_evals"] > 0
+        assert first["report"]["n_evals_cached"] == 0
+        for key in ("verdict", "findings", "trace", "n_evals", "rounds"):
+            assert report[key] == first["report"][key], key
+
     def test_cancel_settles_the_job(self, client):
         job = client.submit(
             {"analysis": "overflow", "target": "gsl-bessel", "seed": 3,
@@ -157,6 +171,21 @@ class TestTenancy:
         assert exc.value.status == 404
         with pytest.raises(ServeError):
             b.cancel(job["id"])
+
+    def test_round_cache_is_per_tenant(self, keyed_server):
+        """A tenant is served only rounds its own jobs ran, so the
+        ``cached`` flags tell it nothing about another tenant's jobs."""
+        a = ServeClient(keyed_server.url, api_key="team-a")
+        b = ServeClient(keyed_server.url, api_key="team-b")
+        first = a.wait(a.submit(SMOKE)["id"], timeout=60)
+        job = b.submit(SMOKE)
+        rounds = [r for r in b.watch(job["id"]) if r["event"] == "RoundFinished"]
+        other = b.wait(job["id"], timeout=60)
+        assert rounds and not any(r["cached"] for r in rounds)
+        assert other["report"]["n_evals_cached"] == 0
+        assert other["report"]["trace"] == first["report"]["trace"]
+        again = a.wait(a.submit(SMOKE)["id"], timeout=60)
+        assert again["report"]["n_evals_cached"] == again["report"]["n_evals"]
 
 
 class TestConcurrentClients:
@@ -282,7 +311,15 @@ class TestResumeEndToEnd:
             assert stale["state"] == "failed"
             assert "py-basinhopping" in stale["error"]
             resumed = client.wait("j1", timeout=60)
+        # The uninterrupted run goes to another server: in this one the
+        # round cache would serve it j1's rounds.
+        with ReproServer(
+            ServeConfig(port=0, n_workers=2,
+                        store_dir=str(tmp_path / "fresh"))
+        ).start() as third:
+            client = ServeClient(third.url)
             clean = client.wait(client.submit(SMOKE)["id"], timeout=60)
+        assert clean["report"]["n_evals_cached"] == 0
         assert resumed["state"] == clean["state"] == "done"
         for key in ("verdict", "n_evals", "rounds", "trace", "findings",
                     "seed"):
