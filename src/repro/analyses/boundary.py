@@ -428,14 +428,6 @@ class BoundaryAnalysis(Analysis):
         )
 
     @classmethod
-    def metrics(cls, report: AnalysisReport) -> Dict[str, float]:
-        detail: BoundaryReport = report.detail
-        return {
-            "conditions": float(detail.conditions_triggered),
-            "evals": float(detail.n_samples),
-        }
-
-    @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.mo.starts import wide_log_sampler
 

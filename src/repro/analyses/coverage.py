@@ -271,14 +271,6 @@ class CoverageAnalysis(Analysis):
         )
 
     @classmethod
-    def metrics(cls, report: AnalysisReport) -> Dict[str, float]:
-        detail: CoverageReport = report.detail
-        return {
-            "coverage": detail.coverage,
-            "evals": float(report.n_evals),
-        }
-
-    @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.mo.starts import wide_log_sampler
 

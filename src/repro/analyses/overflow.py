@@ -361,14 +361,5 @@ class OverflowAnalysis(Analysis):
         return f"{detail.n_overflows}/{detail.n_fp_ops} instructions overflowed"
 
     @classmethod
-    def metrics(cls, report: AnalysisReport) -> Dict[str, float]:
-        detail: OverflowReport = report.detail
-        return {
-            "found": float(detail.n_overflows),
-            "sites": float(detail.n_fp_ops),
-            "evals": float(report.n_evals),
-        }
-
-    @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:
         return {"max_rounds": params.get("rounds")}

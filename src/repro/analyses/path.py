@@ -368,14 +368,5 @@ class PathAnalysis(Analysis):
         return f"path not reached (best W = {detail.w_star:.3g})"
 
     @classmethod
-    def metrics(cls, report: AnalysisReport) -> Dict[str, float]:
-        detail: PathResult = report.detail
-        return {
-            "found": 1.0 if detail.found else 0.0,
-            "verified": 1.0 if detail.verified else 0.0,
-            "evals": float(detail.n_evals),
-        }
-
-    @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:
         return {"n_starts": params.get("rounds")}

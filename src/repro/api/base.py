@@ -21,8 +21,8 @@ worker pool, trace/timing bookkeeping — is the
 
 The classmethod hooks (:meth:`configure_parser`,
 :meth:`options_from_args`, :meth:`render`, :meth:`summarize`,
-:meth:`metrics`) let the CLI and the batch driver be *generated* from
-the registry instead of hand-wiring one subcommand per analysis.
+:meth:`batch_options`) let the CLI and the batch driver be *generated*
+from the registry instead of hand-wiring one subcommand per analysis.
 """
 
 from __future__ import annotations
@@ -160,14 +160,6 @@ class Analysis(abc.ABC):
     def summarize(cls, report) -> str:
         """One-line summary (batch campaign tables)."""
         return f"{report.verdict} ({len(report.findings)} findings)"
-
-    @classmethod
-    def metrics(cls, report) -> Dict[str, float]:
-        """Numeric metrics (batch campaign bookkeeping)."""
-        return {
-            "findings": float(len(report.findings)),
-            "evals": float(report.n_evals),
-        }
 
     @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -14,7 +14,7 @@ table scripts, the CLI renderers) still get it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: The three verdict strings shared by every analysis.  ``found`` means
 #: the analysis established its goal (a model, a witness, full
@@ -101,3 +101,13 @@ class AnalysisReport:
     def representatives(self) -> List[Tuple[float, ...]]:
         """The findings' triggering inputs, in finding order."""
         return [f.x for f in self.findings if f.x is not None]
+
+
+def finding_to_dict(finding: Finding) -> Dict[str, Any]:
+    """The JSON form of one finding (serve reports, scan results)."""
+    return {
+        "kind": finding.kind,
+        "label": finding.label,
+        "x": list(finding.x) if finding.x is not None else None,
+        "detail": finding.detail,
+    }

@@ -67,6 +67,7 @@ from typing import Any, Dict, List, Optional
 
 def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     """The shared EngineConfig knobs, identical for every analysis."""
+    from repro.core.weak_distance import EVAL_MODES
     from repro.mo import available_backends
 
     cmd.add_argument("--seed", type=int, default=None)
@@ -95,7 +96,7 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--eval-mode",
         dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"),
+        choices=EVAL_MODES,
         default=None,
         help="weak-distance tier: compiled scalar (default), reference "
              "interpreter, or the vectorized batch kernel (bit-parity "
@@ -129,6 +130,7 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.api import available_analyses, get_analysis
+    from repro.core.weak_distance import EVAL_MODES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -244,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--eval-mode",
         dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"),
+        choices=EVAL_MODES,
         default=None,
     )
     scan.add_argument(
@@ -373,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--backend", default=None)
     submit.add_argument(
         "--eval-mode", dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"), default=None,
+        choices=EVAL_MODES, default=None,
     )
     submit.add_argument("--label", default=None)
     submit.add_argument(
@@ -579,13 +581,13 @@ def _cmd_batch(args) -> int:
         event_sink=args.events_out,
     )
     def _result_cell(r) -> str:
-        if not r.ok:
+        if r.report is None:
             return f"ERROR: {r.error}"
         cell = r.summary
-        if r.partial:
+        if r.report.partial:
             cell += " [partial]"
-        if r.crash_retries:
-            cell += f" [{r.crash_retries} crash retr.]"
+        if r.report.n_crash_retries:
+            cell += f" [{r.report.n_crash_retries} crash retr.]"
         return cell
 
     rows = [
@@ -593,15 +595,16 @@ def _cmd_batch(args) -> int:
             r.job.analysis,
             r.job.display,
             _result_cell(r),
-            f"{r.seconds:.1f}s",
+            f"{r.report.elapsed_seconds if r.report else 0.0:.1f}s",
         )
         for r in results
     ]
     print(f"{len(jobs)} jobs on {n_workers} worker(s):")
     print(format_table(("analysis", "target", "result", "time"), rows))
-    failed = sum(1 for r in results if not r.ok)
-    partial = sum(1 for r in results if r.partial)
-    retries = sum(r.crash_retries for r in results)
+    reports = [r.report for r in results if r.report is not None]
+    failed = len(results) - len(reports)
+    partial = sum(1 for report in reports if report.partial)
+    retries = sum(report.n_crash_retries for report in reports)
     if failed or partial or retries:
         print(
             f"{failed} failed, {partial} partial, "

@@ -12,9 +12,11 @@ reused across jobs, and a program analyzed by several jobs is rebuilt
 and compiled once per worker instead of once per job.
 
 Each :class:`BatchJob` is a self-contained description (analysis name,
-target spec, seed, budget knobs); the registered analysis's
-``batch_options``/``summarize``/``metrics`` hooks supply the
-translation, so a new registered analysis is batch-runnable for free.
+target, seed, budget knobs); the registered analysis's
+``batch_options``/``summarize`` hooks supply the translation, so a new
+registered analysis is batch-runnable for free.  :func:`run_batch` is
+the one campaign runner: ``repro batch`` and the project scanner
+(:mod:`repro.scan.orchestrator`) both run their jobs through it.
 Campaigns cross analyses over first-class *targets*
 (:mod:`repro.api.targets`): :func:`suite_jobs` accepts any mix of
 suite-registry names and Python-frontend specs (``pkg.mod:fn``,
@@ -23,15 +25,13 @@ whole constraint corpus through the solver (:func:`formula_jobs` /
 :func:`read_formula_sources`) — one formula per line of a file, or one
 per ``.smt2``-style file of a directory.
 
-A failing job never takes the campaign down: its traceback summary is
-captured on the :class:`BatchResult` and the remaining jobs keep
-running.
+A failing job never takes the campaign down: its error is captured on
+the :class:`BatchResult` and the remaining jobs keep running.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,10 +56,12 @@ class BatchJob:
     """One analysis run over one target."""
 
     analysis: str
-    #: The engine target spec: a suite program name, a Python-frontend
-    #: spec (``pkg.mod:fn`` / ``file.py::fn``), or (``sat``) the
-    #: constraint text itself.
-    target: str
+    #: A spec string or a resolved :class:`~repro.api.targets.Target`.
+    #: A spec is a suite program name, a frontend spec (``pkg.mod:fn``
+    #: / ``file.py::fn`` / ``file.c::fn``), or (``sat``) the constraint
+    #: text itself; the scanner passes the target its classifier
+    #: already lowered.
+    target: Any
     seed: Optional[int] = None
     #: Budget knobs, as a tuple of pairs so the job stays hashable:
     #: ``niter`` (backend iterations), ``rounds`` (driver rounds /
@@ -75,7 +77,7 @@ class BatchJob:
 
     @property
     def display(self) -> str:
-        return self.label or self.target
+        return self.label or str(self.target)
 
 
 @dataclasses.dataclass
@@ -84,15 +86,11 @@ class BatchResult:
 
     job: BatchJob
     summary: str
-    metrics: Dict[str, float]
-    seconds: float
+    #: The job's :class:`~repro.api.report.AnalysisReport` (its time,
+    #: ``partial`` salvage flag and ``n_crash_retries``), or None when
+    #: the job failed.
+    report: Any = None
     error: Optional[str] = None
-    #: True when the job was cancelled mid-run and its report was
-    #: salvaged from the starts that finished (``AnalysisReport.partial``).
-    partial: bool = False
-    #: Crash-salvage cycles the job's rounds needed (worker deaths
-    #: healed by resubmitting the lost starts; 0 = crash-free).
-    crash_retries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -260,15 +258,18 @@ def formula_jobs(
 def job_request(job: BatchJob):
     """Translate one :class:`BatchJob` into a session job request.
 
-    The one place a job's budget knobs become engine options and an
-    :class:`~repro.api.config.EngineConfig` — shared by the batch
-    driver and the project scanner (:mod:`repro.scan.orchestrator`),
-    so both campaign shapes budget identically.  Beyond the classic
-    knobs (``niter``, ``rounds``, ``max_samples``, ``racing``) a job
-    may carry ``backend``, ``eval_mode``, ``n_starts``, and ``smoke``
-    (True = the analysis's tiny CI budget from ``smoke_options``
-    instead of its ``batch_options``, with an explicit ``niter`` /
-    ``n_starts`` still winning).
+    The one place a campaign job's budget knobs become engine options
+    and an :class:`~repro.api.engine.EngineConfig`, shared by
+    ``repro batch``, the project scanner
+    (:mod:`repro.scan.orchestrator`) and ``repro serve``
+    (:mod:`repro.serve.wire`), so every campaign shape budgets
+    identically.  Beyond the classic knobs (``niter``, ``rounds``,
+    ``max_samples``, ``racing``) a job may carry ``backend``,
+    ``eval_mode``, ``n_starts``, and ``smoke`` (True = the analysis's
+    tiny CI budget from ``smoke_options`` instead of its
+    ``batch_options``, with an explicit ``niter`` / ``n_starts`` still
+    winning; ``rounds`` and ``max_samples`` are ignored, and the serve
+    wire and the scanner reject them next to ``smoke``).
 
     Raises (e.g. ``KeyError`` for an unknown analysis) instead of
     capturing — the caller turns per-job exceptions into
@@ -328,10 +329,10 @@ def run_batch(
 
     Results come back in job order; per-job failures are captured on
     the result (``error``) instead of aborting the campaign, a
-    crash-healed job reports its salvage cycles (``crash_retries``),
-    and a job cancelled mid-run contributes its salvaged partial
-    report (``partial=True``) rather than vanishing.  Pass an
-    existing :class:`repro.api.session.Session` to compose the
+    crash-healed job's report counts its salvage cycles
+    (``n_crash_retries``), and a job cancelled mid-run contributes its
+    salvaged partial report (``partial=True``) rather than vanishing.
+    Pass an existing :class:`repro.api.session.Session` to compose the
     campaign with other work on the same warm pool; otherwise a
     session with ``n_workers`` processes is created for the campaign
     and torn down after.  ``on_event`` streams every job's typed
@@ -378,12 +379,7 @@ def run_batch(
                         raise
                 cls = get_analysis(jobs[index].analysis)
                 results[index] = BatchResult(
-                    job=jobs[index],
-                    summary=cls.summarize(report),
-                    metrics=cls.metrics(report),
-                    seconds=report.elapsed_seconds,
-                    partial=report.partial,
-                    crash_retries=report.n_crash_retries,
+                    job=jobs[index], summary=cls.summarize(report), report=report
                 )
             except (Exception, CancelledError) as exc:
                 results[index] = _error_result(jobs[index], exc)
@@ -393,6 +389,5 @@ def run_batch(
     return [results[i] for i in range(len(jobs))]
 
 
-def _error_result(job: BatchJob, exc: Exception) -> BatchResult:
-    detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
-    return BatchResult(job=job, summary="", metrics={}, seconds=0.0, error=detail)
+def _error_result(job: BatchJob, exc: BaseException) -> BatchResult:
+    return BatchResult(job=job, summary="", error=f"{type(exc).__name__}: {exc}")

@@ -9,8 +9,8 @@ transient one it builds for the round when it is given ``n_workers >
 a long-lived pool amortizes process startup and the worker-side
 unpickle and compile of W across rounds and jobs:
 
-* **Warm workers.**  Processes are spawned once (lazily, on the first
-  round) and reused by every subsequent round and job, no matter which
+* **Warm workers.**  Processes are spawned once, from the thread that
+  builds the pool, and reused by every round and job, no matter which
   analysis or program they serve.
 
 * **Program cache by content digest.**  A
@@ -225,10 +225,12 @@ class WorkerPool:
         self._digests: set = set()
         # Spawn the workers now, from the constructing thread.  Session
         # drivers call run_round from a thread pool, and forking a
-        # multi-threaded parent there can inherit locks mid-operation;
-        # construction normally happens on the main thread, where the
-        # fork is safe.  (Executor recreation after a hard break stays
-        # lazy — a rare path that accepts the hazard.)
+        # multi-threaded parent there can inherit locks mid-operation:
+        # a worker forked while a driver imports ``repro.gsl.hyperg``
+        # hangs when unpickling a W that carries its externals imports
+        # it again.  Construction normally happens on the main thread,
+        # where the fork is safe.  (Executor recreation after a hard
+        # break stays lazy — a rare path that accepts the hazard.)
         self._ensure_executor()
 
     # -- lifecycle ---------------------------------------------------------
@@ -262,6 +264,8 @@ class WorkerPool:
                     initializer=_init_pool_worker,
                     initargs=(self._flags,),
                 )
+                # The executor forks its workers at its first submit.
+                self._executor.submit(int)
             return self._executor
 
     def _retire_broken_executor(

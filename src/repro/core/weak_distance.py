@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.fpir import externals
 from repro.fpir.compiler import CompiledProgram, CompiledRuntime, compile_program
 from repro.fpir.instrument import InstrumentedProgram
 from repro.fpir.interpreter import (
@@ -95,7 +96,11 @@ class WeakDistance:
         self._digest: Optional[str] = None
 
     def __reduce__(self):
-        """Pickle the program and the executor settings only.
+        """Pickle the program, the executor settings, and (by reference)
+        the externals the program calls that FPIR does not register
+        itself (:func:`repro.fpir.externals.carried`), which unpickling
+        registers: a pool worker forked before the parent imported
+        ``repro.gsl.hyperg`` can still run its W.
 
         Label sets, compiled code, ``last_events`` and the digest memo
         are per-process state: an unpickled W starts with empty label
@@ -104,8 +109,14 @@ class WeakDistance:
         (:func:`repro.core.parallel.sync_label_state`).
         """
         return (
-            WeakDistance,
-            (self.instrumented, self.exact, self.max_loop_steps, self.eval_mode),
+            _unpickle,
+            (
+                externals.carried(self.program),
+                self.instrumented,
+                self.exact,
+                self.max_loop_steps,
+                self.eval_mode,
+            ),
         )
 
     @property
@@ -319,3 +330,10 @@ class WeakDistance:
     ) -> bool:
         """Def. 3.1(c) on a sample set, given a membership oracle."""
         return all(self(x) == 0.0 for x in samples if membership(tuple(x)))
+
+
+def _unpickle(carried, instrumented, exact, max_loop_steps, eval_mode):
+    """:meth:`WeakDistance.__reduce__`'s inverse: register the carried
+    externals this process lacks, then rebuild W."""
+    externals.ensure(carried)
+    return WeakDistance(instrumented, exact, max_loop_steps, eval_mode)

@@ -10,7 +10,8 @@ externals (e.g. a higher-precision reference) with :func:`register`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import sys
+from typing import Callable, Dict, Iterable, Tuple
 
 from repro.fp import arith, bits
 
@@ -105,3 +106,46 @@ def _ulp_dist(a: float, b: float) -> float:
 
 
 register("__ulp_dist", _ulp_dist)
+
+
+#: The externals this module registers: every process that imports FPIR
+#: has them.  Any other (``repro.gsl.hyperg``'s, a client's) exists only
+#: in processes that registered it, so a pickled program carries it.
+_BUILTIN = frozenset(_REGISTRY)
+
+
+def _by_reference(fn: Callable) -> bool:
+    """True when ``fn`` is reachable as ``module.qualname`` (a
+    module-level function or builtin), i.e. pickles by reference."""
+    target = sys.modules.get(getattr(fn, "__module__", None) or "")
+    for part in getattr(fn, "__qualname__", "<unnamed>").split("."):
+        target = getattr(target, part, None)
+    return target is fn
+
+
+def carried(program) -> Tuple[Tuple[str, Callable], ...]:
+    """``(name, fn)`` for each registered non-builtin external that
+    ``program`` calls and that pickles by reference, sorted by name:
+    what a process that unpickles the program needs to :func:`ensure`
+    before it can run it.  Any other external (a lambda, a closure, a
+    bound method) is left to each process's own registry, which a
+    worker forked after its registration shares."""
+    from repro.fpir.walk import iter_calls
+
+    names = {
+        call.func
+        for fn in program.functions.values()
+        for call in iter_calls(fn.body)
+    }
+    names -= _BUILTIN | set(program.functions)
+    return tuple(
+        (name, _REGISTRY[name])
+        for name in sorted(names)
+        if name in _REGISTRY and _by_reference(_REGISTRY[name])
+    )
+
+
+def ensure(pairs: Iterable[Tuple[str, Callable]]) -> None:
+    """Register each ``(name, fn)`` whose name is not registered yet."""
+    for name, fn in pairs:
+        _REGISTRY.setdefault(name, fn)

@@ -243,14 +243,6 @@ class SatAnalysis(Analysis):
         return f"unknown (best R = {detail.r_star:.3g})"
 
     @classmethod
-    def metrics(cls, report: AnalysisReport) -> Dict[str, float]:
-        detail: SatResult = report.detail
-        return {
-            "sat": 1.0 if detail.is_sat else 0.0,
-            "evals": float(detail.n_evals),
-        }
-
-    @classmethod
     def batch_options(cls, params: Dict[str, Any]) -> Dict[str, Any]:
         """Multi-formula campaigns (``repro batch --formulas``) budget
         the solver by starts per formula."""

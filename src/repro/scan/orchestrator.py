@@ -20,8 +20,9 @@ One :func:`scan_project` call is one CI run:
    safety certificate (:func:`repro.static.prove.prove`) also replays
    with zero engine evaluations, keyed in the same store under the
    :func:`~repro.scan.store.certificate_fingerprint`;
-4. run the misses as a prioritized campaign through one
-   :class:`repro.api.session.Session` — hazard-dense functions first
+4. run the misses as one prioritized
+   :func:`repro.core.batch.run_batch` campaign (one session, one
+   warm worker pool) — hazard-dense functions first
    (:func:`repro.static.hazards.find_hazards` counts per program),
    then smallest (AST size), then target spec: a total order, so
    a scan interrupted mid-CI has spent its budget where the static
@@ -148,18 +149,6 @@ def _job_params(config: ScanConfig) -> Tuple[Tuple[str, Any], ...]:
     return tuple(params)
 
 
-def _findings_payload(report: Any) -> List[Dict[str, Any]]:
-    return [
-        {
-            "kind": finding.kind,
-            "label": finding.label,
-            "x": list(finding.x) if finding.x is not None else None,
-            "detail": finding.detail,
-        }
-        for finding in report.findings
-    ]
-
-
 class _StaticTier:
     """Lazy per-digest access to the static pass during one scan.
 
@@ -255,74 +244,50 @@ def _run_campaign(
     misses: Sequence[Tuple[DiscoveredFunction, str, str]],
     config: ScanConfig,
 ) -> List[FunctionResult]:
-    """Analyze the store misses through one shared session.
+    """Analyze the store misses as one :func:`~repro.core.batch.run_batch`
+    campaign.
 
     ``misses`` is ``(function, digest, analysis)`` triples, already
-    prioritized and deduplicated.  Mirrors
-    :func:`repro.core.batch.run_batch`'s salvage behavior: a failed
-    job becomes an error result, a cancelled one contributes its
-    salvaged partial report when it has one.
+    prioritized and deduplicated.  Each job runs the classifier's
+    lowered target (it describes itself as ``fn.spec``), not a
+    re-resolution of the spec.
     """
-    from concurrent.futures import CancelledError
-
-    from repro.api import EngineConfig, Session
-    from repro.core.batch import BatchJob, job_request
+    from repro.api.report import finding_to_dict
+    from repro.core.batch import BatchJob, run_batch
 
     params = _job_params(config)
-    results: List[FunctionResult] = []
-    session = Session(
-        EngineConfig(n_workers=config.n_workers),
+    jobs = [
+        BatchJob(
+            analysis=analysis,
+            target=fn.target,
+            seed=config.seed,
+            params=params,
+            label=fn.spec,
+        )
+        for fn, _, analysis in misses
+    ]
+    batch = run_batch(
+        jobs,
+        n_workers=config.n_workers,
         on_event=config.on_event,
         event_sink=config.event_sink,
     )
-    try:
-        handles = []
-        for fn, digest, analysis in misses:
-            base = FunctionResult(target=fn.spec, analysis=analysis, digest=digest)
-            try:
-                request = job_request(
-                    BatchJob(
-                        analysis=analysis,
-                        target=fn.spec,
-                        seed=config.seed,
-                        params=params,
-                        label=fn.spec,
-                    )
-                )
-                # The classifier's lowered target (it describes itself
-                # as ``fn.spec``), not a re-resolution of the spec.
-                handle = session.submit(
-                    request.analysis,
-                    fn.target,
-                    spec=request.spec,
-                    config=request.config,
-                    **request.options,
-                )
-            except Exception as exc:
-                base.error = f"{type(exc).__name__}: {exc}"
-                results.append(base)
-                continue
-            handles.append((base, handle))
-        for base, handle in handles:
-            try:
-                try:
-                    report = handle.result()
-                except CancelledError:
-                    report = handle.partial_result()
-                    if report is None:
-                        raise
-            except (Exception, CancelledError) as exc:
-                base.error = f"{type(exc).__name__}: {exc}"
-                results.append(base)
-                continue
-            base.verdict = report.verdict
-            base.findings = _findings_payload(report)
-            base.n_evals = report.n_evals
-            base.elapsed_seconds = report.elapsed_seconds
-            base.partial = report.partial
-            results.append(base)
-    finally:
-        session.close()
+    results: List[FunctionResult] = []
+    for (fn, digest, analysis), outcome in zip(misses, batch):
+        result = FunctionResult(
+            target=fn.spec,
+            analysis=analysis,
+            digest=digest,
+            error=outcome.error or "",
+        )
+        report = outcome.report
+        if report is not None:
+            result.verdict = report.verdict
+            result.findings = [finding_to_dict(f) for f in report.findings]
+            result.n_evals = report.n_evals
+            result.elapsed_seconds = report.elapsed_seconds
+            result.partial = report.partial
+        results.append(result)
     return results
 
 
@@ -341,6 +306,11 @@ def _apply_baseline(results: Sequence[FunctionResult], baseline: Baseline) -> No
 def scan_project(root: str, config: Optional[ScanConfig] = None) -> ScanReport:
     """Scan every lowerable function under ``root``; see module doc."""
     config = config or ScanConfig()
+    if config.smoke and config.rounds is not None:
+        raise ValueError(
+            "rounds cannot be combined with smoke (a smoke scan runs each "
+            "analysis's smoke budget)"
+        )
     t0 = time.perf_counter()
     files = walk_source_files(root, exclude=config.exclude)
     discovered = discover_functions(files)

@@ -10,9 +10,11 @@ One strict, versioned JSON vocabulary shared by the HTTP server
   it into the :class:`~repro.core.batch.BatchJob` the existing
   :func:`repro.core.batch.job_request` translator understands, so an
   HTTP submission budgets *identically* to a ``repro batch`` job or a
-  scanner job — there is exactly one knob→EngineConfig translation in
-  the codebase.  Unknown fields are rejected (a typo'd knob must not
-  silently run with defaults).
+  scanner job: ``job_request`` is the one knob→EngineConfig
+  translation for campaign jobs (batch, scan, serve).  Unknown fields
+  are rejected (a typo'd knob must not silently run with defaults),
+  and so are knobs the job would ignore (``rounds``/``max_samples``
+  next to ``smoke``, whose budget is the analysis's smoke options).
 * **out** — :func:`report_to_dict` / :func:`job_to_dict` are the JSON
   renderings of an :class:`~repro.api.report.AnalysisReport` and a
   scheduler job; both carry ``schema_version`` so clients can key
@@ -30,7 +32,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Tuple
 
+from repro.api.report import finding_to_dict
 from repro.core.batch import BatchJob
+from repro.core.weak_distance import EVAL_MODES
 from repro.util.digest import digest_bytes
 
 #: Version stamped on every wire-level JSON envelope (job payloads,
@@ -51,8 +55,6 @@ _STR_KNOBS = ("backend", "eval_mode")
 _ALLOWED_KEYS = frozenset(
     ("analysis", "target", "label") + _INT_KNOBS + _BOOL_KNOBS + _STR_KNOBS
 )
-
-_EVAL_MODES = ("compiled", "interpreter", "vectorized")
 
 
 def normalize_job_payload(payload: Any) -> Dict[str, Any]:
@@ -115,6 +117,13 @@ def normalize_job_payload(payload: Any) -> Dict[str, Any]:
             raise WireError(f"'{knob}' must be a boolean")
         if value:
             normalized[knob] = True
+    if normalized.get("smoke"):
+        for knob in ("rounds", "max_samples"):
+            if knob in normalized:
+                raise WireError(
+                    f"'{knob}' cannot be combined with 'smoke' (a smoke job "
+                    "runs the analysis's smoke budget)"
+                )
     backend = payload.get("backend")
     if backend is not None:
         if backend not in available_backends():
@@ -125,10 +134,8 @@ def normalize_job_payload(payload: Any) -> Dict[str, Any]:
         normalized["backend"] = backend
     eval_mode = payload.get("eval_mode")
     if eval_mode is not None:
-        if eval_mode not in _EVAL_MODES:
-            raise WireError(
-                f"bad eval_mode {eval_mode!r}; one of {_EVAL_MODES}"
-            )
+        if eval_mode not in EVAL_MODES:
+            raise WireError(f"bad eval_mode {eval_mode!r}; one of {EVAL_MODES}")
         normalized["eval_mode"] = eval_mode
     return normalized
 
@@ -192,15 +199,7 @@ def report_to_dict(report: Any) -> Dict[str, Any]:
         "analysis": report.analysis,
         "target": report.target,
         "verdict": report.verdict,
-        "findings": [
-            {
-                "kind": f.kind,
-                "label": f.label,
-                "x": list(f.x) if f.x is not None else None,
-                "detail": f.detail,
-            }
-            for f in report.findings
-        ],
+        "findings": [finding_to_dict(f) for f in report.findings],
         "n_evals": report.n_evals,
         "rounds": report.rounds,
         "elapsed_seconds": report.elapsed_seconds,

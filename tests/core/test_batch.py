@@ -69,7 +69,7 @@ class TestRunBatch:
         results = run_batch(_tiny_jobs(), n_workers=1)
         assert len(results) == 2
         assert all(r.ok for r in results)
-        assert all(r.seconds > 0 for r in results)
+        assert all(r.report.elapsed_seconds > 0 for r in results)
         fpod = results[0]
         assert fpod.job.analysis == "fpod"
         assert "overflowed" in fpod.summary
@@ -80,8 +80,12 @@ class TestRunBatch:
         assert [r.summary for r in serial] == [
             r.summary for r in parallel
         ]
-        assert [r.metrics for r in serial] == [
-            r.metrics for r in parallel
+        assert [
+            (r.report.verdict, r.report.findings, r.report.n_evals)
+            for r in serial
+        ] == [
+            (r.report.verdict, r.report.findings, r.report.n_evals)
+            for r in parallel
         ]
 
     def test_failing_job_captured_not_fatal(self):
@@ -91,6 +95,8 @@ class TestRunBatch:
         ]
         results = run_batch(jobs, n_workers=2)
         assert not results[0].ok
+        assert results[0].report is None
+        assert results[0].error.startswith("KeyError: ")
         assert "no-such-program" in results[0].error
         assert results[1].ok
 
@@ -184,15 +190,15 @@ class TestResilienceAccounting:
         result = results[0]
         # The salvaged partial report counts as a result, not a loss.
         assert result.ok
-        assert result.partial
-        assert result.crash_retries == 3
+        assert result.report.partial
+        assert result.report.n_crash_retries == 3
         assert "1/4 arms" in result.summary
 
     def test_complete_jobs_report_no_partial_no_retries(self):
         results = run_batch(_tiny_jobs(analyses=("fpod",)), n_workers=1)
         assert all(r.ok for r in results)
-        assert all(not r.partial for r in results)
-        assert all(r.crash_retries == 0 for r in results)
+        assert all(not r.report.partial for r in results)
+        assert all(r.report.n_crash_retries == 0 for r in results)
 
     def test_cancelled_job_without_salvage_is_an_error(self, monkeypatch):
         from repro.api import EngineConfig, Session
@@ -253,6 +259,6 @@ class TestFormulaCampaigns:
         results = run_batch(jobs, n_workers=2)
         assert all(r.ok for r in results)
         assert results[0].summary == "sat"
-        assert results[0].metrics["sat"] == 1.0
+        assert results[0].report.detail.is_sat
         assert results[1].summary.startswith("unknown")
-        assert results[1].metrics["sat"] == 0.0
+        assert not results[1].report.detail.is_sat

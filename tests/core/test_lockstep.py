@@ -131,6 +131,33 @@ def test_lockstep_equals_one_at_a_time(backend, program, spec, config,
     assert bool(outcome.samples) == record
 
 
+def test_wide_basinhopping_round_reaches_the_kernel(monkeypatch):
+    """Basinhopping asks one point per live start, so only a round of
+    ``BATCH_MIN_POINTS`` (32) or more live starts sends its steps to the
+    kernel.  40 starts on gsl-bessel's overflow W, none stopping at a
+    zero: the kernel scores every step of the round, and every start
+    still equals a one-at-a-time run on the compiled tier."""
+    from repro.mo.base import BATCH_MIN_POINTS
+
+    wd = _weak_distance("gsl-bessel", "overflow")
+    compiled = _weak_distance("gsl-bessel", "overflow", "compiled")
+    n = wd.program.num_inputs
+    calls = []
+    evaluate_batch = wd.evaluate_batch
+    wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
+    outcome = _lockstep(wd, n, BACKENDS["basinhopping"](), 5, 40,
+                        monkeypatch, stop_at_zero=False)
+    reference = _one_at_a_time(
+        compiled,
+        _tasks(BACKENDS["basinhopping"](), 5, 40, n, stop_at_zero=False),
+    )
+    assert calls and min(calls) >= BATCH_MIN_POINTS
+    # All 40 starts run every step, so the kernel scored them all.
+    assert sum(calls) == outcome.n_evals
+    _assert_same(outcome, reference)
+    assert len(outcome.attempts) == 40
+
+
 class TestEarlyCancel:
     def test_racing_round_runs_one_start_at_a_time(self, monkeypatch):
         """fig2's overflow W, seed 9: start 2 samples a zero at its start

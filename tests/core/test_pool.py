@@ -1,7 +1,12 @@
 """The persistent worker-pool service (repro.core.pool)."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +372,67 @@ class TestRacingCancellation:
         assert outcome.best is not None
         assert outcome.best.x_star == (7.0,)
         assert outcome.n_evals < 4 * budget * 0.25
+
+
+#: Runs in a fresh interpreter: the pool forks while ``repro.gsl.hyperg``
+#: is still unimported, and gsl-hyperg's W then reaches the workers
+#: before they ever imported the module that registers its externals.
+LATE_EXTERNALS = """
+import sys
+
+from repro.api import EngineConfig, Session
+
+with Session(EngineConfig(n_workers=2, seed=1)) as session:
+    session.run("overflow", "fig2")
+    assert "repro.gsl.hyperg" not in sys.modules
+    report = session.run("overflow", "gsl-hyperg", n_starts=2, max_rounds=2)
+print(report.verdict, report.n_evals)
+"""
+
+
+class TestLateExternals:
+    def test_workers_fork_when_the_pool_is_built(self):
+        """Not at the first round, which a Session submits from a driver
+        thread: a worker forked while another driver imports
+        ``repro.gsl.hyperg`` inherits that module's import lock held,
+        and hangs when unpickling gsl-hyperg's W imports it."""
+        before = set(multiprocessing.active_children())
+        with WorkerPool(2):
+            assert len(set(multiprocessing.active_children()) - before) == 2
+
+    def test_warm_workers_resolve_externals_registered_after_fork(self):
+        """``repro.gsl.hyperg`` registers ``__hyperg_U_val`` when it is
+        imported; a pickled W carries that external, so workers forked
+        before the import run the job like a serial session does."""
+        from repro.api import EngineConfig, Session
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", LATE_EXTERNALS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        with Session(EngineConfig(seed=1)) as session:
+            serial = session.run(
+                "overflow", "gsl-hyperg", n_starts=2, max_rounds=2
+            )
+        assert proc.stdout.split() == [serial.verdict, str(serial.n_evals)]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_external_that_does_not_pickle_stays_local(
+        self, monkeypatch, n_workers
+    ):
+        """A lambda cannot travel with W (nor feed its digest): a serial
+        run, and workers forked after its registration, resolve it from
+        their own registry."""
+        from repro.api import EngineConfig, Session
+        from repro.fpir import externals
+
+        monkeypatch.setitem(externals._REGISTRY, "twice", lambda x: 2.0 * x)
+        with Session(EngineConfig(n_workers=n_workers, seed=1)) as session:
+            report = session.run(
+                "sat", "twice(x) > 3 && x < 10", n_starts=2, max_rounds=2
+            )
+        assert report.detail.is_sat

@@ -6,7 +6,8 @@ import pytest
 
 from repro.fpir import externals
 from repro.fpir.pretty import pretty_expr, pretty_function, pretty_program
-from repro.fpir.builder import fadd, fmul, lt, num, ternary, v
+from repro.fpir.builder import FunctionBuilder, call, fadd, fmul, lt, num, ternary, v
+from repro.fpir.program import Program
 
 
 class TestPretty:
@@ -75,3 +76,13 @@ class TestExternals:
         snapshot = externals.registry()
         snapshot["sqrt"] = None
         assert externals.lookup("sqrt") is not None
+
+    def test_carried_keeps_only_externals_that_pickle_by_reference(
+        self, monkeypatch
+    ):
+        monkeypatch.setitem(externals._REGISTRY, "__lgamma", math.lgamma)
+        monkeypatch.setitem(externals._REGISTRY, "__twice", lambda x: 2.0 * x)
+        fb = FunctionBuilder("prog", params=["x"])
+        fb.ret(fadd(call("__lgamma", v("x")), call("__twice", call("sqrt", v("x")))))
+        program = Program([fb.build()], entry="prog")
+        assert externals.carried(program) == (("__lgamma", math.lgamma),)

@@ -12,9 +12,10 @@ import pytest
 
 from repro.api import EngineConfig, Session
 from repro.api.events import JobStarted
+from repro.api.report import finding_to_dict
 from repro.core.batch import BatchJob
 from repro.scan import ScanConfig, scan_exit_code, scan_project
-from repro.scan.orchestrator import _findings_payload, _job_params
+from repro.scan.orchestrator import _job_params
 from repro.scan.report import (
     FROM_ENGINE,
     FROM_SHARED,
@@ -144,7 +145,9 @@ class TestColdScan:
                     **request.options,
                 )
                 assert own.verdict == follower.verdict
-                assert _findings_payload(own) == follower.findings
+                assert [
+                    finding_to_dict(f) for f in own.findings
+                ] == follower.findings
                 assert own.n_evals == follower.n_evals
 
     def test_reports_count_shared_results(self, project, tmp_path):

@@ -157,6 +157,14 @@ class TestExitCodesAndReport:
         with pytest.raises(FileNotFoundError):
             scan_project(str(tmp_path / "nope"), _config())
 
+    def test_smoke_rejects_rounds(self, tmp_path):
+        """A smoke scan ignores ``rounds``; accepting it would change
+        the store fingerprint without changing what runs."""
+        root = _project(tmp_path, {"b.py": SMOOTH})
+        with pytest.raises(ValueError, match="rounds cannot be combined"):
+            scan_project(str(root), _config(rounds=2))
+        assert not (root / ".repro-scan").exists()
+
 
 @pytest.mark.slow
 class TestParallelParity:

@@ -326,3 +326,22 @@ class TestResumeEndToEnd:
             assert resumed["report"][key] == clean["report"][key], key
         entry = CheckpointJournal(store).load()["j0"]
         assert entry.state == "failed" and "py-basinhopping" in entry.error
+
+    def test_resume_fails_a_journaled_smoke_job_with_rounds(self, tmp_path):
+        """A smoke payload with ``rounds`` no longer validates (the
+        smoke budget would ignore it), so a journaled one settles as
+        ``failed`` on resume like any other stale payload."""
+        from repro.serve import CheckpointJournal
+
+        store = str(tmp_path / "store6")
+        journal = CheckpointJournal(store)
+        journal.record_job("j0", "anonymous", dict(SMOKE, rounds=2))
+        with ReproServer(
+            ServeConfig(port=0, n_workers=1, store_dir=store, resume=True)
+        ).start() as server:
+            stale = ServeClient(server.url).job("j0")
+        assert server.n_resumed == 0
+        assert stale["state"] == "failed"
+        assert "'rounds' cannot be combined with 'smoke'" in stale["error"]
+        entry = CheckpointJournal(store).load()["j0"]
+        assert entry.state == "failed"

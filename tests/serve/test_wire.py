@@ -48,6 +48,10 @@ class TestValidation:
             payload(backend="no-such-backend"),
             payload(eval_mode="quantum"),
             payload(label=7),
+            # A smoke job runs the analysis's smoke budget and would
+            # ignore these.
+            payload(smoke=True, rounds=2),
+            payload(smoke=True, max_samples=100),
         ],
         ids=lambda b: str(b)[:40],
     )

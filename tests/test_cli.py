@@ -352,3 +352,10 @@ class TestScan:
         root = self._project(tmp_path)
         assert main(["scan", str(root), "--analyses", "sat"]) == 2
         assert "program-kind" in capsys.readouterr().err
+
+    def test_smoke_with_rounds_exits_two(self, tmp_path, capsys):
+        """``--smoke`` runs each analysis's smoke budget, so a
+        ``--rounds`` next to it would be fingerprinted and ignored."""
+        root = self._project(tmp_path)
+        assert main(["scan", str(root), "--smoke", "--rounds", "2"]) == 2
+        assert "rounds cannot be combined with smoke" in capsys.readouterr().err
