@@ -268,8 +268,10 @@ def job_request(job: BatchJob):
     ``eval_mode``, ``n_starts``, and ``smoke`` (True = the analysis's
     tiny CI budget from ``smoke_options`` instead of its
     ``batch_options``, with an explicit ``niter`` / ``n_starts`` still
-    winning; ``rounds`` and ``max_samples`` are ignored, and the serve
-    wire and the scanner reject them next to ``smoke``).
+    winning).  The smoke budget has no ``rounds`` or ``max_samples``
+    knob, so a non-None one next to ``smoke`` raises ``ValueError``
+    naming it rather than being dropped, as the serve wire and the
+    scanner reject it too.
 
     Raises (e.g. ``KeyError`` for an unknown analysis) instead of
     capturing — the caller turns per-job exceptions into
@@ -283,6 +285,12 @@ def job_request(job: BatchJob):
     n_starts = job.param("n_starts")
     max_rounds = None
     if job.param("smoke"):
+        for knob in ("rounds", "max_samples"):
+            if job.param(knob) is not None:
+                raise ValueError(
+                    f"{knob!r} cannot be combined with 'smoke' (a smoke job "
+                    "runs the analysis's smoke budget)"
+                )
         smoke = dict(cls.smoke_options)
         smoke_niter = smoke.pop("niter", None)
         if smoke_niter is not None and job.param("niter") is None:

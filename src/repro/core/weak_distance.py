@@ -143,6 +143,8 @@ class WeakDistance:
         if self._runtime is None:
             self._runtime = self._ensure_compiled().new_runtime(self.max_loop_steps)
             self._runtime.sets = self.label_sets
+            # Plain evaluations count nothing; :meth:`replay` counts.
+            self._runtime.counters = None
         return self._runtime
 
     def execute(self, x: Sequence[float]) -> ExecutionResult:
@@ -294,15 +296,16 @@ class WeakDistance:
 
         The verification replays (the paper's ``hits++`` soundness
         check, path verification, coverage collection) need per-run
-        counters, while plain W evaluation lets them accumulate for
-        speed; this method isolates one run.
+        counters, while a plain compiled W evaluation keeps none (its
+        runtime's ``counters`` is None); this method counts one run.
         """
         if self.use_compiler:
             rt = self._ensure_runtime()
-            rt.counters.clear()
-            result = self.execute(x)
-            counters = dict(rt.counters)
-            rt.counters.clear()
+            rt.counters = counters = {}
+            try:
+                result = self.execute(x)
+            finally:
+                rt.counters = None
             return result, counters
         ctx = ExecutionContext(
             label_sets=self.label_sets, max_steps=self.max_loop_steps

@@ -121,11 +121,6 @@ def c_floor(x: float) -> float:
     return float(math.floor(x))
 
 
-def c_fabs(x: float) -> float:
-    """C ``fabs``: clears the sign bit (``fabs(-0.0) == 0.0``, NaN stays NaN)."""
-    return abs(x)
-
-
 def c_fmod(x: float, y: float) -> float:
     """C ``fmod``: NaN for ``y == 0`` or non-finite ``x``, quiet otherwise.
 

@@ -17,6 +17,12 @@ The compiled program shares the interpreter's runtime concepts:
 * the :class:`~repro.fpir.interpreter.HaltExecution` /
   :class:`~repro.fpir.interpreter.StepLimitExceeded` control exceptions.
 
+A run counts events only on a runtime with a counter dict.  A plain
+evaluation of W runs on one with ``counters = None``, so it executes
+the instrumented arithmetic plus the last-event store that analyses
+read; counting is a replay concern
+(:meth:`repro.core.weak_distance.WeakDistance.replay`).
+
 One accounting caveat: ``max_loop_steps`` budgets loop *iterations*
 (``CompiledRuntime.check_loop`` is called once per iteration), while
 the interpreter's ``max_steps`` budgets interpreted *statements* — a
@@ -68,7 +74,12 @@ class CompilationError(Exception):
 
 
 class CompiledRuntime:
-    """Mutable runtime state threaded through compiled functions."""
+    """Mutable runtime state threaded through compiled functions.
+
+    ``events`` holds the last label per event kind.  ``counters`` counts
+    each ``(kind, label)`` event while it is a dict (the default) and is
+    skipped while it is None.
+    """
 
     __slots__ = (
         "g",
@@ -83,7 +94,7 @@ class CompiledRuntime:
         self.g: Dict[str, Any] = {}
         self.sets: Dict[str, Set[str]] = {}
         self.events: Dict[str, str] = {}
-        self.counters: Dict[Tuple[str, str], int] = {}
+        self.counters: Optional[Dict[Tuple[str, str], int]] = {}
         self.loop_steps = 0
         self.max_loop_steps = max_loop_steps
 
@@ -264,11 +275,13 @@ class _FunctionEmitter:
         elif cls is Block:
             self.block(s, depth)
         elif cls is RecordEvent:
-            # The last label per event kind, and a count per (kind, label).
+            # The last label per event kind, and a count per (kind, label)
+            # only on a runtime that keeps counters (a replay's).
             self.records = True
             key = (s.kind, s.label)
             self.emit(f"__ev[{s.kind!r}] = {s.label!r}", depth)
-            self.emit(f"__ct[{key!r}] = __ct.get({key!r}, 0) + 1", depth)
+            self.emit("if __ct is not None:", depth)
+            self.emit(f"__ct[{key!r}] = __ct.get({key!r}, 0) + 1", depth + 1)
         elif cls is Halt:
             self.emit("raise _HaltExecution()", depth)
         else:

@@ -61,7 +61,10 @@ register("sin", arith.c_sin)
 register("cos", arith.c_cos)
 register("tan", arith.c_tan)
 register("floor", arith.c_floor)
-register("fabs", arith.c_fabs)
+# The builtin itself, so compiled code calls it with no Python frame:
+# on a double it is C fabs (it clears the sign bit of -0.0 and of a
+# NaN), and an int operand stays an int.
+register("fabs", abs)
 register("ldexp", arith.c_ldexp)
 register("fmod", arith.c_fmod)
 

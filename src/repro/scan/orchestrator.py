@@ -129,14 +129,14 @@ def _default_store_dir(root: str) -> str:
 
 
 def _job_params(config: ScanConfig) -> Tuple[Tuple[str, Any], ...]:
-    """The :class:`~repro.core.batch.BatchJob` knob tuple for one scan."""
+    """The :class:`~repro.core.batch.BatchJob` knob tuple for one scan.
+
+    A smoke job carries no ``rounds``: it runs the analysis's smoke
+    budget, and ``job_request`` rejects ``rounds`` next to ``smoke``.
+    """
     params: List[Tuple[str, Any]] = []
     if config.niter is not None:
         params.append(("niter", config.niter))
-    if config.rounds is not None:
-        params.append(("rounds", config.rounds))
-    else:
-        params.append(("rounds", 20))
     if config.starts is not None:
         params.append(("n_starts", config.starts))
     if config.backend is not None:
@@ -145,7 +145,8 @@ def _job_params(config: ScanConfig) -> Tuple[Tuple[str, Any], ...]:
         params.append(("eval_mode", config.eval_mode))
     if config.smoke:
         params.append(("smoke", True))
-    params.append(("max_samples", None))
+    else:
+        params.append(("rounds", 20 if config.rounds is None else config.rounds))
     return tuple(params)
 
 

@@ -6,6 +6,7 @@ from repro.core.batch import (
     BATCH_ANALYSES,
     BatchJob,
     formula_jobs,
+    job_request,
     read_formula_sources,
     run_batch,
     suite_jobs,
@@ -63,6 +64,44 @@ class TestSuiteJobs:
         bad.write_text("def f(x):\n    return [x]\n")
         with pytest.raises(ValueError, match="bad target"):
             suite_jobs(analyses=["coverage"], targets=[f"{bad}::f"])
+
+
+#: Smoke jobs with a budget knob the smoke budget would drop.
+SMOKE_WITH_KNOB = [
+    ("rounds", BatchJob("overflow", "gsl-hyperg", 1, (("smoke", True), ("rounds", 2)))),
+    (
+        "max_samples",
+        BatchJob("boundary", "fig2", 1, (("smoke", True), ("max_samples", 100))),
+    ),
+]
+
+
+class TestJobRequest:
+    @pytest.mark.parametrize("knob,job", SMOKE_WITH_KNOB)
+    def test_smoke_rejects_a_knob_it_would_drop(self, knob, job):
+        with pytest.raises(ValueError, match=f"'{knob}' cannot be combined"):
+            job_request(job)
+
+    def test_run_batch_reports_the_rejection_as_the_jobs_error(self):
+        (result,) = run_batch([SMOKE_WITH_KNOB[0][1]], n_workers=1)
+        assert result.report is None
+        assert result.error.startswith("ValueError: 'rounds' cannot be combined")
+
+    def test_smoke_accepts_knobs_left_unset(self):
+        job = BatchJob(
+            "overflow",
+            "gsl-hyperg",
+            1,
+            (("smoke", True), ("rounds", None), ("max_samples", None)),
+        )
+        assert job_request(job).config.max_rounds == 6
+
+    def test_non_smoke_rounds_still_budget_the_job(self):
+        job = BatchJob("overflow", "gsl-hyperg", 1, (("rounds", 2),))
+        request = job_request(job)
+        assert request.options == {"max_rounds": 2}
+        assert request.config.max_rounds is None
+
 
 class TestRunBatch:
     def test_serial_campaign_runs_every_job(self):

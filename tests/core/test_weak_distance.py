@@ -8,7 +8,7 @@ from hypothesis import given
 from repro.analyses.boundary import multiplicative_spec
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.instrument import InstrumentationSpec, instrument
-from repro.programs import fig2
+from repro.programs import fig2, list_programs
 from tests.conftest import finite_doubles
 
 
@@ -169,3 +169,109 @@ class TestReplay:
         )
         _, counters = wd.replay((1.0,))
         assert any(kind == HIT_EVENT for (kind, _l) in counters)
+
+
+def _replay_distances(name, kind):
+    """A compiled and an interpreter W of one of the replayed kinds:
+    boundary hits, branch coverage, or the all-true path."""
+    from repro.analyses.boundary import build_hits_distance
+    from repro.analyses.coverage import coverage_spec
+    from repro.analyses.path import build_path_distance
+    from repro.programs import get_program
+
+    program = get_program(name)
+    if kind == "hits":
+        fast = build_hits_distance(program)
+    elif kind == "coverage":
+        fast = WeakDistance(instrument(program, coverage_spec()))
+    else:
+        fast, _path, _index = build_path_distance(program)
+    return fast, WeakDistance(fast.instrumented, eval_mode="interpreter")
+
+
+def _points(n_inputs, n_points, seed):
+    """Small integers (where the suite's boundary conditions hit),
+    moderate and wide-magnitude inputs, a third each."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    third = n_points // 3
+    small = rng.integers(-3, 4, size=(third, n_inputs)).astype(float)
+    moderate = rng.uniform(-10.0, 10.0, size=(third, n_inputs))
+    signs = rng.choice((-1.0, 1.0), size=(n_points - 2 * third, n_inputs))
+    wide = signs * 10.0 ** rng.uniform(-30.0, 30.0, size=signs.shape)
+    return [tuple(map(float, x)) for x in np.concatenate([small, moderate, wide])]
+
+
+def _looping_distance(**kwargs):
+    """W of ``while i < x: i += 1; if i > 2: ...`` under coverage: one
+    arm event per iteration, and a loop budget of 500 iterations."""
+    from repro.analyses.coverage import coverage_spec
+    from repro.fpir.builder import FunctionBuilder, fadd, gt, lt, num, v
+    from repro.fpir.program import Program
+
+    fb = FunctionBuilder("f", params=["x"])
+    fb.let("i", num(0.0))
+    with fb.while_(lt(v("i"), v("x"))):
+        fb.let("i", fadd(v("i"), num(1.0)))
+        with fb.if_(gt(v("i"), num(2.0))):
+            fb.let("t", num(1.0))
+    fb.ret(v("i"))
+    prog = Program([fb.build()], entry="f")
+    return WeakDistance(
+        instrument(prog, coverage_spec()), max_loop_steps=500, **kwargs
+    )
+
+
+class TestReplayCounts:
+    """A plain compiled evaluation keeps no counters, so each count a
+    compiled replay returns is that run's own, as the interpreter's are."""
+
+    @pytest.mark.parametrize("kind", ("hits", "coverage", "path"))
+    @pytest.mark.parametrize("name", list_programs())
+    def test_compiled_replay_counts_what_the_interpreter_counts(self, name, kind):
+        fast, slow = _replay_distances(name, kind)
+        points = _points(fast.program.num_inputs, 20, seed=5)
+
+        def assert_replays_agree():
+            for x in points:
+                got, got_counts = fast.replay(x)
+                want, want_counts = slow.replay(x)
+                assert got.events == want.events, x
+                assert got_counts == want_counts, x
+
+        assert_replays_agree()
+        for x in _points(fast.program.num_inputs, 1000, seed=6):
+            fast(x)
+        assert_replays_agree()
+
+    def test_a_runtime_without_counters_records_events(self):
+        from repro.analyses.coverage import COVER_EVENT
+        from repro.fpir.compiler import compile_program
+
+        wd = _looping_distance()
+        compiled = compile_program(wd.program)
+        rt = compiled.new_runtime()
+        rt.counters = None
+        result = compiled.run([5.0], rt=rt)
+        assert result.value == 5.0
+        assert result.events == {COVER_EVENT: "b2:T"}
+        assert rt.counters is None
+
+    def test_a_replay_that_exceeds_the_budget_leaves_no_counting(self):
+        from repro.analyses.coverage import COVER_EVENT
+        from repro.fpir.interpreter import StepLimitExceeded
+
+        wd = _looping_distance()
+        with pytest.raises(StepLimitExceeded):
+            wd.replay((1e9,))
+        for x in (3.0, 7.0, 40.0):
+            assert wd((x,)) < math.inf
+        assert wd._runtime.counters is None
+        _, counts = wd.replay((10.0,))
+        _, want = _looping_distance(eval_mode="interpreter").replay((10.0,))
+        assert counts == want == {
+            (COVER_EVENT, "b1:T"): 10,
+            (COVER_EVENT, "b2:T"): 8,
+            (COVER_EVENT, "b2:F"): 2,
+        }

@@ -5,6 +5,7 @@ import math
 from hypothesis import given
 
 from repro.fp import arith
+from repro.fpir import externals
 from tests.conftest import any_doubles, finite_doubles
 
 
@@ -73,7 +74,15 @@ class TestLibm:
         assert arith.c_floor(-2.1) == -3.0
 
     def test_fabs_negative_zero(self):
-        assert math.copysign(1.0, arith.c_fabs(-0.0)) == 1.0
+        assert math.copysign(1.0, externals.lookup("fabs")(-0.0)) == 1.0
+
+    def test_fabs_clears_the_sign_of_nan(self):
+        got = externals.lookup("fabs")(-math.nan)
+        assert math.isnan(got) and math.copysign(1.0, got) == 1.0
+
+    def test_fabs_keeps_an_int_an_int(self):
+        got = externals.lookup("fabs")(-3)
+        assert got == 3 and type(got) is int
 
     def test_ldexp_overflow_keeps_sign(self):
         assert arith.c_ldexp(-1.5, 5000) == -math.inf

@@ -165,6 +165,34 @@ class TestExitCodesAndReport:
             scan_project(str(root), _config(rounds=2))
         assert not (root / ".repro-scan").exists()
 
+    def test_smoke_jobs_carry_no_budget_knobs(self, tmp_path, monkeypatch):
+        """A smoke job runs the smoke budget, so the scan sends neither
+        ``rounds`` nor ``max_samples``: ``job_request`` rejects them
+        next to ``smoke`` rather than dropping them."""
+        import repro.core.batch as batch
+
+        jobs = []
+        run_batch = batch.run_batch
+
+        def recording_run_batch(batch_jobs, **kwargs):
+            jobs.extend(batch_jobs)
+            return run_batch(batch_jobs, **kwargs)
+
+        monkeypatch.setattr(batch, "run_batch", recording_run_batch)
+        root = _project(tmp_path, {"a.py": EDGY})
+        report = scan_project(str(root), _config(analyses=("boundary", "overflow")))
+        assert len(jobs) == 2
+        assert [r.error for r in report.results] == ["", ""]
+        for job in jobs:
+            assert job.param("smoke") is True
+            assert not {name for name, _ in job.params} & {"rounds", "max_samples"}
+
+    def test_non_smoke_jobs_keep_their_budget_knobs(self):
+        from repro.scan.orchestrator import _job_params
+
+        assert _job_params(_config(smoke=False, rounds=5)) == (("rounds", 5),)
+        assert _job_params(_config(smoke=False)) == (("rounds", 20),)
+
 
 @pytest.mark.slow
 class TestParallelParity:
