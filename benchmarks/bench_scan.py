@@ -20,7 +20,7 @@ import time
 
 from repro.scan import ScanConfig, scan_project
 from repro.scan.classify import discover_functions
-from repro.scan.walker import walk_python_files
+from repro.scan.walker import walk_source_files
 
 SEED = 20190622
 
@@ -40,7 +40,7 @@ def test_prescan_throughput(once):
     """Walk + classify the examples tree; no engine."""
 
     def prescan():
-        files = walk_python_files(EXAMPLES)
+        files = walk_source_files(EXAMPLES, suffixes=(".py",))
         return discover_functions(files)
 
     discovered = once(prescan)

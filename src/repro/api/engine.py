@@ -50,7 +50,10 @@ class EngineConfig:
     """Tunables shared by every analysis run."""
 
     seed: Optional[int] = None
-    #: Fan each round's starts across this many worker processes.
+    #: Worker processes for a session built with this config, which
+    #: fans each round's starts across a pool of this many.  A job's
+    #: own config (``Session.submit``/``run``) cannot add workers: the
+    #: session's pool, or none, runs every round.
     n_workers: int = 1
     #: Backend instance or :mod:`repro.mo.registry` name (``None`` =
     #: basinhopping with the analysis's default tuning).

@@ -780,7 +780,7 @@ class Session:
         report.samples = samples
         report.elapsed_seconds = time.perf_counter() - t0
         report.seed = cfg.seed
-        report.n_workers = pool.n_workers if pool is not None else cfg.n_workers
+        report.n_workers = pool.n_workers if pool is not None else 1
         report.n_crash_retries = n_crash_retries
         report.n_evals_cached = n_evals_cached
         return report, cancelled
@@ -803,7 +803,9 @@ class Session:
         (sample rounds are left out because a boundary round holds
         thousands of samples): a kept outcome is served, and a round
         this job completes is kept.  Every other round goes straight to
-        :func:`~repro.core.parallel.run_multistart`.
+        :func:`~repro.core.parallel.run_multistart`, on the session's
+        pool or serially when it has none: a job's ``n_workers`` never
+        forks a pool of its own.
         """
         key = None
         if not plan.record_samples and (cfg.deterministic or not plan.stop_at_zero):
@@ -823,7 +825,7 @@ class Session:
             plan.weak_distance,
             backend=backend,
             starts=starts,
-            n_workers=cfg.n_workers,
+            n_workers=1,
             record_samples=plan.record_samples,
             max_evals_per_start=plan.max_evals_per_start,
             stop_at_zero=plan.stop_at_zero,

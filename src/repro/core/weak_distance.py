@@ -239,8 +239,7 @@ class WeakDistance:
         ):
             return self._batch_program
         if self._batch_program is None:
-            from repro.fpir.batch_eval import compile_batch
-            from repro.fpir.vm import BatchCompilationError
+            from repro.fpir.batch_eval import BatchCompilationError, compile_batch
 
             try:
                 self._batch_program = compile_batch(self.program)

@@ -1,24 +1,57 @@
-"""NumPy masked-lane evaluation of lowered FPIR instruction streams.
+"""The batched tier: FPIR lowered to NumPy masked-lane regions.
 
-This is the execution half of the batched weak-distance tier: a
-:class:`BatchProgram` wraps a :class:`repro.fpir.vm.VMProgram` and
-scores an ``(N, d)`` block of candidate points in one call, giving each
-point its own *lane* of every slot array.  Control flow becomes mask
-algebra: a ``Branch`` runs its arms under ``mask & cond`` and
-``mask & ~cond``, a ``Loop`` keeps iterating while any lane's condition
-holds, ``Halt``/``Return`` retire lanes from their scope, and stores to
-named variables merge through ``np.where`` so retired or diverged lanes
-keep their values.
+The scalar tiers execute one candidate point at a time: the reference
+interpreter (:mod:`repro.fpir.interpreter`) walks the tree, the
+compiler (:mod:`repro.fpir.compiler`) generates Python source.  A
+:class:`BatchProgram` scores an ``(N, d)`` block of candidate points in
+one call, giving each point its own *lane* of every slot array.
+Control flow becomes mask algebra: a branch runs its arms under
+``mask & cond`` and ``mask & ~cond``, a loop keeps iterating while any
+lane's condition holds, ``Halt``/``Return`` retire lanes from their
+scope, and stores to named variables merge through ``np.where`` so
+retired or diverged lanes keep their values.
 
-Building a :class:`BatchProgram` threads the stream once: each
-``[start, end)`` range becomes a region of pre-bound operations (a
-``functools.partial`` per instruction, its ufunc and operand slots
-resolved), nested under the control operations that own it.  A call
-then runs straight-line instructions back to back and re-tests the
-live-lane mask only where a ``Halt``, a ``Return`` or a loop budget can
-have changed it.  Constants and global initial values are broadcast
-once per batch size into a read-only slot template that each call
-copies.
+:func:`compile_batch` lowers the program in one pass over its tree
+straight into nested *regions*: straight-line ops, each a
+``functools.partial`` with its ufunc and operand slots resolved, and
+the control ops (branch, loop, inlined frame, return, halt) that own
+the regions nested in them.  A call then runs straight-line ops back
+to back and re-tests the live-lane mask only where a ``Halt``, a
+``Return`` or a loop budget can have changed it.  Constants and global
+initial values are broadcast once per batch size into a read-only slot
+template that each call copies.
+
+Lowering invariants
+-------------------
+
+* **Structured regions, not jumps.**  Masked-lane (SIMT) evaluation
+  needs to know where a diverged lane rejoins, so control flow keeps
+  the tree's nesting: every branch arm, loop condition, loop body and
+  inlined function body is a region of its own.
+* **Three-address slots.**  Every expression value lands in a fresh
+  slot exactly once; only *named* variables (locals and globals) are
+  stored under the active-lane mask.  Temporaries never need masking
+  because they are written and read under the same mask.
+* **Left-to-right effect order.**  FPIR expressions are pure except for
+  calls to program functions (which may assign globals).  When an
+  operand to the *right* of a variable reference contains such a call,
+  the variable is copied into a temporary first so the batch tier
+  observes the same value the scalar tiers do.
+* **Calls are inlined.**  Each call site lowers the callee again with
+  fresh slots, inside a frame that gives ``Return`` its per-lane scope.
+  Recursion therefore cannot be lowered.
+* **Dead code is lowered, never run.**  The code after a ``Return`` or
+  ``Halt`` in the same region emits nothing, but it is lowered, so it
+  is refused exactly where live code would be.
+
+Constructs the batched tier refuses (:class:`BatchCompilationError`)
+rather than risking silent semantic drift: recursive calls, unknown
+externals, externals whose results exceed the ``int64`` range the
+integer lanes use (``__double_to_bits``), and integer constants or
+global initial values outside that range.  Callers fall back to a
+scalar tier.  Everything else in :mod:`repro.fpir.nodes` lowers,
+including instrumentation constructs (``InLabelSet`` becomes a
+lane-constant set probe; ``RecordEvent`` emits nothing, see below).
 
 Invariants (the bit-parity contract)
 ------------------------------------
@@ -40,8 +73,8 @@ Invariants (the bit-parity contract)
   evaluated on all lanes; lanes that the scalar tiers would never
   evaluate may compute inf/NaN garbage, which the select mask then
   discards.  This is safe precisely because select-safe expressions
-  cannot fault (see :func:`repro.fpir.vm._select_safe`); faultable
-  expressions run under branch masks instead.
+  cannot fault (see :func:`_select_safe`); faultable expressions run
+  under branch masks instead.
 * **Step budget.**  Each lane carries its own loop-iteration counter
   mirroring ``CompiledRuntime.check_loop``; a lane exceeding
   ``max_loop_steps`` is retired with ``exhausted=True`` and its caller
@@ -73,29 +106,28 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fpir import externals
-from repro.fpir.vm import (
-    BatchCompilationError,
-    BinaryInstr,
-    BoolInstr,
-    Branch,
-    CompareInstr,
-    CopySlot,
-    EventInstr,
-    ExternalInstr,
-    Frame,
-    GatherInstr,
-    HaltInstr,
-    LoadConst,
-    Loop,
-    ReturnInstr,
-    SelectInstr,
-    SetMemberInstr,
-    StoreSlot,
-    UnaryInstr,
-    VMProgram,
-    lower_program,
+from repro.fpir.nodes import (
+    ArrayIndex,
+    Assign,
+    BinOp,
+    Block,
+    Call,
+    Compare,
+    Const,
+    Expr,
+    Halt,
+    If,
+    InLabelSet,
+    INT_OPS,
+    RecordEvent,
+    Return,
+    Stmt,
+    Ternary,
+    UnOp,
+    Var,
+    While,
 )
-from repro.fpir.program import Program
+from repro.fpir.program import Function, Program
 
 _INT64_MIN = -(2**63)
 
@@ -557,175 +589,435 @@ def _value_key(value: Any) -> Tuple[str, Any]:
 _TEMPLATES_KEPT = 4
 
 
-class _Threader:
-    """Build step: the flat VM stream as nested regions of pre-bound ops.
+# ---------------------------------------------------------------------------
+# Lowering: the FPIR tree straight into regions of pre-bound ops
+# ---------------------------------------------------------------------------
 
-    One pass over ``vm.code`` collects what does not depend on control
-    flow (constants, boolean-typed slots, calibrated externals);
-    :meth:`region` then threads each ``[start, end)`` range.
-    Alongside each region it reports two static facts the runner uses to
-    skip liveness tests: whether the region can stop lanes (a ``Halt`` or
-    a ``Loop`` budget, also inside inlined helpers) and whether it holds a
-    ``Return`` from the current frame nested in a branch or loop.
+
+class BatchCompilationError(Exception):
+    """The program uses a construct the batched tier cannot lower.
+
+    This is a *capability* signal, not a bug: callers (notably
+    :class:`repro.core.weak_distance.WeakDistance`) catch it and fall
+    back to the scalar compiler, which supports all of FPIR.
     """
 
-    def __init__(self, vm: VMProgram) -> None:
-        self.code = vm.code
+
+#: Externals whose scalar results do not fit the int64 lanes the
+#: vectorized evaluator uses for integer values.  Programs calling them
+#: fall back to the scalar tiers.
+REJECTED_EXTERNALS = frozenset({"__double_to_bits"})
+
+
+def _contains_user_call(expr: Expr, functions: Dict[str, Function]) -> bool:
+    """Can evaluating ``expr`` mutate globals (via a program call)?"""
+    cls = expr.__class__
+    if cls is Call:
+        if expr.func in functions:
+            return True
+        return any(_contains_user_call(a, functions) for a in expr.args)
+    if cls is BinOp or cls is Compare:
+        return _contains_user_call(expr.lhs, functions) or _contains_user_call(
+            expr.rhs, functions
+        )
+    if cls is UnOp:
+        return _contains_user_call(expr.operand, functions)
+    if cls is Ternary:
+        return (
+            _contains_user_call(expr.cond, functions)
+            or _contains_user_call(expr.then, functions)
+            or _contains_user_call(expr.orelse, functions)
+        )
+    if cls is ArrayIndex:
+        return _contains_user_call(expr.index, functions)
+    return False
+
+
+def _select_safe(expr: Expr, functions: Dict[str, Function]) -> bool:
+    """Can ``expr`` be evaluated on lanes whose scalar counterpart would
+    not evaluate it (both arms of a select, the RHS of ``and``/``or``)?
+
+    Safe means "cannot fault and has no side effects": float
+    arithmetic, comparisons, externals (all registered externals are
+    quiet), label-set probes.  Array indexing (bounds), every integer
+    operator (int64 overflow, a zero divisor, a negative shift count,
+    a float operand outside int64) and program calls are unsafe and
+    force branch lowering.
+    """
+    cls = expr.__class__
+    if cls is Const or cls is Var or cls is InLabelSet:
+        return True
+    if cls is BinOp:
+        if expr.op in INT_OPS:
+            return False
+        return _select_safe(expr.lhs, functions) and _select_safe(expr.rhs, functions)
+    if cls is Compare:
+        return _select_safe(expr.lhs, functions) and _select_safe(expr.rhs, functions)
+    if cls is UnOp:
+        if expr.op == "ineg":
+            return False
+        return _select_safe(expr.operand, functions)
+    if cls is Ternary:
+        return (
+            _select_safe(expr.cond, functions)
+            and _select_safe(expr.then, functions)
+            and _select_safe(expr.orelse, functions)
+        )
+    if cls is Call:
+        if expr.func in functions:
+            return False
+        return all(_select_safe(a, functions) for a in expr.args)
+    return False  # ArrayIndex, unknown nodes
+
+
+class _Region:
+    """A region under construction, in frame ``(id, ret_slot)``.
+
+    Besides its segments it gathers two static facts the runner uses to
+    skip liveness tests: ``stops`` when lanes can be stopped inside (a
+    ``Halt`` or a loop budget, also inside inlined helpers) and
+    ``returns`` when a ``Return`` from the frame inside must be recorded
+    in the frame's mask (``nested``: the region sits in a branch or loop
+    of its frame).  After a ``Return`` or ``Halt`` no lane is left in the
+    region: it turns ``dead``, and what is lowered after emits nothing.
+    """
+
+    __slots__ = ("frame", "nested", "dead", "segments", "ops", "stops", "returns")
+
+    def __init__(self, frame: Tuple[int, Optional[int]], nested: bool, dead: bool):
+        self.frame = frame
+        self.nested = nested
+        self.dead = dead
+        self.segments: List[Tuple[Tuple[Callable, ...], Optional[Callable]]] = []
+        self.ops: List[Callable] = []
+        self.stops = self.returns = False
+
+    def op(self, op: Callable) -> None:
+        if not self.dead:
+            self.ops.append(op)
+
+    def ctl(self, ctl: Callable, stops: bool = False, returns: bool = False) -> None:
+        if not self.dead:
+            self.segments.append((tuple(self.ops), ctl))
+            self.ops = []
+            self.stops = self.stops or stops
+            self.returns = self.returns or returns
+
+    def build(self) -> Region:
+        if self.ops:
+            return (*self.segments, (tuple(self.ops), None))
+        return tuple(self.segments)
+
+
+class _Lowerer:
+    """One pass from a :class:`Program` to its region tree.
+
+    Walks the entry function, inlining every call, and emits each
+    statement's ops and controls into the region being built.  On the
+    way it records what the slot template and the ops need: constants,
+    boolean-typed slots (ops skip ``_as_bool`` on them) and each
+    external's calibrated vector form.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.functions = program.functions
         self.arrays = {
             name: np.asarray(values, dtype=np.float64)
-            for name, values in vm.arrays.items()
+            for name, values in program.arrays.items()
         }
-        self.consts: Dict[int, Any] = {}
+        self.n_slots = 0
+        self.named_slots: set = set()
         self.bool_slots: set = set()
-        self.vector: Dict[str, Optional[Callable]] = {}
+        self.consts: Dict[int, Any] = {}
         self.n_frames = 1
-        for instr in vm.code:
-            cls = instr.__class__
-            if cls is LoadConst:
-                _check_int64(instr.value, "constant")
-                self.consts[instr.dest] = instr.value
-            elif cls is ExternalInstr:
-                if instr.name not in self.vector:
-                    self.vector[instr.name] = _calibrate(instr.name)
-            elif (
-                cls is CompareInstr
-                or cls is BoolInstr
-                or cls is SetMemberInstr
-                or (cls is UnaryInstr and instr.op == "not")
-            ):
-                self.bool_slots.add(instr.dest)
+        self.global_slots = {
+            name: self._new_slot(named=True) for name in program.globals
+        }
+        self.region = _Region((0, None), nested=False, dead=False)
+
+    def lower(self) -> Tuple[Region, Tuple[int, ...], int]:
+        """``(root region, parameter slots, result slot)``."""
+        entry = self.program.entry_function
+        params = tuple(self._new_slot(named=True) for _ in entry.params)
+        result = self._call_body(entry, params, (entry.name,))
+        return self.region.build(), params, result
+
+    # -- slots and regions -----------------------------------------------------
+
+    def _new_slot(self, named: bool = False) -> int:
+        slot = self.n_slots
+        self.n_slots += 1
+        if named:
+            self.named_slots.add(slot)
+        return slot
+
+    def _bool_slot(self) -> int:
+        slot = self._new_slot()
+        self.bool_slots.add(slot)
+        return slot
 
     def _truth(self, slot: int) -> Tuple[int, bool]:
-        """``(slot, is_bool)``: ops skip ``_as_bool`` where the stream
-        makes the slot boolean."""
+        """``(slot, is_bool)``: ops skip ``_as_bool`` on boolean slots."""
         return slot, slot in self.bool_slots
 
-    # -- regions -------------------------------------------------------------
+    def _lower_in(self, region: _Region, lower: Callable, *args) -> Any:
+        """``lower(*args)``, its ops and controls emitted into ``region``."""
+        outer, self.region = self.region, region
+        value = lower(*args)
+        self.region = outer
+        return value
 
-    def region(
-        self, start: int, end: int, frame: Tuple[int, int], nested: bool
-    ) -> Tuple[Region, bool, bool]:
-        """Thread ``[start, end)`` of ``frame = (id, ret_slot)``.
+    def _arm(self, lower: Callable, *args) -> _Region:
+        """A region nested in a branch or loop of the current frame."""
+        region = _Region(self.region.frame, nested=True, dead=self.region.dead)
+        self._lower_in(region, lower, *args)
+        return region
 
-        Returns ``(region, stops, returns)``: ``stops`` when lanes can be
-        stopped inside, ``returns`` when a ``Return`` from ``frame``
-        inside must be recorded in the frame's mask (``nested`` tells
-        whether this range already sits in a branch or loop of it).
-        """
-        code = self.code
-        segments: List[Tuple[Tuple[Callable, ...], Optional[Callable]]] = []
-        ops: List[Callable] = []
-        stops = returns = False
-        pc = start
-        while pc < end:
-            instr = code[pc]
-            cls = instr.__class__
-            if cls is Branch:
-                then_r, s1, r1 = self.region(pc + 1, instr.else_start, frame, True)
-                else_r, s2, r2 = self.region(instr.else_start, instr.join, frame, True)
-                pc = instr.join
-                if not then_r and not else_r:
-                    continue
-                track = s1 or s2 or r1 or r2
-                ctl = _branch(self._truth(instr.cond), then_r, else_r, frame[0], track)
-                stops = stops or s1 or s2
-                returns = returns or r1 or r2
-            elif cls is Loop:
-                cond_r, _, _ = self.region(pc + 1, instr.cond_end, frame, True)
-                body_r, _, body_returns = self.region(
-                    instr.cond_end, instr.end, frame, True
-                )
-                pc = instr.end
-                ctl = _loop(self._truth(instr.cond), cond_r, body_r, frame[0])
-                stops = True
-                returns = returns or body_returns
-            elif cls is Frame:
-                inner = (self.n_frames, instr.ret)
-                self.n_frames += 1
-                body, body_stops, tracked = self.region(pc + 1, instr.end, inner, False)
-                pc = instr.end
-                ctl = _frame(body, inner[0], tracked, frame[0])
-                stops = stops or body_stops
-            elif cls is ReturnInstr:
-                ctl = _return(instr.src, frame, nested)
-                returns = returns or nested
-                pc = end  # the rest of the range is dead
-            elif cls is HaltInstr:
-                ctl = _halt
-                stops = True
-                pc = end
+    def _if(self, cond: int, then: _Region, orelse: _Region) -> None:
+        """A branch control over two arms; none when both are empty."""
+        then_r, else_r = then.build(), orelse.build()
+        if then_r or else_r:
+            stops = then.stops or orelse.stops
+            returns = then.returns or orelse.returns
+            track = stops or returns
+            frame_id = self.region.frame[0]
+            ctl = _branch(self._truth(cond), then_r, else_r, frame_id, track)
+            self.region.ctl(ctl, stops, returns)
+
+    def _refuse(self, message: str) -> None:
+        """Refuse an operator no op implements, where it would run: in
+        dead code only its names and calls are checked."""
+        if not self.region.dead:
+            raise BatchCompilationError(message)
+
+    def _call_body(self, fn: Function, args: Tuple[int, ...], stack) -> int:
+        """Inline ``fn``'s body in a frame control; returns the slot
+        holding its return value."""
+        env: Dict[str, int] = {}
+        for name, arg in zip(fn.param_names, args):
+            slot = self._new_slot(named=True)
+            self.region.op(partial(_op_copy, slot, arg))
+            env[name] = slot
+        ret = self._new_slot(named=True)
+        frame_id = self.n_frames
+        self.n_frames += 1
+        body = _Region((frame_id, ret), nested=False, dead=self.region.dead)
+        self._lower_in(body, self._block, fn.body, env, stack)
+        outer_id = self.region.frame[0]
+        ctl = _frame(body.build(), frame_id, body.returns, outer_id)
+        self.region.ctl(ctl, stops=body.stops)
+        return ret
+
+    # -- statements ------------------------------------------------------------
+
+    def _block(self, blk: Block, env: Dict[str, int], stack) -> None:
+        for stmt in blk.stmts:
+            self._stmt(stmt, env, stack)
+
+    def _stmt(self, stmt: Stmt, env: Dict[str, int], stack) -> None:
+        cls = stmt.__class__
+        region = self.region
+        if cls is Assign:
+            src = self._expr(stmt.expr, env, stack)
+            # Globals shadow locals on assignment, matching the
+            # interpreter's `name in ctx.globals` check.
+            if stmt.name in self.global_slots:
+                slot = self.global_slots[stmt.name]
+            elif stmt.name in env:
+                slot = env[stmt.name]
             else:
-                op = self._op(instr, cls)
-                if op is not None:
-                    ops.append(op)
-                pc += 1
-                continue
-            segments.append((tuple(ops), ctl))
-            ops = []
-        if ops:
-            segments.append((tuple(ops), None))
-        return tuple(segments), stops, returns
-
-    # -- straight-line ops ---------------------------------------------------
-
-    def _op(self, instr, cls) -> Optional[Callable]:
-        """The pre-bound op for one straight-line instruction, or None
-        when it has no run-time work (constants live in the per-size
-        slot template; events are scalar-replay only)."""
-        if cls is LoadConst or cls is EventInstr:
-            return None
-        if cls is BinaryInstr:
-            ufunc = _FLOAT_OPS.get(instr.op)
-            if ufunc is not None:
-                return partial(_op2, ufunc, instr.dest, instr.lhs, instr.rhs)
-            fn = _INT_OPS.get(instr.op)
-            if fn is None:
-                raise BatchCompilationError(f"unknown operator {instr.op!r}")
-            return partial(_op_int, fn, instr.dest, instr.lhs, instr.rhs)
-        if cls is CompareInstr:
-            ufunc = _COMPARE_OPS.get(instr.op)
-            if ufunc is None:
-                raise BatchCompilationError(f"unknown comparison {instr.op!r}")
-            return partial(_op2, ufunc, instr.dest, instr.lhs, instr.rhs)
-        if cls is StoreSlot:
-            return partial(_op_store, instr.slot, instr.src)
-        if cls is CopySlot:
-            return partial(_op_copy, instr.dest, instr.src)
-        if cls is SelectInstr:
-            cond, is_bool = self._truth(instr.cond)
-            return partial(
-                _op_select, cond, is_bool, instr.dest, instr.then, instr.orelse
+                slot = env[stmt.name] = self._new_slot(named=True)
+            region.op(partial(_op_store, slot, src))
+        elif cls is If:
+            cond = self._expr(stmt.cond, env, stack)
+            self._if(
+                cond,
+                self._arm(self._block, stmt.then, env, stack),
+                self._arm(self._block, stmt.orelse, env, stack),
             )
-        if cls is UnaryInstr:
-            if instr.op == "fneg":
-                return partial(_op_fneg, instr.dest, instr.src)
-            if instr.op == "ineg":
-                return partial(_op_ineg, instr.dest, instr.src)
-            if instr.op == "not":
-                return partial(_op_not, instr.dest, *self._truth(instr.src))
-            raise BatchCompilationError(f"unknown unary operator {instr.op!r}")
-        if cls is BoolInstr:
-            ufunc = np.bitwise_and if instr.op == "and" else np.bitwise_or
-            return partial(
-                _op_bool,
-                ufunc,
-                instr.dest,
-                self._truth(instr.lhs),
-                self._truth(instr.rhs),
+        elif cls is While:
+            head = _Region(region.frame, nested=True, dead=region.dead)
+            cond = self._lower_in(head, self._expr, stmt.cond, env, stack)
+            body = self._arm(self._block, stmt.body, env, stack)
+            ctl = _loop(self._truth(cond), head.build(), body.build(), region.frame[0])
+            region.ctl(ctl, stops=True, returns=body.returns)
+        elif cls is Return:
+            src = None if stmt.value is None else self._expr(stmt.value, env, stack)
+            ctl = _return(src, region.frame, region.nested)
+            region.ctl(ctl, returns=region.nested)
+            region.dead = True
+        elif cls is Halt:
+            region.ctl(_halt, stops=True)
+            region.dead = True
+        elif cls is Block:
+            self._block(stmt, env, stack)
+        elif cls is not RecordEvent:  # events are scalar-replay only
+            raise BatchCompilationError(f"unknown statement {stmt!r}")
+
+    # -- expressions -----------------------------------------------------------
+
+    def _expr(self, expr: Expr, env: Dict[str, int], stack) -> int:
+        cls = expr.__class__
+        if cls is Const:
+            # Constants live in the per-size slot template, not in ops.
+            _check_int64(expr.value, "constant")
+            dest = self._new_slot()
+            self.consts[dest] = expr.value
+            return dest
+        if cls is Var:
+            if expr.name in env:
+                return env[expr.name]
+            if expr.name in self.global_slots:
+                return self.global_slots[expr.name]
+            raise BatchCompilationError(f"undefined variable {expr.name!r}")
+        if cls is BinOp:
+            if expr.op in ("and", "or"):
+                return self._boolop(expr, env, stack)
+            lhs = self._operand(expr.lhs, expr.rhs, env, stack)
+            rhs = self._expr(expr.rhs, env, stack)
+            dest = self._new_slot()
+            if expr.op in _FLOAT_OPS:
+                self.region.op(partial(_op2, _FLOAT_OPS[expr.op], dest, lhs, rhs))
+            elif expr.op in _INT_OPS:
+                self.region.op(partial(_op_int, _INT_OPS[expr.op], dest, lhs, rhs))
+            else:
+                self._refuse(f"unknown operator {expr.op!r}")
+            return dest
+        if cls is Compare:
+            lhs = self._operand(expr.lhs, expr.rhs, env, stack)
+            rhs = self._expr(expr.rhs, env, stack)
+            dest = self._bool_slot()
+            if expr.op in _COMPARE_OPS:
+                self.region.op(partial(_op2, _COMPARE_OPS[expr.op], dest, lhs, rhs))
+            else:
+                self._refuse(f"unknown comparison {expr.op!r}")
+            return dest
+        if cls is UnOp:
+            src = self._expr(expr.operand, env, stack)
+            if expr.op == "not":
+                dest = self._bool_slot()
+                self.region.op(partial(_op_not, dest, *self._truth(src)))
+                return dest
+            dest = self._new_slot()
+            if expr.op == "fneg":
+                self.region.op(partial(_op_fneg, dest, src))
+            elif expr.op == "ineg":
+                self.region.op(partial(_op_ineg, dest, src))
+            else:
+                self._refuse(f"unknown unary operator {expr.op!r}")
+            return dest
+        if cls is Ternary:
+            return self._ternary(expr, env, stack)
+        if cls is Call:
+            return self._call(expr, env, stack)
+        if cls is ArrayIndex:
+            table = self.arrays.get(expr.name)
+            if table is None:
+                raise BatchCompilationError(f"unknown constant array {expr.name!r}")
+            index = self._expr(expr.index, env, stack)
+            dest = self._new_slot()
+            self.region.op(partial(_op_gather, table, expr.name, dest, index))
+            return dest
+        if cls is InLabelSet:
+            dest = self._bool_slot()
+            self.region.op(partial(_op_member, dest, expr.set_name, expr.label))
+            return dest
+        raise BatchCompilationError(f"unknown expression {expr!r}")
+
+    def _snapshot(self, slot: int, later) -> int:
+        """``slot``, copied first when it names a variable that a later
+        sibling operand can assign (left-to-right effect order)."""
+        if slot in self.named_slots and any(
+            _contains_user_call(e, self.functions) for e in later
+        ):
+            fresh = self._new_slot()
+            self.region.op(partial(_op_copy, fresh, slot))
+            return fresh
+        return slot
+
+    def _operand(self, expr: Expr, later: Expr, env: Dict[str, int], stack) -> int:
+        return self._snapshot(self._expr(expr, env, stack), (later,))
+
+    def _boolop(self, expr: BinOp, env: Dict[str, int], stack) -> int:
+        if _select_safe(expr.lhs, self.functions) and _select_safe(
+            expr.rhs, self.functions
+        ):
+            lhs = self._expr(expr.lhs, env, stack)
+            rhs = self._expr(expr.rhs, env, stack)
+            dest = self._bool_slot()
+            ufunc = np.bitwise_and if expr.op == "and" else np.bitwise_or
+            op = partial(_op_bool, ufunc, dest, self._truth(lhs), self._truth(rhs))
+            self.region.op(op)
+            return dest
+        # Desugar to the short-circuit form so unsafe operands only run
+        # on the lanes the scalar tiers would run them on:
+        #   a and b  ==  a ? bool(b) : False
+        #   a or b   ==  a ? True : bool(b)
+        to_bool = lambda e: UnOp("not", UnOp("not", e))  # noqa: E731
+        if expr.op == "and":
+            desugared = Ternary(expr.lhs, to_bool(expr.rhs), Const(False))
+        else:
+            desugared = Ternary(expr.lhs, Const(True), to_bool(expr.rhs))
+        return self._ternary(desugared, env, stack)
+
+    def _ternary(self, expr: Ternary, env: Dict[str, int], stack) -> int:
+        if _select_safe(expr.then, self.functions) and _select_safe(
+            expr.orelse, self.functions
+        ):
+            cond = self._expr(expr.cond, env, stack)
+            then = self._expr(expr.then, env, stack)
+            orelse = self._expr(expr.orelse, env, stack)
+            dest = self._new_slot()
+            op = partial(_op_select, *self._truth(cond), dest, then, orelse)
+            self.region.op(op)
+            return dest
+        # Unsafe arms run under a branch so only the lanes that select
+        # an arm evaluate it (array bounds, idiv-by-zero, calls).
+        result = self._new_slot(named=True)
+        cond = self._expr(expr.cond, env, stack)
+        self._if(
+            cond,
+            self._arm(self._store, result, expr.then, env, stack),
+            self._arm(self._store, result, expr.orelse, env, stack),
+        )
+        return result
+
+    def _store(self, slot: int, expr: Expr, env: Dict[str, int], stack) -> None:
+        src = self._expr(expr, env, stack)
+        self.region.op(partial(_op_store, slot, src))
+
+    def _call(self, expr: Call, env: Dict[str, int], stack) -> int:
+        args = tuple(
+            self._snapshot(self._expr(arg, env, stack), expr.args[pos + 1 :])
+            for pos, arg in enumerate(expr.args)
+        )
+        fn = self.functions.get(expr.func)
+        if fn is not None:
+            if expr.func in stack:
+                raise BatchCompilationError(
+                    f"recursive call to {expr.func!r} cannot be lowered"
+                )
+            if len(args) != len(fn.params):
+                raise BatchCompilationError(
+                    f"{expr.func} expects {len(fn.params)} args, got {len(args)}"
+                )
+            return self._call_body(fn, args, stack + (expr.func,))
+        if expr.func in REJECTED_EXTERNALS:
+            raise BatchCompilationError(
+                f"external {expr.func!r} exceeds the int64 lane range"
             )
-        if cls is ExternalInstr:
-            vector = self.vector[instr.name]
-            if vector is None:
-                return partial(_op_lanewise, instr.name, instr.dest, instr.args)
-            if len(instr.args) == 1:
-                return partial(_op_vector1, vector, instr.dest, instr.args[0])
-            return partial(_op_vector, vector, instr.dest, instr.args)
-        if cls is GatherInstr:
-            table = self.arrays[instr.array]
-            return partial(_op_gather, table, instr.array, instr.dest, instr.index)
-        if cls is SetMemberInstr:
-            return partial(_op_member, instr.dest, instr.set_name, instr.label)
-        raise BatchCompilationError(f"unknown instruction {instr!r}")
+        if not externals.is_registered(expr.func):
+            raise BatchCompilationError(f"unknown external {expr.func!r}")
+        vector = _calibrate(expr.func)
+        dest = self._new_slot()
+        if vector is None:
+            self.region.op(partial(_op_lanewise, expr.func, dest, args))
+        elif len(args) == 1:
+            self.region.op(partial(_op_vector1, vector, dest, args[0]))
+        else:
+            self.region.op(partial(_op_vector, vector, dest, args))
+        return dest
 
 
 # -- straight-line ops: bound by partial(), then op(slots, live, run) ---------
@@ -746,7 +1038,9 @@ def _op_int(fn, dest, lhs, rhs, slots, live, run):
 
 def _op_store(slot, src, slots, live, run):
     # Lanes outside the mask keep their value; the first store a slot
-    # sees initializes every lane (see vm.StoreSlot).
+    # sees initializes every lane (a lane that reads a named variable
+    # before its own store would be an undefined-variable error in the
+    # scalar tiers).
     cur = slots[slot]
     slots[slot] = slots[src] if cur is None else _where(live, slots[src], cur)
 
@@ -826,15 +1120,15 @@ def _op_member(dest, set_name, label, slots, live, run):
 # -- control ops -------------------------------------------------------------
 #
 # The reference semantics re-derive ``live = mask & ~stopped &
-# ~returned`` and test it for emptiness before every instruction.  Inside
-# a range that mask only shrinks, and only a control op can shrink it.
-# So a Branch re-derives it only when its arms can stop lanes (a Halt or
-# a Loop budget) or return from the current frame — a static fact of
-# the stream — and Frames and Loops always check.  Stopping and
+# ~returned`` and test it for emptiness before every operation.  Inside
+# a region that mask only shrinks, and only a control op can shrink it.
+# So a branch re-derives it only when its arms can stop lanes (a Halt or
+# a loop budget) or return from the current frame — a static fact the
+# lowering records — and frames and loops always check.  Stopping and
 # returning assign fresh ``alive``/``ret_alive`` arrays, so a check that
 # finds both objects unchanged skips the re-derivation and the emptiness
-# test.  After Halt or Return no lane is left in the range, which the
-# threader has already cut short.
+# test.  After Halt or Return no lane is left in the region, whose rest
+# the lowering emits nothing for.
 
 
 def _narrow(live, run, alive, frame_id, ret_alive):
@@ -945,30 +1239,26 @@ def _halt(slots, live, run):
 class BatchProgram:
     """Executable form of a lowered FPIR program.
 
-    Build once per program: external calibration, constant checks and
-    threading the stream into regions of pre-bound ops happen here.
+    Build once per program: lowering to regions of pre-bound ops,
+    external calibration and constant checks happen here.
     Then call :meth:`run` for every batch — the worker payload cache
     keeps one instance per program digest, so warm sessions pay for
     lowering exactly once.  Constants are broadcast once per batch size
     into a read-only slot template that each call copies.
     """
 
-    def __init__(self, vm: VMProgram) -> None:
-        threader = _Threader(vm)
-        self._root, _, _ = threader.region(
-            0, len(vm.code), (0, vm.result_slot), nested=False
-        )
-        for init in vm.global_inits.values():
+    def __init__(self, program: Program) -> None:
+        lowering = _Lowerer(program)
+        self._root, self._param_slots, self._result_slot = lowering.lower()
+        for init in program.globals.values():
             _check_int64(init, "global initial value")
-        self._entry = vm.entry
-        self._n_slots = vm.n_slots
-        self._n_frames = threader.n_frames
-        self._param_slots = vm.param_slots
-        self._result_slot = vm.result_slot
-        self._global_slots = dict(vm.global_slots)
-        self._slot_values = list(threader.consts.items()) + [
-            (slot, _global_init(vm.global_inits[name]))
-            for name, slot in vm.global_slots.items()
+        self._entry = program.entry
+        self._n_slots = lowering.n_slots
+        self._n_frames = lowering.n_frames
+        self._global_slots = lowering.global_slots
+        self._slot_values = list(lowering.consts.items()) + [
+            (slot, _global_init(program.globals[name]))
+            for name, slot in lowering.global_slots.items()
         ]
         self._templates: Dict[int, Tuple[list, np.ndarray, np.ndarray]] = {}
 
@@ -1049,7 +1339,8 @@ class BatchProgram:
 def compile_batch(program: Program) -> BatchProgram:
     """Lower ``program`` and wrap it for batched evaluation.
 
-    Raises :class:`repro.fpir.vm.BatchCompilationError` when the
-    program cannot be lowered; see :mod:`repro.fpir.vm`.
+    Raises :class:`BatchCompilationError` when the program uses a
+    construct the batched tier refuses (see the module docstring);
+    callers fall back to a scalar tier.
     """
-    return BatchProgram(lower_program(program))
+    return BatchProgram(program)

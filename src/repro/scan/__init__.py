@@ -26,7 +26,7 @@ from repro.scan.classify import DiscoveredFunction, discover_functions
 from repro.scan.orchestrator import ScanConfig, scan_project
 from repro.scan.report import FunctionResult, ScanReport, scan_exit_code
 from repro.scan.store import Baseline, ResultStore, program_digest
-from repro.scan.walker import walk_python_files, walk_source_files
+from repro.scan.walker import walk_source_files
 
 __all__ = [
     "Baseline",
@@ -39,6 +39,5 @@ __all__ = [
     "program_digest",
     "scan_exit_code",
     "scan_project",
-    "walk_python_files",
     "walk_source_files",
 ]

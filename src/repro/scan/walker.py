@@ -90,8 +90,3 @@ def walk_source_files(
                 continue
             found.append(child)
     return found
-
-
-def walk_python_files(root: str, exclude: Iterable[str] = ()) -> List[Path]:
-    """Back-compat wrapper: only the ``.py`` files of the walk."""
-    return walk_source_files(root, exclude, suffixes=(".py",))

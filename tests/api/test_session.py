@@ -568,6 +568,27 @@ class TestEngineDelegation:
             with Session(EngineConfig(pool=pool)) as session:
                 assert session._max_parallel_jobs == 2
 
+    def test_job_config_workers_never_fork_a_pool(self, monkeypatch):
+        # Execution resources come from the session: a serial session
+        # runs a job that asks for n_workers=4 in-process, every round,
+        # and reports its own worker count.
+        built = []
+        init = WorkerPool.__init__
+
+        def spy(pool, *args, **kwargs):
+            built.append(args)
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", spy)
+        job = EngineConfig(
+            n_workers=4, seed=1, n_starts=3, max_rounds=3, backend_options={"niter": 5}
+        )
+        with Session(EngineConfig(n_workers=1)) as session:
+            report = session.run("overflow", "fig2", config=job)
+        assert report.rounds >= 2
+        assert built == []
+        assert report.n_workers == 1
+
     def test_engine_reuses_externally_owned_pool(self):
         with WorkerPool(2) as pool:
             engine = Engine(EngineConfig(seed=11, pool=pool))

@@ -1,13 +1,14 @@
 """Generated programs: the batch kernel against the scalar tiers.
 
 A generator builds well-formed FPIR programs over two double inputs
-through the builder API.  Between them they reach every VM instruction
-class: ``Return`` inside a branch and inside a loop, ``Halt`` inside an
-inlined helper, a helper called twice that assigns a global, ternaries
-that lower to a select and ones that lower to a branch (integer
-division, array indexing), ``and``/``or`` on non-boolean operands,
-integer operators including int64 overflow, calibrated and lane-wise
-externals, label-set probes, and a loop that can exceed the budget.
+through the builder API.  Between them they reach every op and control
+kind the batch tier lowers to: ``Return`` inside a branch and inside a
+loop, ``Halt`` inside an inlined helper, a helper called twice that
+assigns a global, ternaries that lower to a select and ones that lower
+to a branch (integer division, array indexing), ``and``/``or`` on
+non-boolean operands, integer operators and negation including int64
+overflow, calibrated and lane-wise externals, label-set probes, and a
+loop that can exceed the budget.
 Every program ends by folding into ``w`` the high word of a NaN that a
 calibrated external makes, the one place a NaN's sign can show.
 
@@ -33,8 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fpir import vm
-from repro.fpir.batch_eval import BatchExecutionError, compile_batch
+from repro.fpir.batch_eval import BatchExecutionError, _select_safe, compile_batch
 from repro.fpir.builder import (
     FunctionBuilder,
     aidx,
@@ -76,6 +76,7 @@ from repro.fpir.interpreter import (
 )
 from repro.fpir.nodes import INT_OPS, BinOp, Ternary, UnOp
 from repro.fpir.program import Program
+from tests.fpir.test_vm import CONTROLS, OPS, emitted_kinds
 
 LABELS = ("l1", "l2", "l3")
 FLOATS = (0.0, -0.0, 1.0, -2.5, 0.5, 3.0, 1e308, -1e-310, 1e16, math.inf, math.nan)
@@ -153,14 +154,17 @@ class Gen:
 
     def iexpr(self, depth=0):
         c = self.c
-        kind = c.integer(0, 3 if depth < 2 else 2)
+        kind = c.integer(0, 4 if depth < 2 else 2)
         if kind == 0 and self.ints:
             return v(c.pick(self.ints))
         if kind == 1:
             return intc(c.pick(INTS))
         if kind in (0, 2):
             return self.word(depth + 1)
-        return c.pick(INT_BUILDERS)(self.iexpr(depth + 1), self.iexpr(depth + 1))
+        if kind == 3:
+            return c.pick(INT_BUILDERS)(self.iexpr(depth + 1), self.iexpr(depth + 1))
+        # Integer negation; -(2**63) in INTS makes it leave int64.
+        return UnOp("ineg", self.iexpr(depth + 1))
 
     def word(self, depth):
         """An int from a double: ``__d2i``, or a word of its bits (which
@@ -388,9 +392,11 @@ class StrictInterpreter(Interpreter):
     def _eval(self, expr, env, ctx):
         cls = expr.__class__
         functions = self.program.functions
-        if cls is Ternary and vm._select_safe(
-            expr.then, functions
-        ) and vm._select_safe(expr.orelse, functions):
+        if (
+            cls is Ternary
+            and _select_safe(expr.then, functions)
+            and _select_safe(expr.orelse, functions)
+        ):
             cond = self._eval(expr.cond, env, ctx)
             then = self._eval(expr.then, env, ctx)
             orelse = self._eval(expr.orelse, env, ctx)
@@ -398,8 +404,8 @@ class StrictInterpreter(Interpreter):
         if (
             cls is BinOp
             and expr.op in ("and", "or")
-            and vm._select_safe(expr.lhs, functions)
-            and vm._select_safe(expr.rhs, functions)
+            and _select_safe(expr.lhs, functions)
+            and _select_safe(expr.rhs, functions)
         ):
             lhs = bool(self._eval(expr.lhs, env, ctx))
             rhs = bool(self._eval(expr.rhs, env, ctx))
@@ -498,16 +504,11 @@ def test_generated_programs_match_scalar_tiers_long(case):
     check_against_scalar_tiers(*case)
 
 
-def test_generator_reaches_every_instruction_class():
+def test_generator_reaches_every_op_and_control_kind():
     """Every statement kind once per program, over a few seeds: the
-    lowered streams together use every VM instruction class."""
+    compiled region trees together hold every op and control kind."""
     seen = set()
     for seed in range(12):
         program = build_program(Choices(seed=seed), kinds=range(11))
-        seen |= {type(instr) for instr in vm.lower_program(program).code}
-    every = {
-        cls
-        for cls in vars(vm).values()
-        if isinstance(cls, type) and issubclass(cls, vm.Instr) and cls is not vm.Instr
-    }
-    assert every - seen == set()
+        seen |= emitted_kinds(compile_batch(program))
+    assert (OPS | CONTROLS) - seen == set()

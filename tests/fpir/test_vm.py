@@ -1,4 +1,4 @@
-"""Bytecode lowering (`repro.fpir.vm`) and its edge cases."""
+"""Batch-tier lowering (`compile_batch`) and its edge cases."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.weak_distance import WeakDistance
+from repro.fpir import batch_eval
 from repro.fpir.builder import (
     FunctionBuilder,
     call,
@@ -27,6 +28,7 @@ from repro.fpir.builder import (
     v,
 )
 from repro.fpir.batch_eval import (
+    BatchCompilationError,
     BatchExecutionError,
     compile_batch,
 )
@@ -34,12 +36,43 @@ from repro.fpir.instrument import InstrumentationSpec, InstrumentedProgram
 from repro.fpir.interpreter import Interpreter
 from repro.fpir.labels import assign_labels
 from repro.fpir.program import Program
-from repro.fpir.vm import (
-    BatchCompilationError,
-    Branch,
-    SelectInstr,
-    lower_program,
-)
+
+#: The control kinds a region can hold, named after the functions in
+#: `repro.fpir.batch_eval` that build them.
+CONTROLS = frozenset({"_branch", "_loop", "_frame", "_return", "_halt"})
+
+#: Every straight-line op kind: the `_op*` functions the ops bind.
+OPS = frozenset(name for name in vars(batch_eval) if name.startswith("_op"))
+
+
+def emitted_kinds(batch) -> set:
+    """The op and control kinds in a compiled program's region tree.
+
+    A region is a tuple of ``(ops, ctl)`` segments; each op is a
+    ``functools.partial`` of an ``_op*`` function, and each control is
+    ``_halt`` or a closure built by ``_branch``/``_loop``/``_frame``/
+    ``_return`` that holds its nested regions in its cells.
+    """
+    kinds = set()
+
+    def is_region(value):
+        return isinstance(value, tuple) and all(
+            isinstance(seg, tuple) and len(seg) == 2 and isinstance(seg[0], tuple)
+            for seg in value
+        )
+
+    def walk(region):
+        for ops, ctl in region:
+            kinds.update(op.func.__name__ for op in ops)
+            if ctl is None:
+                continue
+            kinds.add(ctl.__qualname__.split(".")[0])
+            for cell in ctl.__closure__ or ():
+                if is_region(cell.cell_contents):
+                    walk(cell.cell_contents)
+
+    walk(batch._root)
+    return kinds
 
 
 def one_function(fb: FunctionBuilder, globals_=None, arrays=None) -> Program:
@@ -99,24 +132,21 @@ def assert_lanes_equal(got: np.ndarray, want: list) -> None:
 
 
 class TestLowering:
-    def test_flat_stream_and_disassemble(self):
+    def test_if_lowers_to_a_branch_control(self):
         fb = FunctionBuilder("f", params=["x"])
         fb.let("y", fmul(v("x"), v("x")))
         with fb.if_(gt(v("y"), num(4.0))):
             fb.let("y", fsub(v("y"), num(4.0)))
         fb.ret(v("y"))
-        vm = lower_program(one_function(fb))
-        assert vm.n_slots > 0 and len(vm.code) > 0
-        assert any(isinstance(i, Branch) for i in vm.code)
-        text = vm.disassemble()
-        assert "Branch" in text
+        kinds = emitted_kinds(compile_batch(one_function(fb)))
+        assert "_branch" in kinds and kinds <= OPS | CONTROLS
 
     def test_safe_ternary_lowers_to_select(self):
         fb = FunctionBuilder("f", params=["x"])
         fb.ret(ternary(gt(v("x"), num(0.0)), v("x"), num(0.0)))
-        vm = lower_program(one_function(fb))
-        assert any(isinstance(i, SelectInstr) for i in vm.code)
-        assert not any(isinstance(i, Branch) for i in vm.code)
+        kinds = emitted_kinds(compile_batch(one_function(fb)))
+        assert "_op_select" in kinds
+        assert "_branch" not in kinds
 
     def test_recursion_rejected(self):
         helper = FunctionBuilder("rec", params=["x"])
@@ -127,13 +157,49 @@ class TestLowering:
             [main.build(), helper.build()], entry="f"
         )
         with pytest.raises(BatchCompilationError):
-            lower_program(program)
+            compile_batch(program)
 
     def test_rejected_external(self):
         fb = FunctionBuilder("f", params=["x"])
         fb.ret(call("__double_to_bits", v("x")))
         with pytest.raises(BatchCompilationError):
-            lower_program(one_function(fb))
+            compile_batch(one_function(fb))
+
+
+#: Constructs the batch tier refuses, placed where they never run.
+DEAD_CODE = {
+    "recursive-call": lambda: call("rec", v("x")),
+    "double-to-bits": lambda: call("__double_to_bits", v("x")),
+    "int-beyond-int64": lambda: fadd(num(0.0), intc(2**70)),
+    "unregistered-external": lambda: call("__no_such_external", v("x")),
+}
+
+
+def dead_code_program(stop: str, dead) -> Program:
+    """``f`` returns or halts first, then lets ``y = dead()``."""
+    rec = FunctionBuilder("rec", params=["x"])
+    rec.ret(call("rec", v("x")))
+    fb = FunctionBuilder("f", params=["x"])
+    if stop == "return":
+        fb.ret(v("x"))
+    else:
+        fb.halt()
+    if dead is not None:
+        fb.let("y", dead())
+        fb.ret(v("y"))
+    return Program([fb.build(), rec.build()], entry="f")
+
+
+@pytest.mark.parametrize("dead", sorted(DEAD_CODE))
+@pytest.mark.parametrize("stop", ["return", "halt"])
+def test_code_after_a_stop_is_lowered_and_refused(stop, dead):
+    """Code after a ``Return`` or ``Halt`` never runs, but it is lowered,
+    so a construct the batch tier refuses there refuses the program:
+    ``supports_batch``, lockstep and the scalar fallback decide as if
+    it ran."""
+    compile_batch(dead_code_program(stop, None))
+    with pytest.raises(BatchCompilationError):
+        compile_batch(dead_code_program(stop, DEAD_CODE[dead]))
 
 
 class TestEdgeCases:
