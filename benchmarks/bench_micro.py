@@ -93,7 +93,7 @@ def _racing_workload():
     budget before reaching the winning start."""
     from repro.fpir.builder import FunctionBuilder, eq, num, v
     from repro.fpir.program import Program
-    from repro.util.rng import derive_start_rngs
+    from repro.util.rng import derive_round_rngs
 
     fb = FunctionBuilder("prog", params=["x"])
     with fb.if_(eq(v("x"), num(7.0))):
@@ -105,7 +105,7 @@ def _racing_workload():
     sampler = PlantedSampler()
 
     def first_planted(seed):
-        for i, rng in enumerate(derive_start_rngs(seed, n_starts)):
+        for i, rng in enumerate(derive_round_rngs(seed, 0, n_starts)):
             if sampler(rng, 1) == (7.0,):
                 return i
         return None
@@ -119,27 +119,24 @@ def _racing_workload():
     return program, n_starts, seed
 
 
-def _run_multistart_kernel(instrumented_factory, n_starts, seed,
-                           n_workers):
-    from repro.core import KernelConfig, ReductionKernel
+def _timed_round(weak_distance, n_starts, seed, n_workers):
+    """One racing round of ``n_starts`` planted starts, timed together
+    with building and closing its pool when it runs on one."""
+    from repro.core import WorkerPool, run_multistart
     from repro.mo.random_search import RandomSearchBackend
     from repro.mo.starts import uniform_sampler as box
+    from repro.util.rng import derive_round_rngs
 
-    weak_distance = instrumented_factory()
-    kernel = ReductionKernel(
-        backend=RandomSearchBackend(
-            n_samples=80_000, sampler=box(1e5, 1e6)
-        ),
-        config=KernelConfig(
-            n_starts=n_starts,
-            seed=seed,
-            start_sampler=PlantedSampler(),
-            n_workers=n_workers,
-        ),
-    )
+    backend = RandomSearchBackend(n_samples=80_000, sampler=box(1e5, 1e6))
+    sampler = PlantedSampler()
+    starts = [(sampler(rng, 1), rng) for rng in derive_round_rngs(seed, 0, n_starts)]
     t0 = time.perf_counter()
-    outcome = kernel.minimize(weak_distance, n_inputs=1)
-    return time.perf_counter() - t0, outcome
+    if n_workers > 1:
+        with WorkerPool(n_workers) as pool:
+            outcome = run_multistart(weak_distance, backend, starts, pool=pool)
+    else:
+        outcome = run_multistart(weak_distance, backend, starts)
+    return time.perf_counter() - t0, outcome.best
 
 
 def test_parallel_multistart_speedup():
@@ -153,13 +150,9 @@ def test_parallel_multistart_speedup():
     def factory():
         return WD(instrument(program, mult_spec()))
 
-    t_serial, serial = _run_multistart_kernel(
-        factory, n_starts, seed, n_workers=1
-    )
-    t_parallel, parallel = _run_multistart_kernel(
-        factory, n_starts, seed, n_workers=n_starts
-    )
-    assert serial.found and parallel.found
+    t_serial, serial = _timed_round(factory(), n_starts, seed, n_workers=1)
+    t_parallel, parallel = _timed_round(factory(), n_starts, seed, n_workers=n_starts)
+    assert serial.f_star == parallel.f_star == 0.0
     assert serial.x_star == parallel.x_star == (7.0,)
     speedup = t_serial / t_parallel
     print(

@@ -4,15 +4,19 @@
 The paper's Section 5 architecture separates the Client (who provides
 the program and the problem), the Analysis Designer (who picks
 ``w_init`` and the ``update_w`` stub) and the Reduction Kernel (which
-instruments, minimizes and interprets).  This example plays all three
-roles for an analysis the paper does not ship: **division-by-near-zero
-detection** — find inputs that make some divisor's magnitude smaller
-than a threshold.
+instruments, minimizes and interprets).  This example plays the first
+two roles for an analysis the paper does not ship:
+**division-by-near-zero detection** — find inputs that make some
+divisor's magnitude smaller than a threshold.  The engine plays the
+third: it runs ``ReductionAnalysis``, Algorithm 2 for the designer's
+spec.
 
 Run: python examples/custom_analysis.py
 """
 
-from repro.core import AnalysisProblem, KernelConfig, ReductionKernel
+from repro.analyses import ReductionAnalysis
+from repro.api import Engine, EngineConfig
+from repro.core import AnalysisProblem
 from repro.fpir.builder import FunctionBuilder, fadd, fdiv, fmul, fsub, num, v
 from repro.fpir.instrument import InstrumentationSpec
 from repro.fpir.nodes import Assign, BinOp, Call, Compare, Const, Ternary, Var
@@ -84,23 +88,24 @@ def main() -> None:
         membership=near_pole,
     )
 
-    # Reduction Kernel layer: Algorithm 2.
-    kernel = ReductionKernel(
-        backend=BasinhoppingBackend(niter=60),
-        config=KernelConfig(
-            n_starts=10,
+    # Reduction Kernel layer: Algorithm 2, run by the engine.
+    engine = Engine(
+        EngineConfig(
             seed=8,
+            backend=BasinhoppingBackend(niter=60),
+            n_starts=10,
             start_sampler=uniform_sampler(-100.0, 100.0),
-        ),
+        )
     )
-    outcome = kernel.solve(problem, designer_spec())
-    print(f"verdict: {outcome.verdict.value}")
-    print(f"x* = {outcome.x_star}, W* = {outcome.w_star}")
-    if outcome.found:
-        x = outcome.x_star[0]
-        den = (x * x - 2.0 * x) + 0.99999
-        print(f"denominator at x*: {den:.3g} (threshold {THRESHOLD})")
-        assert near_pole(outcome.x_star)
+    report = engine.run(ReductionAnalysis, problem, spec=designer_spec())
+    best = report.detail.best
+    print(f"verdict: {report.verdict}")
+    print(f"x* = {best.x_star}, W* = {best.f_star}")
+    assert report.found, "no near-pole input found"
+    x = best.x_star[0]
+    den = (x * x - 2.0 * x) + 0.99999
+    print(f"denominator at x*: {den:.3g} (threshold {THRESHOLD})")
+    assert near_pole(best.x_star)
 
 
 if __name__ == "__main__":

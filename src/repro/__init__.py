@@ -44,14 +44,7 @@ Packages
     One module per paper table/figure (``python -m repro.experiments``).
 """
 
-from repro.core import (
-    AnalysisProblem,
-    KernelConfig,
-    ReductionKernel,
-    ReductionOutcome,
-    Verdict,
-    WeakDistance,
-)
+from repro.core import AnalysisProblem, WeakDistance
 from repro.fpir import (
     Function,
     Program,
@@ -65,11 +58,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AnalysisProblem",
     "Function",
-    "KernelConfig",
     "Program",
-    "ReductionKernel",
-    "ReductionOutcome",
-    "Verdict",
     "WeakDistance",
     "compile_program",
     "instrument",

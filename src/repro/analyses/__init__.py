@@ -10,6 +10,9 @@
   :mod:`repro.sat`.
 * :mod:`repro.analyses.inconsistency` — the Section 6.3.2 GSL
   inconsistency check used on fpod's outputs.
+* :mod:`repro.analyses.reduction` — Algorithm 2 for a designer's own
+  instrumentation spec (Section 5's three roles); not registered by
+  name, callers pass the class.
 """
 
 from repro.analyses.boundary import (
@@ -37,6 +40,7 @@ from repro.analyses.path import (
     PathResult,
     PathSpec,
 )
+from repro.analyses.reduction import ReductionAnalysis
 
 __all__ = [
     "BoundaryAnalysis",
@@ -52,6 +56,7 @@ __all__ = [
     "PathAnalysis",
     "PathResult",
     "PathSpec",
+    "ReductionAnalysis",
     "characteristic_spec",
     "multiplicative_spec",
 ]

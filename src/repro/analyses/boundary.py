@@ -28,10 +28,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.base import Analysis, RoundPlan
+from repro.api.base import Analysis, RoundPlan, knob_type
 from repro.api.report import FOUND, NOT_FOUND, PARTIAL, AnalysisReport, Finding
 from repro.core.parallel import MultiStartOutcome
-from repro.core.result import Sample
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.instrument import InstrumentationSpec, instrument
 from repro.fpir.labels import CompareSite
@@ -49,6 +48,7 @@ from repro.fpir.nodes import (
     Var,
 )
 from repro.fpir.program import Program
+from repro.mo.base import Sample
 from repro.mo.starts import uniform_sampler
 
 #: Event kind recorded by the hits-instrumented program.
@@ -363,7 +363,7 @@ class BoundaryAnalysis(Analysis):
         super().configure_parser(parser)
         parser.add_argument(
             "--samples",
-            type=int,
+            type=knob_type("max_samples"),
             default=None,
             help="total sampling budget, split across starts "
             "(default 100000)",

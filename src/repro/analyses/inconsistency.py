@@ -150,26 +150,31 @@ class InconsistencyAnalysis(OverflowAnalysis):
     run Algorithm 3 to collect overflow-triggering inputs, then replay
     each against the GSL-convention program and flag the runs where
     ``status == GSL_SUCCESS`` but ``val``/``err`` is non-finite.  This
-    driver *is* :class:`~repro.analyses.overflow.OverflowAnalysis` with
-    the sweep forced on and the verdict read from the inconsistency
-    findings instead of the overflow ones.
+    driver *is* :class:`~repro.analyses.overflow.OverflowAnalysis`; its
+    :meth:`finish` appends the sweep's findings after the overflow ones
+    and reads the verdict from them.
     """
 
     name = "inconsistency"
     help = "GSL status/result inconsistency checking (Section 6.3.2)"
     smoke_target = "gsl-hyperg"
 
-    def prepare(self, target, spec, options, config):
-        options = dict(options)
-        options["inconsistency"] = True
-        return super().prepare(target, spec, options, config)
-
     def finish(self, state):
-        from repro.api.report import FOUND, NOT_FOUND
+        from repro.api.report import FOUND, NOT_FOUND, Finding
 
         report = super().finish(state)
-        found = any(f.kind == "inconsistency" for f in report.findings)
-        report.verdict = FOUND if found else NOT_FOUND
+        inputs = report.detail.inputs
+        sweep = InconsistencyChecker(state.program).sweep(inputs) if inputs else []
+        report.findings.extend(
+            Finding(
+                kind="inconsistency",
+                label="status==SUCCESS, non-finite result",
+                x=item.x_star,
+                detail=f"val={item.val:.3g} err={item.err:.3g}",
+            )
+            for item in sweep
+        )
+        report.verdict = FOUND if sweep else NOT_FOUND
         return report
 
     @classmethod

@@ -31,7 +31,7 @@ import dataclasses
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.base import Analysis, RoundPlan
+from repro.api.base import Analysis, RoundPlan, knob_type
 from repro.api.report import FOUND, NOT_FOUND, PARTIAL, AnalysisReport, Finding
 from repro.core.parallel import MultiStartOutcome
 from repro.core.weak_distance import WeakDistance
@@ -152,7 +152,6 @@ class _OverflowState:
     budget: int
     n_starts: int
     sampler: Any
-    check_inconsistency: bool
     t0: float
     findings: List[OverflowFinding] = dataclasses.field(default_factory=list)
     found_labels: set = dataclasses.field(default_factory=set)
@@ -198,7 +197,6 @@ class OverflowAnalysis(Analysis):
             budget=budget if budget is not None else n_fp_ops + 1,
             n_starts=self.starts_per_round(config, options),
             sampler=self.sampler(config, options),
-            check_inconsistency=bool(options.get("inconsistency")),
             t0=time.perf_counter(),
         )
 
@@ -275,18 +273,6 @@ class OverflowAnalysis(Analysis):
             )
             for f in state.findings
         ]
-        if state.check_inconsistency and detail.inputs:
-            from repro.analyses.inconsistency import InconsistencyChecker
-
-            for item in InconsistencyChecker(state.program).sweep(detail.inputs):
-                findings.append(
-                    Finding(
-                        kind="inconsistency",
-                        label="status==SUCCESS, non-finite result",
-                        x=item.x_star,
-                        detail=f"val={item.val:.3g} err={item.err:.3g}",
-                    )
-                )
         if not state.findings:
             verdict = NOT_FOUND
         elif missed:
@@ -308,24 +294,14 @@ class OverflowAnalysis(Analysis):
         super().configure_parser(parser)
         parser.add_argument(
             "--retries",
-            type=int,
+            type=knob_type("retries"),
             default=None,
             help="starts per round (alias of --starts)",
-        )
-        parser.add_argument(
-            "--inconsistency",
-            action="store_true",
-            help="sweep findings for GSL-style inconsistencies",
         )
 
     @classmethod
     def options_from_args(cls, args) -> Dict[str, Any]:
-        options: Dict[str, Any] = {}
-        if args.inconsistency:
-            options["inconsistency"] = True
-        if args.retries:
-            options["n_starts"] = args.retries
-        return options
+        return {} if args.retries is None else {"n_starts": args.retries}
 
     @classmethod
     def render(cls, report: AnalysisReport) -> str:

@@ -23,6 +23,8 @@ The classmethod hooks (:meth:`configure_parser`,
 :meth:`options_from_args`, :meth:`render`, :meth:`summarize`,
 :meth:`batch_options`) let the CLI and the batch driver be *generated*
 from the registry instead of hand-wiring one subcommand per analysis.
+:data:`KNOB_MINIMUMS` is the one range rule for the budget knobs that
+the CLI flags and the serve wire take.
 """
 
 from __future__ import annotations
@@ -30,11 +32,38 @@ from __future__ import annotations
 import abc
 import argparse
 import dataclasses
-from typing import Any, ClassVar, Dict, Optional
+from typing import Any, Callable, ClassVar, Dict, Optional
 
 from repro.core.parallel import MultiStartOutcome
 from repro.core.weak_distance import WeakDistance
 from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
+
+#: The least value of each budget knob, for the serve wire's job fields
+#: and the CLI's flags alike.  Every count is at least 1: a run of 0
+#: rounds or 0 starts would report "not-found" for work never done.
+KNOB_MINIMUMS: Dict[str, int] = dict(
+    seed=0, starts=1, rounds=1, niter=1, max_samples=1, workers=1, retries=1
+)
+
+
+def check_knob(name: str, value: int) -> int:
+    """``value``, or a ``ValueError`` naming knob ``name`` if too low."""
+    minimum = KNOB_MINIMUMS[name]
+    if value < minimum:
+        raise ValueError(f"{name!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def knob_type(name: str) -> Callable[[str], int]:
+    """An argparse ``type`` for knob ``name``: a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            return check_knob(name, int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 @dataclasses.dataclass
@@ -96,9 +125,11 @@ class Analysis(abc.ABC):
         return coerce_target(target, kind=self.target_kind).resolve()
 
     def describe_target(self, target: Any) -> str:
-        """Human-readable target name for the report envelope."""
-        entry = getattr(target, "entry", None)
-        return entry if isinstance(entry, str) else str(target)
+        """Human-readable name of the resolved target for the report
+        envelope (:func:`repro.api.targets.describe_target`)."""
+        from repro.api.targets import describe_target
+
+        return describe_target(target)
 
     @abc.abstractmethod
     def prepare(

@@ -23,26 +23,22 @@ run and an ``n_workers=4`` run with the same seed return identical
 verdicts and representatives.
 
 Long-lived callers should hold a :class:`~repro.api.session.Session`
-(or share a :class:`~repro.core.pool.WorkerPool` via
-:attr:`EngineConfig.pool`) instead of calling ``Engine.run`` in a
-loop: a session keeps its workers warm, caches compiled weak
-distances by program content hash across jobs and rounds, and serves
-a round equal to one it already ran from its round-outcome cache.
+instead of calling ``Engine.run`` in a loop: a session keeps its
+workers warm, caches compiled weak distances by program content hash
+across jobs and rounds, and serves a round equal to one it already
+ran from its round-outcome cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, Optional, Type, Union
+from typing import Any, Dict, Optional, Type, Union
 
 from repro.api.base import Analysis
 from repro.api.report import AnalysisReport
 from repro.core.parallel import DEFAULT_CRASH_RETRIES
 from repro.mo.base import MOBackend
 from repro.mo.starts import StartSampler
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pool import WorkerPool
 
 
 @dataclasses.dataclass
@@ -89,12 +85,6 @@ class EngineConfig:
     #: come from whichever start reached zero first (the CLI's
     #: ``--racing``).
     deterministic: bool = True
-    #: A shared persistent :class:`~repro.core.pool.WorkerPool`.  When
-    #: set, runs fan their starts across these warm workers (and
-    #: ``n_workers`` is ignored); the pool is owned by the caller and
-    #: survives the engine/session using it.  ``None`` = the session
-    #: builds its own pool from ``n_workers``.
-    pool: Optional["WorkerPool"] = None
 
 
 class Engine:
@@ -114,7 +104,9 @@ class Engine:
 
         ``analysis`` is a registry name (``"boundary"``, ``"path"``,
         ``"overflow"``/``"fpod"``, ``"coverage"``, ``"sat"``), an
-        :class:`Analysis` subclass, or an instance.  ``target`` is any
+        :class:`Analysis` subclass (such as
+        :class:`~repro.analyses.reduction.ReductionAnalysis`, Algorithm
+        2 for a designer's spec), or an instance.  ``target`` is any
         first-class target form (:mod:`repro.api.targets`): a suite
         name, a Python callable or ``pkg.mod:fn`` / ``file.py::fn``
         spec (lowered to FPIR by :mod:`repro.fpir.frontend`), a
@@ -126,8 +118,7 @@ class Engine:
         knobs (``max_samples``, ``metric``, ...).
 
         This is a one-shot session: workers (if any) are spawned for
-        this run and torn down after — unless :attr:`EngineConfig.pool`
-        points at a shared pool, which stays warm across calls.
+        this run and torn down after.
         """
         from repro.api.session import Session
 

@@ -284,16 +284,15 @@ class Session:
     """A long-lived execution service over one persistent worker pool.
 
     ``config`` supplies the default engine knobs *and* the execution
-    policy: ``config.n_workers > 1`` makes the session build (and own)
-    a :class:`~repro.core.pool.WorkerPool`; ``config.pool`` injects an
-    externally owned pool instead (shared across sessions, never closed
-    by this one).  ``on_event`` receives every job's typed progress
-    events (see :mod:`repro.api.events`); ``event_sink`` additionally
-    mirrors them machine-readably — pass a path/file to get a JSONL
-    stream (:class:`~repro.api.events.JsonlEventSink`, owned and closed
-    by the session) or any callback.  ``max_parallel_jobs`` caps how
-    many submitted jobs drive rounds concurrently (default: the worker
-    count).
+    policy: ``config.n_workers > 1`` makes the session build a
+    :class:`~repro.core.pool.WorkerPool` of that many workers, which it
+    closes when it closes.  ``on_event`` receives every job's typed
+    progress events (see :mod:`repro.api.events`); ``event_sink``
+    additionally mirrors them machine-readably — pass a path/file to
+    get a JSONL stream (:class:`~repro.api.events.JsonlEventSink`,
+    owned and closed by the session) or any callback.
+    ``max_parallel_jobs`` caps how many submitted jobs drive rounds
+    concurrently (default: the worker count).
 
     Targets are first-class (:mod:`repro.api.targets`): ``submit`` /
     ``run`` accept a suite program name, a Python callable or
@@ -322,22 +321,11 @@ class Session:
             else:
                 self._event_sink = JsonlEventSink(event_sink)
                 self._owns_sink = True
-        if self.config.pool is not None:
-            self._pool: Optional[WorkerPool] = self.config.pool
-            self._owns_pool = False
-        elif self.config.n_workers > 1:
+        self._pool: Optional[WorkerPool] = None
+        if self.config.n_workers > 1:
             self._pool = WorkerPool(self.config.n_workers)
-            self._owns_pool = True
-        else:
-            self._pool = None
-            self._owns_pool = False
         if max_parallel_jobs is None:
-            # An injected pool's worker count beats config.n_workers,
-            # which stays at its default 1 when only pool= is set.
-            if self._pool is not None:
-                max_parallel_jobs = self._pool.n_workers
-            else:
-                max_parallel_jobs = self.config.n_workers
+            max_parallel_jobs = self.config.n_workers
         self._max_parallel_jobs = max(1, max_parallel_jobs)
         self._threads: Optional[ThreadPoolExecutor] = None
         self._round_cache = RoundCache()
@@ -366,7 +354,7 @@ class Session:
             threads, self._threads = self._threads, None
         if threads is not None:
             threads.shutdown(wait=True)
-        if self._owns_pool and self._pool is not None:
+        if self._pool is not None:
             self._pool.close()
         if self._owns_sink and self._event_sink is not None:
             self._event_sink.close()
@@ -825,7 +813,6 @@ class Session:
             plan.weak_distance,
             backend=backend,
             starts=starts,
-            n_workers=1,
             record_samples=plan.record_samples,
             max_evals_per_start=plan.max_evals_per_start,
             stop_at_zero=plan.stop_at_zero,

@@ -40,6 +40,7 @@ import importlib.util
 import os
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
+from repro.core.problem import AnalysisProblem
 from repro.fpir.program import Program
 
 #: The two target kinds analyses declare via ``Analysis.target_kind``.
@@ -426,6 +427,8 @@ def describe_target(obj: Any, kind: str = PROGRAM_KIND) -> str:
         return obj
     if isinstance(obj, Target):
         return obj.describe()
+    if isinstance(obj, AnalysisProblem):
+        obj = obj.program
     if isinstance(obj, Program):
         return obj.entry
     if callable(obj) and not _is_formula(obj):

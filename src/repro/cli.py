@@ -48,8 +48,10 @@ evaluations on re-scan.
 
 Exit status: 0 = complete run, 1 = batch campaign with failed jobs
 (for ``scan``: findings — under ``--baseline``, *new* findings),
-2 = bad target/spec, 3 = a *partial* result (a run or campaign job
-whose report was salvaged from a cancelled job's completed starts).
+2 = bad target/spec or a budget flag below its minimum
+(:data:`repro.api.base.KNOB_MINIMUMS`), 3 = a *partial* result (a run
+or campaign job whose report was salvaged from a cancelled job's
+completed starts).
 
 ``repro run`` offers one subcommand per registered analysis, under
 its canonical name; registry aliases (``fpod``, the paper's name for
@@ -67,20 +69,21 @@ from typing import Any, Dict, List, Optional
 
 def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     """The shared EngineConfig knobs, identical for every analysis."""
+    from repro.api.base import knob_type
     from repro.core.weak_distance import EVAL_MODES
     from repro.mo import available_backends
 
-    cmd.add_argument("--seed", type=int, default=None)
+    cmd.add_argument("--seed", type=knob_type("seed"), default=None)
     cmd.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=knob_type("workers"), default=1,
         help="fan each round's starts across N worker processes",
     )
     cmd.add_argument(
-        "--starts", type=int, default=None,
+        "--starts", type=knob_type("starts"), default=None,
         help="starts per round (default: analysis-specific)",
     )
     cmd.add_argument(
-        "--rounds", type=int, default=None,
+        "--rounds", type=knob_type("rounds"), default=None,
         help="round budget for stateful drivers",
     )
     cmd.add_argument(
@@ -90,7 +93,7 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
         help="MO backend (portfolio races several per start)",
     )
     cmd.add_argument(
-        "--niter", type=int, default=None,
+        "--niter", type=knob_type("niter"), default=None,
         help="backend iterations per start",
     )
     cmd.add_argument(
@@ -130,6 +133,7 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.api import available_analyses, get_analysis
+    from repro.api.base import knob_type
     from repro.core.weak_distance import EVAL_MODES
 
     parser = argparse.ArgumentParser(
@@ -179,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers",
-        type=int,
+        type=knob_type("workers"),
         default=None,
         help="worker processes (default: CPU count)",
     )
-    batch.add_argument("--seed", type=int, default=None)
-    batch.add_argument("--niter", type=int, default=30)
-    batch.add_argument("--rounds", type=int, default=20)
+    batch.add_argument("--seed", type=knob_type("seed"), default=None)
+    batch.add_argument("--niter", type=knob_type("niter"), default=30)
+    batch.add_argument("--rounds", type=knob_type("rounds"), default=20)
     batch.add_argument(
         "--formulas",
         default=None,
@@ -195,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(requires 'sat' in --analyses)",
     )
     batch.add_argument(
-        "--starts", type=int, default=None,
+        "--starts", type=knob_type("starts"), default=None,
         help="starts per formula for --formulas jobs",
     )
     batch.add_argument(
@@ -227,17 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
              "lowerable function (e.g. boundary,overflow,inconsistency)",
     )
     scan.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=knob_type("workers"), default=1,
         help="worker processes for the campaign (results are "
              "bit-identical to a serial scan)",
     )
     scan.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=knob_type("seed"), default=0,
         help="campaign seed (default 0; fixed so re-scans replay)",
     )
-    scan.add_argument("--niter", type=int, default=None)
-    scan.add_argument("--rounds", type=int, default=None)
-    scan.add_argument("--starts", type=int, default=None)
+    scan.add_argument("--niter", type=knob_type("niter"), default=None)
+    scan.add_argument("--rounds", type=knob_type("rounds"), default=None)
+    scan.add_argument("--starts", type=knob_type("starts"), default=None)
     from repro.mo import available_backends
 
     scan.add_argument(
@@ -320,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "printed on startup)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=knob_type("workers"), default=2,
         help="worker processes in the shared warm pool",
     )
     serve.add_argument(
@@ -364,12 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
     submit = clientsub.add_parser("submit", help="submit one job")
     submit.add_argument("analysis")
     submit.add_argument("target")
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--niter", type=int, default=None)
-    submit.add_argument("--rounds", type=int, default=None)
-    submit.add_argument("--starts", type=int, default=None)
-    submit.add_argument("--max-samples", dest="max_samples", type=int,
-                        default=None)
+    submit.add_argument("--seed", type=knob_type("seed"), default=None)
+    submit.add_argument("--niter", type=knob_type("niter"), default=None)
+    submit.add_argument("--rounds", type=knob_type("rounds"), default=None)
+    submit.add_argument("--starts", type=knob_type("starts"), default=None)
+    submit.add_argument("--max-samples", dest="max_samples",
+                        type=knob_type("max_samples"), default=None)
     submit.add_argument("--smoke", action="store_true")
     submit.add_argument("--racing", action="store_true")
     submit.add_argument("--backend", default=None)

@@ -6,11 +6,8 @@ three-layer architecture of Section 5:
 * :class:`~repro.core.problem.AnalysisProblem` — the Client's ⟨Prog; S⟩;
 * :class:`~repro.core.weak_distance.WeakDistance` — an executable W with
   Def. 3.1 law-checking helpers;
-* :class:`~repro.core.kernel.ReductionKernel` — Algorithm 2
-  (instrument → minimize → interpret), with the membership re-check
-  that mitigates Limitation 2;
-* :mod:`repro.core.parallel` — the process-pool multi-start engine
-  (``KernelConfig.n_workers``) with racing early-cancel;
+* :mod:`repro.core.parallel` — one multi-start round of Algorithm 2,
+  in process or on a worker pool, with racing early-cancel;
 * :mod:`repro.core.pool` — the persistent worker-pool service
   (warm workers, program cache by content digest, cancel slots) behind
   :class:`repro.api.session.Session`;
@@ -29,7 +26,6 @@ from repro.core.batch import (
     run_batch,
     suite_jobs,
 )
-from repro.core.kernel import KernelConfig, ReductionKernel
 from repro.core.parallel import (
     DEFAULT_CRASH_RETRIES,
     CrashNotice,
@@ -39,7 +35,6 @@ from repro.core.parallel import (
 )
 from repro.core.pool import WorkerPool
 from repro.core.problem import AnalysisProblem
-from repro.core.result import ReductionOutcome, Verdict
 from repro.core.weak_distance import WeakDistance
 
 __all__ = [
@@ -48,11 +43,7 @@ __all__ = [
     "BatchResult",
     "CrashNotice",
     "DEFAULT_CRASH_RETRIES",
-    "KernelConfig",
     "MultiStartOutcome",
-    "ReductionKernel",
-    "ReductionOutcome",
-    "Verdict",
     "WeakDistance",
     "WorkerCrashError",
     "WorkerPool",

@@ -15,7 +15,7 @@ the starts of one reduction across a pool of worker processes:
   reuses it for every start it is handed.
 
 * **Determinism.**  The parent derives one child generator per start
-  (:func:`repro.util.rng.derive_start_rngs`), samples the starting
+  (:func:`repro.util.rng.derive_round_rngs`), samples the starting
   point itself, and ships the post-sampling generator with the task.
   A worker therefore replays exactly the evaluation sequence the serial
   loop would have produced for that start.
@@ -60,8 +60,8 @@ There is one executor: :class:`repro.core.pool.WorkerPool`.
 ``run_multistart(..., pool=...)`` fans a round across a persistent
 pool whose warm workers cache unpickled weak distances by content
 digest (see :mod:`repro.core.pool` and
-:class:`repro.api.session.Session`); without a pool, ``n_workers > 1``
-runs the round on a transient pool that is closed when the round ends.
+:class:`repro.api.session.Session`); without a pool, the round runs
+in process.
 """
 
 from __future__ import annotations
@@ -76,15 +76,13 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.result import Sample
 from repro.core.weak_distance import WeakDistance
-from repro.mo.base import MOBackend, MOResult, Objective, drive
+from repro.mo.base import MOBackend, MOResult, Objective, Sample, drive
 from repro.util.digest import canonical_pickle, digest_bytes
 
 
 #: Salvage cycles a round may spend resubmitting crashed starts before
 #: giving up (see :class:`CrashNotice`); the default for
-#: ``KernelConfig.max_crash_retries`` and
 #: ``EngineConfig.max_crash_retries``.
 DEFAULT_CRASH_RETRIES = 2
 
@@ -473,31 +471,24 @@ def run_multistart(
     weak_distance: WeakDistance,
     backend: MOBackend,
     starts: Sequence[Tuple[Tuple[float, ...], np.random.Generator]],
-    n_workers: int,
     record_samples: bool = False,
     max_evals_per_start: Optional[int] = None,
     stop_at_zero: bool = True,
     early_cancel: bool = True,
     pool=None,
     stop_event: Optional[threading.Event] = None,
-    max_crash_retries: Optional[int] = None,
+    max_crash_retries: int = DEFAULT_CRASH_RETRIES,
     on_crash=None,
 ) -> MultiStartOutcome:
     """Run every ``(start, rng)`` pair through ``backend``.
 
-    With ``n_workers <= 1`` (or a single start) and no ``pool`` the
-    starts run inline — same per-start objectives, no processes — so
-    every caller gets one code path for both modes.  The backend and
-    the weak distance must be picklable for the pooled path.
-
-    ``pool`` fans the starts across a persistent
+    Without a ``pool`` the starts run inline — same per-start
+    objectives, no processes.  ``pool`` fans them across a persistent
     :class:`repro.core.pool.WorkerPool`: its warm workers cache
     unpickled weak distances by content digest, so repeated rounds and
-    jobs over the same program skip the unpickle/re-compile entirely.  When a
-    pool is given it owns the worker budget and ``n_workers`` is
-    ignored.  Without one, ``n_workers > 1`` runs the round on a
-    transient ``WorkerPool(min(n_workers, len(starts)))`` that is
-    closed when the round ends.
+    jobs over the same program skip the unpickle/re-compile entirely.
+    The backend and the weak distance must be picklable for the pooled
+    path.
 
     ``stop_at_zero=False`` lets every start run to completion and keeps
     all zero-valued samples (boundary value analysis).  With
@@ -517,15 +508,12 @@ def run_multistart(
     progress so far.
 
     ``max_crash_retries`` bounds the salvage cycles a round may spend
-    on crashed workers (``None`` = :data:`DEFAULT_CRASH_RETRIES`):
-    completed sibling reports are kept, the lost starts are resubmitted
-    to a fresh executor, and — because each retried start re-ships the
-    parent's untouched per-start generator — the healed round is
-    byte-identical to a crash-free serial run.  ``on_crash`` receives a
-    :class:`CrashNotice` per salvage cycle.
+    on crashed workers: completed sibling reports are kept, the lost
+    starts are resubmitted to a fresh executor, and — because each
+    retried start re-ships the parent's untouched per-start generator
+    — the healed round is byte-identical to a crash-free serial run.
+    ``on_crash`` receives a :class:`CrashNotice` per salvage cycle.
     """
-    if max_crash_retries is None:
-        max_crash_retries = DEFAULT_CRASH_RETRIES
     tasks = [
         StartTask(
             index=i,
@@ -538,23 +526,13 @@ def run_multistart(
         )
         for i, (start, rng) in enumerate(starts)
     ]
-    if not tasks or (pool is None and (n_workers <= 1 or len(tasks) <= 1)):
+    if not tasks or pool is None:
         return _run_starts_serial(weak_distance, tasks, early_cancel, stop_event)
-    transient = None
-    if pool is None:
-        # Lazy import: repro.core.pool builds on this module.
-        from repro.core.pool import WorkerPool
-
-        pool = transient = WorkerPool(min(n_workers, len(tasks)))
-    try:
-        return pool.run_round(
-            weak_distance,
-            tasks,
-            race=bool(stop_at_zero and early_cancel),
-            stop_event=stop_event,
-            max_crash_retries=max_crash_retries,
-            on_crash=on_crash,
-        )
-    finally:
-        if transient is not None:
-            transient.close()
+    return pool.run_round(
+        weak_distance,
+        tasks,
+        race=bool(stop_at_zero and early_cancel),
+        stop_event=stop_event,
+        max_crash_retries=max_crash_retries,
+        on_crash=on_crash,
+    )

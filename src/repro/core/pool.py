@@ -1,10 +1,8 @@
 """The worker pool: the one executor behind every parallel round.
 
 :func:`repro.core.parallel.run_multistart` fans a round's starts across
-a :class:`WorkerPool` — a persistent one owned by
-:class:`repro.api.Session` (or shared via ``EngineConfig.pool``), or a
-transient one it builds for the round when it is given ``n_workers >
-1`` and no pool.  A pool owns one
+the :class:`WorkerPool` it is given, usually the one a
+:class:`repro.api.Session` owns.  A pool owns one
 :class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime, so
 a long-lived pool amortizes process startup and the worker-side
 unpickle and compile of W across rounds and jobs:
@@ -191,12 +189,11 @@ class WorkerPool:
     Use as a context manager, or call :meth:`close` when done::
 
         with WorkerPool(4) as pool:
-            outcome = run_multistart(w, backend, starts, 0, pool=pool)
+            outcome = run_multistart(w, backend, starts, pool=pool)
 
-    Most callers never construct one directly —
-    :class:`repro.api.session.Session` owns a pool for its lifetime and
-    :class:`repro.api.engine.EngineConfig.pool` lets several engines or
-    sessions share one.
+    Most callers never construct one directly:
+    :class:`repro.api.session.Session` builds a pool from its
+    ``n_workers`` and closes it when the session closes.
     """
 
     def __init__(self, n_workers: int) -> None:

@@ -60,7 +60,9 @@ class AnalysisProblem:
         return self.program.num_inputs
 
     def contains(self, x: Sequence[float]) -> Optional[bool]:
-        """Decide ``x ∈ S`` when a membership oracle is available."""
+        """Decide ``x ∈ S`` when a membership oracle is available: the
+        oracle's answer as a ``bool`` (a ``numpy.bool_`` from a NumPy
+        expression included), or None without an oracle."""
         if self.membership is None:
             return None
-        return self.membership(tuple(float(v) for v in x))
+        return bool(self.membership(tuple(float(v) for v in x)))

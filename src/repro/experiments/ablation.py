@@ -47,10 +47,12 @@ def _limitation2_ablation():
 
     Program ``if (x == 0) ...``; the flawed designer injects
     ``w += x * x`` (zero for every |x| < ~1e-162 by underflow), the
-    careful designer injects the ULP distance.  The kernel's membership
-    re-check flags the flawed distance's result as spurious.
+    careful designer injects the ULP distance.  Algorithm 2's
+    membership re-check rejects the flawed distance's nonzero zero, so
+    its report is ``partial``; the ULP designer's is ``found`` at 0.0.
     """
-    from repro.core import AnalysisProblem, ReductionKernel, KernelConfig
+    from repro.analyses.reduction import ReductionAnalysis
+    from repro.core import AnalysisProblem
     from repro.fpir.builder import (
         FunctionBuilder,
         call,
@@ -84,17 +86,15 @@ def _limitation2_ablation():
 
     out = {}
     for name, hook in (("naive", flawed_hook), ("ulp", ulp_hook)):
-        kernel = ReductionKernel(
+        out[name] = run_analysis(
+            ReductionAnalysis,
+            problem,
+            seed=99,
             backend=BasinhoppingBackend(niter=30),
-            config=KernelConfig(
-                n_starts=6,
-                seed=99,
-                start_sampler=gaussian_sampler(1e-180),
-            ),
+            n_starts=6,
+            sampler=gaussian_sampler(1e-180),
+            spec=InstrumentationSpec(w_var="w", w_init=0.0, before_compare=hook),
         )
-        spec = InstrumentationSpec(w_var="w", w_init=0.0, before_compare=hook)
-        outcome = kernel.solve(problem, spec)
-        out[name] = outcome
     return out
 
 
@@ -158,8 +158,8 @@ def run(quick: bool = False, seed: Optional[int] = None) -> ExperimentResult:
             "fig7: characteristic distance",
             f"{len(flat)} distinct BVs (flat => random testing)",
         ),
-        ("limitation2: w += x*x verdict", lim2["naive"].verdict.value),
-        ("limitation2: w += ulp(x,0) verdict", lim2["ulp"].verdict.value),
+        ("limitation2: w += x*x verdict", lim2["naive"].verdict),
+        ("limitation2: w += ulp(x,0) verdict", lim2["ulp"].verdict),
         (
             "coverage: weak-distance MO",
             f"{100.0 * coverage['weak-distance'].coverage:.1f}% of arms",

@@ -53,7 +53,7 @@ atexit.register(close_shared_sessions)
 
 
 def run_analysis(
-    name: str,
+    analysis: Any,
     target: Any,
     *,
     seed: Optional[int] = None,
@@ -68,7 +68,9 @@ def run_analysis(
 ):
     """Run one analysis through the :mod:`repro.api` facade.
 
-    Every experiment drives its analyses through this helper, so the
+    ``analysis`` is a registry name or an analysis class (such as
+    :class:`~repro.analyses.reduction.ReductionAnalysis`).  Every
+    experiment drives its analyses through this helper, so the
     whole harness inherits the engine's seeding discipline and runs in
     one *shared* :class:`~repro.api.session.Session` per worker count,
     kept for the whole process.  Setting ``REPRO_WORKERS=N`` in the
@@ -89,7 +91,7 @@ def run_analysis(
         start_sampler=sampler,
     )
     return shared_session(n_workers).run(
-        name, target, spec=spec, config=config, **options
+        analysis, target, spec=spec, config=config, **options
     )
 
 

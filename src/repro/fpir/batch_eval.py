@@ -465,11 +465,23 @@ _INT_OPS: Dict[str, Callable] = {
     "shr": _shr,
 }
 
+
+def _fdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` as :func:`repro.fp.arith.fdiv` divides: ``0/0`` and
+    ``nan/0`` are ``+nan`` there, where the hardware's ``0/0`` NaN has
+    its sign bit set and ``nan/0`` keeps the operand's NaN."""
+    out = np.true_divide(a, b)
+    by_zero = b == 0.0
+    if not by_zero.any():
+        return out
+    return np.where(by_zero & ((a == 0.0) | np.isnan(a)), math.nan, out)
+
+
 _FLOAT_OPS: Dict[str, Callable] = {
     "fadd": np.add,
     "fsub": np.subtract,
     "fmul": np.multiply,
-    "fdiv": np.true_divide,
+    "fdiv": _fdiv,
 }
 
 _COMPARE_OPS: Dict[str, Callable] = {

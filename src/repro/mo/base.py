@@ -51,6 +51,9 @@ import numpy as np
 #: A point of ``F^N`` as the ask/tell protocol carries it.
 Point = Tuple[float, ...]
 
+#: One recorded sample: (point, W value).
+Sample = Tuple[Point, float]
+
 #: What :meth:`MOBackend.steps` returns: yields asks, receives values.
 Steps = Generator[List[Point], List[float], None]
 
@@ -113,7 +116,7 @@ class Objective:
         self.stop_at_zero = stop_at_zero
         self.max_samples = max_samples
         self.should_stop = should_stop
-        self.samples: List[Tuple[Tuple[float, ...], float]] = []
+        self.samples: List[Sample] = []
         self.n_evals = 0
         self.best_x: Optional[Tuple[float, ...]] = None
         self.best_f = math.inf

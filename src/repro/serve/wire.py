@@ -14,7 +14,8 @@ One strict, versioned JSON vocabulary shared by the HTTP server
   translation for campaign jobs (batch, scan, serve).  Unknown fields
   are rejected (a typo'd knob must not silently run with defaults),
   and so are knobs the job would ignore (``rounds``/``max_samples``
-  next to ``smoke``, whose budget is the analysis's smoke options).
+  next to ``smoke``, whose budget is the analysis's smoke options) and
+  knobs below their minimum (:data:`repro.api.base.KNOB_MINIMUMS`).
 * **out** — :func:`report_to_dict` / :func:`job_to_dict` are the JSON
   renderings of an :class:`~repro.api.report.AnalysisReport` and a
   scheduler job; both carry ``schema_version`` so clients can key
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Tuple
 
+from repro.api.base import check_knob
 from repro.api.report import finding_to_dict
 from repro.core.batch import BatchJob
 from repro.core.weak_distance import EVAL_MODES
@@ -108,7 +110,10 @@ def normalize_job_payload(payload: Any) -> Dict[str, Any]:
             continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise WireError(f"'{knob}' must be an integer")
-        normalized[knob] = value
+        try:
+            normalized[knob] = check_knob(knob, value)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
     for knob in _BOOL_KNOBS:
         value = payload.get(knob)
         if value is None:

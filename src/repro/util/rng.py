@@ -26,35 +26,14 @@ def spawn(rng: np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng.integers(0, 2**63 - 1))
 
 
-def spawn_seed_sequences(seed: Optional[int], n: int) -> List[np.random.SeedSequence]:
-    """``n`` independent children of one root :class:`SeedSequence`.
-
-    This is the multi-start seeding policy: every start ``i`` of a
-    seeded run owns child ``i``, so the per-start randomness is a pure
-    function of ``(seed, i)`` — independent of whether the starts run
-    serially in one process or fanned out across a worker pool
-    (:mod:`repro.core.parallel`).
-    """
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    return root.spawn(n)
-
-
-def derive_start_rngs(seed: Optional[int], n_starts: int) -> List[np.random.Generator]:
-    """One independent generator per start (see
-    :func:`spawn_seed_sequences`)."""
-    return [
-        np.random.default_rng(child)
-        for child in spawn_seed_sequences(seed, n_starts)
-    ]
-
-
 def derive_round_rngs(
     seed: Optional[int], round_index: int, n_starts: int
 ) -> List[np.random.Generator]:
-    """Per-start generators for one *round* of a stateful driver.
+    """One independent generator per start of one multi-start round.
 
-    Stateful analyses (Algorithm 3's round loop, coverage's grow-B
-    loop) run many multi-starts in sequence.  Keying the round's
+    This is the multi-start seeding policy.  Stateful analyses
+    (Algorithm 3's round loop, coverage's grow-B loop) run many
+    multi-starts in sequence.  Keying the round's
     :class:`~numpy.random.SeedSequence` by ``spawn_key=(round_index,)``
     makes every start's randomness a pure function of
     ``(seed, round_index, start_index)`` — independent of how many

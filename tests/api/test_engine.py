@@ -109,17 +109,28 @@ class TestRemovedShims:
     def test_deleted_names_are_gone(self):
         """The deprecated drivers and shims are deleted, not hidden:
         the engine and `repro run <analysis>` are the only surface."""
+        import importlib
+
+        import repro
         import repro.analyses
         import repro.api.targets
+        import repro.core
         import repro.core.batch
         import repro.core.parallel
         import repro.sat
+        from repro.analyses.inconsistency import InconsistencyAnalysis
+        from repro.analyses.overflow import _OverflowState
         from repro.api.base import Analysis
         from repro.cli import main
-        from repro.core import KernelConfig, ReductionKernel
         from repro.core.batch import BatchJob, suite_jobs
+        from repro.core.parallel import run_multistart
 
+        # The second Algorithm-2 driver went when ReductionAnalysis
+        # brought Algorithm 2 into the session's driver loop.
+        kernel_api = ("KernelConfig", "ReductionKernel", "ReductionOutcome", "Verdict")
         gone = {
+            repro: kernel_api,
+            repro.core: kernel_api,
             repro.analyses: (
                 "BoundaryValueAnalysis",
                 "PathReachability",
@@ -134,15 +145,27 @@ class TestRemovedShims:
         for module, names in gone.items():
             for name in names:
                 assert not hasattr(module, name), (module.__name__, name)
+        for module in ("repro.core.kernel", "repro.core.result"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
         assert not hasattr(Analysis, "takes_program")
+        assert "check_inconsistency" not in _OverflowState.__dataclass_fields__
+        assert "prepare" not in vars(InconsistencyAnalysis)
         with pytest.raises(TypeError):
             BatchJob(analysis="coverage", program="fig2")
         with pytest.raises(TypeError):
             suite_jobs(analyses=["coverage"], programs=["fig2"])
-        kernel = ReductionKernel(config=KernelConfig(n_starts=1))
         with pytest.raises(TypeError):
-            kernel.minimize(None, 1, objective=object())
-        for command in ("fpod", "boundary", "coverage", "sat"):
+            run_multistart(None, None, [], n_workers=2)
+        with pytest.raises(TypeError):
+            EngineConfig(pool=None)
+        for argv in (
+            ["fpod"],
+            ["boundary"],
+            ["coverage"],
+            ["sat"],
+            ["run", "overflow", "fig2", "--inconsistency"],
+        ):
             with pytest.raises(SystemExit) as exit_info:
-                main([command])
+                main(argv)
             assert exit_info.value.code == 2

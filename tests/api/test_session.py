@@ -99,27 +99,28 @@ def _fingerprint(report):
 
 
 class TestPayloadCache:
-    def test_two_jobs_one_rebuild_per_distinct_program(self):
-        """The acceptance bar: a two-job session performs exactly one
-        worker-side payload rebuild per distinct program."""
-        with WorkerPool(1) as pool:
-            with Session(EngineConfig(seed=5, pool=pool)) as session:
-                first = session.run("overflow", "fig2")
-                # Another seed, so the round cache serves none of the
-                # second job's rounds: both jobs reach the pool.
-                second = session.run(
-                    "overflow", "fig2", config=EngineConfig(seed=6)
-                )
-                assert first.verdict == second.verdict
-                assert second.n_evals_cached == 0
-                # Both jobs, all their rounds: one program, one rebuild.
-                assert first.rounds + second.rounds > 2
-                assert pool.n_programs == 1
-                assert pool.n_rebuilds == 1
-                third = session.run("overflow", "fig1a")
-                assert third.rounds >= 1
-                assert pool.n_programs == 2
-                assert pool.n_rebuilds == 2
+    def test_two_jobs_rebuild_each_program_once_per_worker(self):
+        """The acceptance bar: a two-job session rebuilds each distinct
+        program at least once and at most once per worker, however
+        many jobs and rounds run it."""
+        n_workers = 2
+        with Session(EngineConfig(seed=5, n_workers=n_workers)) as session:
+            pool = session.pool
+            first = session.run("overflow", "fig2")
+            # Another seed, so the round cache serves none of the
+            # second job's rounds: both jobs reach the pool.
+            second = session.run("overflow", "fig2", config=EngineConfig(seed=6))
+            assert first.verdict == second.verdict
+            assert second.n_evals_cached == 0
+            # Both jobs, all their rounds: one program.
+            assert first.rounds + second.rounds > 2
+            assert pool.n_programs == 1
+            assert 1 <= pool.n_rebuilds <= n_workers
+            rebuilds = pool.n_rebuilds
+            third = session.run("overflow", "fig1a")
+            assert third.rounds >= 1
+            assert pool.n_programs == 2
+            assert 1 <= pool.n_rebuilds - rebuilds <= n_workers
 
     def test_rebuilds_bounded_by_workers(self):
         with Session(EngineConfig(seed=7, n_workers=2)) as session:
@@ -561,13 +562,6 @@ class TestEngineDelegation:
         assert report.verdict == "found"
         assert report.n_workers == 2
 
-    def test_injected_pool_drives_job_concurrency(self):
-        # config.n_workers stays 1 when only pool= is set; the job
-        # concurrency must come from the pool's worker count.
-        with WorkerPool(2) as pool:
-            with Session(EngineConfig(pool=pool)) as session:
-                assert session._max_parallel_jobs == 2
-
     def test_job_config_workers_never_fork_a_pool(self, monkeypatch):
         # Execution resources come from the session: a serial session
         # runs a job that asks for n_workers=4 in-process, every round,
@@ -588,12 +582,3 @@ class TestEngineDelegation:
         assert report.rounds >= 2
         assert built == []
         assert report.n_workers == 1
-
-    def test_engine_reuses_externally_owned_pool(self):
-        with WorkerPool(2) as pool:
-            engine = Engine(EngineConfig(seed=11, pool=pool))
-            engine.run("path", "fig2", n_starts=4)
-            engine.run("path", "fig2", n_starts=4)
-            assert pool.n_rebuilds <= 2  # warm across Engine.run calls
-            assert pool.n_programs == 1
-            assert not pool.closed  # the engine never closes a shared pool

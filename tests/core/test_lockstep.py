@@ -27,7 +27,7 @@ from repro.mo.random_search import RandomSearchBackend
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import DEFAULT_SAMPLER
 from repro.programs.suite import get_program
-from repro.util.rng import derive_start_rngs
+from repro.util.rng import derive_round_rngs
 
 BACKENDS = {
     "basinhopping": lambda: BasinhoppingBackend(niter=4, local_maxiter=10),
@@ -50,7 +50,7 @@ def _weak_distance(program, spec, eval_mode="vectorized"):
 
 def _starts(seed, n_starts, n_inputs):
     return [(DEFAULT_SAMPLER(rng, n_inputs), rng)
-            for rng in derive_start_rngs(seed, n_starts)]
+            for rng in derive_round_rngs(seed, 0, n_starts)]
 
 
 def _tasks(backend, seed, n_starts, n_inputs, stop_at_zero=True,
@@ -92,7 +92,7 @@ def _lockstep(wd, n_inputs, backend, seed, n_starts, monkeypatch,
         patch.setattr(parallel, "drive", recording_drive)
         outcome = run_multistart(
             wd, backend, _starts(seed, n_starts, n_inputs),
-            n_workers=1, record_samples=record_samples,
+            record_samples=record_samples,
             max_evals_per_start=max_evals, stop_at_zero=stop_at_zero,
             early_cancel=early_cancel, stop_event=stop_event,
         )
@@ -160,7 +160,7 @@ def test_wide_basinhopping_round_reaches_the_kernel(monkeypatch):
 
 class TestEarlyCancel:
     def test_racing_round_runs_one_start_at_a_time(self, monkeypatch):
-        """fig2's overflow W, seed 9: start 2 samples a zero at its start
+        """fig2's overflow W, seed 24: start 2 samples a zero at its start
         point, start 0 only in its second step.  A racing round
         (``early_cancel`` and ``stop_at_zero``) is not stepped in
         lockstep: start 0 runs alone, its zero cancels starts 1-4 before
@@ -169,10 +169,10 @@ class TestEarlyCancel:
         wd = _weak_distance("fig2", "overflow")
         n = wd.program.num_inputs
         backend = BACKENDS["random-search"]
-        solo = _one_at_a_time(wd, _tasks(backend(), 9, 5, n))[0]
+        solo = _one_at_a_time(wd, _tasks(backend(), 24, 5, n))[0]
         assert solo[2].stopped_at_zero and solo[2].n_evals == 1
         assert solo[0].stopped_at_zero and solo[0].n_evals > 1
-        reference = _one_at_a_time(wd, _tasks(backend(), 9, 5, n),
+        reference = _one_at_a_time(wd, _tasks(backend(), 24, 5, n),
                                    early_cancel=True)
         widths, calls = [], []
         drive, evaluate_batch = parallel.drive, wd.evaluate_batch
@@ -180,8 +180,8 @@ class TestEarlyCancel:
                             lambda searches: widths.append(len(searches))
                             or drive(searches))
         wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
-        outcome = run_multistart(wd, backend(), _starts(9, 5, n),
-                                 n_workers=1, record_samples=True,
+        outcome = run_multistart(wd, backend(), _starts(24, 5, n),
+                                 record_samples=True,
                                  early_cancel=True)
         assert widths == []
         assert calls == [32]
@@ -235,7 +235,7 @@ class TestOtherPaths:
         backend = BACKENDS["population"]
         lockstep = _lockstep(vec, n, backend(), 4, 3, monkeypatch)
         outcome = run_multistart(scalar, backend(), _starts(4, 3, n),
-                                 n_workers=1, record_samples=True,
+                                 record_samples=True,
                                  early_cancel=False)
         _assert_same(outcome, (lockstep.attempts, lockstep.n_evals,
                                lockstep.samples))
@@ -251,7 +251,7 @@ class TestStopEvent:
         evaluate_batch = wd.evaluate_batch
         wd.evaluate_batch = lambda X: calls.append(len(X)) or evaluate_batch(X)
         outcome = run_multistart(wd, BACKENDS["population"](),
-                                 _starts(1, 3, 1), n_workers=1,
+                                 _starts(1, 3, 1),
                                  record_samples=True, early_cancel=False,
                                  stop_event=stop)
         assert calls == []

@@ -4,15 +4,11 @@ import pickle
 
 import pytest
 
+from repro.analyses import ReductionAnalysis
 from repro.analyses.boundary import multiplicative_spec
 from repro.analyses.overflow import overflow_spec
-from repro.core import (
-    AnalysisProblem,
-    KernelConfig,
-    ReductionKernel,
-    Verdict,
-    WorkerCrashError,
-)
+from repro.api import Engine, EngineConfig
+from repro.core import AnalysisProblem, WorkerCrashError, WorkerPool
 from repro.core.parallel import run_multistart
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import FunctionBuilder, eq, fmul, gt, num, v
@@ -23,7 +19,7 @@ from repro.mo.base import MOBackend
 from repro.mo.random_search import RandomSearchBackend
 from repro.mo.starts import uniform_sampler, wide_log_sampler
 from repro.programs import fig2
-from repro.util.rng import derive_start_rngs
+from repro.util.rng import derive_round_rngs
 
 
 def _equality_program(target: float = 7.0) -> Program:
@@ -66,7 +62,7 @@ class CrashBackend(MOBackend):
 
 def _first_planted_index(seed, n_starts):
     sampler = PlantedSampler()
-    for i, rng in enumerate(derive_start_rngs(seed, n_starts)):
+    for i, rng in enumerate(derive_round_rngs(seed, 0, n_starts)):
         if sampler(rng, 1) == (7.0,):
             return i
     return None
@@ -115,24 +111,42 @@ class TestPayload:
             assert rebuilt(x) == WeakDistance(instrumented)(x)
 
 
-class TestVerdictEquivalence:
-    """n_workers=4 must reproduce the serial verdicts (same seed)."""
+def _starts(seed, n_starts, sampler):
+    return [(sampler(rng, 1), rng) for rng in derive_round_rngs(seed, 0, n_starts)]
 
-    def _outcomes(self, problem, spec, backend=None, **config):
-        outcomes = []
+
+class TestVerdictEquivalence:
+    """n_workers=4 must reproduce the serial run (same seed)."""
+
+    def _reports(self, problem, spec, backend=None, sampler=None, **options):
+        reports = []
         for n_workers in (1, 4):
-            kernel = ReductionKernel(
+            config = EngineConfig(
+                seed=1,
+                n_workers=n_workers,
                 backend=backend
                 or RandomSearchBackend(
                     n_samples=400,
                     sampler=wide_log_sampler(-4.0, 4.0),
                 ),
-                config=KernelConfig(
-                    n_starts=4, seed=1, n_workers=n_workers, **config
-                ),
+                n_starts=4,
+                start_sampler=sampler,
             )
-            outcomes.append(kernel.solve(problem, spec))
-        return outcomes
+            reports.append(
+                Engine(config).run(ReductionAnalysis, problem, spec=spec, **options)
+            )
+        serial, parallel = reports
+        # The session's rounds do not race, so the pooled run is
+        # bit-identical to the serial one, not just verdict-identical.
+        assert serial.verdict == parallel.verdict
+        assert serial.findings == parallel.findings
+        assert [(t.n_evals, t.best_w) for t in serial.trace] == [
+            (t.n_evals, t.best_w) for t in parallel.trace
+        ]
+        assert serial.n_evals == parallel.n_evals
+        assert serial.samples == parallel.samples
+        assert (serial.n_workers, parallel.n_workers) == (1, 4)
+        return reports
 
     def test_found_problem(self):
         from repro.mo.scipy_backends import BasinhoppingBackend
@@ -141,39 +155,46 @@ class TestVerdictEquivalence:
             fig2.make_program(),
             membership=lambda x: fig2.reference_boundary_membership(x[0]),
         )
-        serial, parallel = self._outcomes(
+        serial, parallel = self._reports(
             problem,
             multiplicative_spec(),
             backend=BasinhoppingBackend(niter=40),
-            start_sampler=uniform_sampler(-50.0, 50.0),
+            sampler=uniform_sampler(-50.0, 50.0),
         )
-        assert serial.verdict is Verdict.FOUND
-        assert parallel.verdict is Verdict.FOUND
-        assert serial.w_star == parallel.w_star == 0.0
+        assert serial.verdict == parallel.verdict == "found"
+        assert serial.detail.best.f_star == parallel.detail.best.f_star == 0.0
 
     def test_not_found_problem_matches_exactly(self):
         problem = AnalysisProblem(_equality_program())
-        serial, parallel = self._outcomes(
+        serial, parallel = self._reports(
             problem,
             _square_plus_one_spec(),
-            start_sampler=uniform_sampler(-50.0, 50.0),
+            sampler=uniform_sampler(-50.0, 50.0),
         )
-        assert serial.verdict is Verdict.NOT_FOUND
-        assert parallel.verdict is Verdict.NOT_FOUND
-        # No early stop on either path: every start runs its full
-        # deterministic trajectory, so the minima and the evaluation
-        # counts agree exactly.
-        assert serial.w_star == parallel.w_star
+        assert serial.verdict == parallel.verdict == "not-found"
+        # Every start runs its full deterministic trajectory on both
+        # paths, so the minima and the evaluation counts agree exactly.
+        assert serial.detail.best.f_star == parallel.detail.best.f_star
         assert serial.n_evals == parallel.n_evals
 
     def test_parallel_merges_recorded_samples_in_start_order(self):
-        problem = AnalysisProblem(_equality_program())
-        serial, parallel = self._outcomes(
-            problem,
-            _square_plus_one_spec(),
-            start_sampler=uniform_sampler(-50.0, 50.0),
-            record_samples=True,
+        weak_distance = WeakDistance(
+            instrument(_equality_program(), _square_plus_one_spec())
         )
+        backend = RandomSearchBackend(
+            n_samples=400, sampler=wide_log_sampler(-4.0, 4.0)
+        )
+
+        def starts():
+            return _starts(1, 4, uniform_sampler(-50.0, 50.0))
+
+        serial = run_multistart(
+            weak_distance, backend, starts(), record_samples=True
+        )
+        with WorkerPool(4) as pool:
+            parallel = run_multistart(
+                weak_distance, backend, starts(), record_samples=True, pool=pool
+            )
         assert serial.samples
         assert serial.samples == parallel.samples
 
@@ -189,21 +210,15 @@ class TestEarlyCancel:
         weak_distance = WeakDistance(
             instrument(_equality_program(), multiplicative_spec())
         )
-        kernel = ReductionKernel(
-            backend=RandomSearchBackend(
-                n_samples=budget,
-                sampler=uniform_sampler(1e5, 1e6),
-            ),
-            config=KernelConfig(
-                n_starts=n_starts,
-                seed=seed,
-                start_sampler=PlantedSampler(),
-                n_workers=n_starts,
-            ),
+        backend = RandomSearchBackend(
+            n_samples=budget,
+            sampler=uniform_sampler(1e5, 1e6),
         )
-        outcome = kernel.minimize(weak_distance, n_inputs=1)
-        assert outcome.verdict is Verdict.FOUND
-        assert outcome.x_star == (7.0,)
+        starts = _starts(seed, n_starts, PlantedSampler())
+        with WorkerPool(n_starts) as pool:
+            outcome = run_multistart(weak_distance, backend, starts, pool=pool)
+        assert outcome.best.f_star == 0.0
+        assert outcome.best.x_star == (7.0,)
         # The planted start wins after one evaluation and cancels the
         # race; the others stop far short of their budgets.
         assert outcome.n_evals < 0.25 * n_starts * budget
@@ -213,18 +228,12 @@ class TestEarlyCancel:
         weak_distance = WeakDistance(
             instrument(_equality_program(), multiplicative_spec())
         )
-        kernel = ReductionKernel(
-            backend=RandomSearchBackend(
-                n_samples=500, sampler=uniform_sampler(1e5, 1e6)
-            ),
-            config=KernelConfig(
-                n_starts=2,
-                seed=3,
-                start_sampler=uniform_sampler(1e5, 1e6),
-            ),
+        backend = RandomSearchBackend(
+            n_samples=500, sampler=uniform_sampler(1e5, 1e6)
         )
-        outcome = kernel.minimize(weak_distance, n_inputs=1)
-        assert outcome.verdict is Verdict.NOT_FOUND
+        starts = _starts(3, 2, uniform_sampler(1e5, 1e6))
+        outcome = run_multistart(weak_distance, backend, starts)
+        assert outcome.best.f_star > 0.0
         assert outcome.n_evals == 2 * 500
 
 
@@ -233,21 +242,14 @@ class TestWorkerCrash:
         weak_distance = WeakDistance(
             instrument(_equality_program(), multiplicative_spec())
         )
-        kernel = ReductionKernel(
-            backend=CrashBackend(),
-            config=KernelConfig(
-                n_starts=3,
-                seed=1,
-                start_sampler=uniform_sampler(-1.0, 1.0),
-                n_workers=2,
-            ),
-        )
-        with pytest.raises(WorkerCrashError) as excinfo:
-            kernel.minimize(weak_distance, n_inputs=1)
+        starts = _starts(1, 3, uniform_sampler(-1.0, 1.0))
+        with WorkerPool(2) as pool:
+            with pytest.raises(WorkerCrashError) as excinfo:
+                run_multistart(weak_distance, CrashBackend(), starts, pool=pool)
         assert 0 <= excinfo.value.start_index < 3
         assert "backend exploded" in str(excinfo.value)
 
-    def test_one_shot_kill_heals_with_serial_parity(self, tmp_path):
+    def test_kill_heals_with_serial_parity(self, tmp_path):
         from repro.testing import KillWorkerOnceBackend
 
         def chaos():
@@ -265,19 +267,15 @@ class TestWorkerCrash:
         def starts():
             # Fresh generators per run: the serial path advances them
             # in-process, so sharing one list would skew the replay.
-            return [
-                (uniform_sampler(10.0, 20.0)(rng, 1), rng)
-                for rng in derive_start_rngs(5, 6)
-            ]
+            return _starts(5, 6, uniform_sampler(10.0, 20.0))
 
         serial = run_multistart(
-            weak_distance, chaos(), starts(), n_workers=1,
-            early_cancel=False,
+            weak_distance, chaos(), starts(), early_cancel=False,
         )
-        healed = run_multistart(
-            weak_distance, chaos(), starts(), n_workers=2,
-            early_cancel=False,
-        )
+        with WorkerPool(2) as pool:
+            healed = run_multistart(
+                weak_distance, chaos(), starts(), early_cancel=False, pool=pool,
+            )
         assert (tmp_path / "killed").exists()
         assert healed.n_crash_retries >= 1
         assert [r.x_star for r in serial.attempts] == [
@@ -286,11 +284,11 @@ class TestWorkerCrash:
         assert serial.n_evals == healed.n_evals
 
 
-class TestOneShotStopEvent:
-    def test_one_shot_round_observes_stop_event(self):
-        """The one-shot executor path honors job cancellation too:
-        a pre-set stop event withdraws queued starts and marks the
-        outcome interrupted instead of running the round to the end."""
+class TestPooledStopEvent:
+    def test_pooled_round_observes_pre_set_stop_event(self):
+        """A pooled round honors job cancellation too: a pre-set stop
+        event withdraws queued starts and marks the outcome
+        interrupted instead of running the round to the end."""
         import threading
 
         weak_distance = WeakDistance(
@@ -299,16 +297,14 @@ class TestOneShotStopEvent:
         backend = RandomSearchBackend(
             n_samples=20_000, sampler=uniform_sampler(10.0, 20.0)
         )
-        starts = [
-            (uniform_sampler(10.0, 20.0)(rng, 1), rng)
-            for rng in derive_start_rngs(3, 8)
-        ]
+        starts = _starts(3, 8, uniform_sampler(10.0, 20.0))
         stop = threading.Event()
         stop.set()
-        outcome = run_multistart(
-            weak_distance, backend, starts, n_workers=2,
-            early_cancel=False, stop_event=stop,
-        )
+        with WorkerPool(2) as pool:
+            outcome = run_multistart(
+                weak_distance, backend, starts,
+                early_cancel=False, stop_event=stop, pool=pool,
+            )
         assert outcome.interrupted
         assert len(outcome.attempts) < 8
 
@@ -339,10 +335,10 @@ class TestSerialStopEvent:
         stop = threading.Event()
         starts = [
             (uniform_sampler(10.0, 20.0)(rng, 1), rng)
-            for rng in derive_start_rngs(3, 3)
+            for rng in derive_round_rngs(3, 0, 3)
         ]
         outcome = run_multistart(
-            weak_distance, StopBeforeEvaluating(stop), starts, n_workers=1,
+            weak_distance, StopBeforeEvaluating(stop), starts,
             early_cancel=False, stop_event=stop,
         )
         assert outcome.interrupted
@@ -364,19 +360,17 @@ class TestLabelSetMerge:
         return WeakDistance(instrument(program, overflow_spec()))
 
     def _minimize(self, weak_distance, n_workers, covered):
+        """The best attempt of one racing round, serial for
+        ``n_workers=1``, else on a pool of that many workers."""
         weak_distance.label_sets["L"] = set(covered)
-        kernel = ReductionKernel(
-            backend=RandomSearchBackend(
-                n_samples=300, sampler=wide_log_sampler(100.0, 308.0)
-            ),
-            config=KernelConfig(
-                n_starts=3,
-                seed=11,
-                start_sampler=wide_log_sampler(100.0, 308.0),
-                n_workers=n_workers,
-            ),
+        backend = RandomSearchBackend(
+            n_samples=300, sampler=wide_log_sampler(100.0, 308.0)
         )
-        return kernel.minimize(weak_distance, n_inputs=1)
+        starts = _starts(11, 3, wide_log_sampler(100.0, 308.0))
+        if n_workers == 1:
+            return run_multistart(weak_distance, backend, starts).best
+        with WorkerPool(n_workers) as pool:
+            return run_multistart(weak_distance, backend, starts, pool=pool).best
 
     def test_covered_labels_respected_and_merged(self):
         serial_wd = self._overflow_distance()
@@ -389,7 +383,7 @@ class TestLabelSetMerge:
         parallel_wd = self._overflow_distance()
         parallel = self._minimize(parallel_wd, 3, covered=[labels[0]])
 
-        assert serial.verdict == parallel.verdict
+        assert (serial.f_star == 0.0) == (parallel.f_star == 0.0)
         # The pre-covered label survives the round trip and the merge.
         assert parallel_wd.label_sets["L"] >= {labels[0]}
         assert parallel_wd.label_sets["L"] == serial_wd.label_sets["L"]
@@ -400,10 +394,9 @@ class TestLabelSetMerge:
             site.label
             for site in weak_distance.instrumented.index.fp_ops
         ]
-        outcome = self._minimize(weak_distance, 3, covered=labels)
-        # Every probe is suppressed, so W stays at w_init == 1.
-        assert outcome.verdict is Verdict.NOT_FOUND
-        assert outcome.w_star == 1.0
+        best = self._minimize(weak_distance, 3, covered=labels)
+        # Every probe is suppressed, so W stays at w_init == 1: no zero.
+        assert best.f_star == 1.0
 
 
 class TestRoundsKeepLabelSets:
@@ -413,7 +406,7 @@ class TestRoundsKeepLabelSets:
 
     @pytest.mark.parametrize("path", ["one-at-a-time", "lockstep", "pooled"])
     def test_round_leaves_label_sets_as_found(self, path, monkeypatch):
-        from repro.core import WorkerPool, parallel
+        from repro.core import parallel
         from repro.mo.population import PopulationBackend
         from repro.programs.suite import get_program
 
@@ -431,7 +424,7 @@ class TestRoundsKeepLabelSets:
         n = weak_distance.program.num_inputs
         starts = [
             (wide_log_sampler(-4.0, 4.0)(rng, n), rng)
-            for rng in derive_start_rngs(2, 4)
+            for rng in derive_round_rngs(2, 0, 4)
         ]
         widths = []
         drive = parallel.drive
@@ -444,13 +437,11 @@ class TestRoundsKeepLabelSets:
         if path == "pooled":
             with WorkerPool(2) as pool:
                 outcome = run_multistart(
-                    weak_distance, backend, starts, n_workers=1,
-                    early_cancel=False, pool=pool,
+                    weak_distance, backend, starts, early_cancel=False, pool=pool,
                 )
         else:
             outcome = run_multistart(
-                weak_distance, backend, starts, n_workers=1,
-                early_cancel=False,
+                weak_distance, backend, starts, early_cancel=False,
             )
         assert len(outcome.attempts) == 4
         assert widths == ([4] if path == "lockstep" else [])
@@ -463,17 +454,18 @@ class TestRunMultistartDirect:
         weak_distance = WeakDistance(
             instrument(_equality_program(), multiplicative_spec())
         )
-        rngs = derive_start_rngs(5, 3)
+        rngs = derive_round_rngs(5, 0, 3)
         sampler = uniform_sampler(10.0, 20.0)
         starts = [(sampler(rng, 1), rng) for rng in rngs]
-        outcome = run_multistart(
-            weak_distance,
-            backend=RandomSearchBackend(
-                n_samples=50, sampler=uniform_sampler(10.0, 20.0)
-            ),
-            starts=starts,
-            n_workers=2,
-        )
+        with WorkerPool(2) as pool:
+            outcome = run_multistart(
+                weak_distance,
+                backend=RandomSearchBackend(
+                    n_samples=50, sampler=uniform_sampler(10.0, 20.0)
+                ),
+                starts=starts,
+                pool=pool,
+            )
         assert len(outcome.attempts) == 3
         assert outcome.n_evals == 3 * 50
         assert outcome.n_cancelled == 0

@@ -23,7 +23,7 @@ from repro.mo.base import MOBackend
 from repro.mo.random_search import RandomSearchBackend
 from repro.mo.starts import uniform_sampler
 from repro.testing import KillWorkerOnceBackend
-from repro.util.rng import derive_start_rngs
+from repro.util.rng import derive_round_rngs
 
 
 def _equality_program(target: float = 7.0) -> Program:
@@ -42,7 +42,7 @@ def _weak_distance(target: float = 7.0) -> WeakDistance:
 
 def _starts(seed: int, n: int, low: float = 10.0, high: float = 20.0):
     sampler = uniform_sampler(low, high)
-    return [(sampler(rng, 1), rng) for rng in derive_start_rngs(seed, n)]
+    return [(sampler(rng, 1), rng) for rng in derive_round_rngs(seed, 0, n)]
 
 
 def _backend(n_samples: int = 50):
@@ -94,12 +94,12 @@ class TestPooledRounds:
     def test_pooled_round_matches_serial(self):
         serial_wd, pooled_wd = _weak_distance(), _weak_distance()
         serial = run_multistart(
-            serial_wd, _backend(), _starts(5, 3), n_workers=1,
+            serial_wd, _backend(), _starts(5, 3),
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             pooled = run_multistart(
-                pooled_wd, _backend(), _starts(5, 3), n_workers=1,
+                pooled_wd, _backend(), _starts(5, 3),
                 early_cancel=False, pool=pool,
             )
         assert [r.f_star for r in serial.attempts] == [
@@ -116,7 +116,7 @@ class TestPooledRounds:
             for round_seed in (1, 2, 3):
                 run_multistart(
                     weak_distance, _backend(), _starts(round_seed, 2),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             stats = pool.stats()
         # One worker, one program: a single rebuild serves every round.
@@ -129,7 +129,7 @@ class TestPooledRounds:
             for target in (7.0, 9.0):
                 run_multistart(
                     _weak_distance(target), _backend(),
-                    _starts(4, 2), n_workers=1, pool=pool,
+                    _starts(4, 2), pool=pool,
                 )
             assert pool.n_programs == 2
             assert pool.n_rebuilds == 2
@@ -141,7 +141,7 @@ class TestPooledRounds:
             for _ in range(2):
                 run_multistart(
                     _weak_distance(), _backend(), _starts(4, 2),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             assert pool.n_programs == 1
             assert pool.n_rebuilds == 1
@@ -155,12 +155,12 @@ class TestPooledRounds:
             # Warm-up round touches (at most) one of the two workers.
             run_multistart(
                 weak_distance, _backend(), _starts(1, 1),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert pool.n_rebuilds == 1
             outcome = run_multistart(
                 weak_distance, _backend(), _starts(2, 4),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
         assert len(outcome.attempts) == 4
         assert outcome.n_evals == 4 * 50
@@ -178,12 +178,12 @@ class TestPooledRounds:
         with WorkerPool(1) as pool:
             run_multistart(
                 program_wd, _backend(), _starts(4, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             program_wd.label_sets["L"].update(labels)
             outcome = run_multistart(
                 program_wd, _backend(), _starts(4, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             # Same digest both rounds: the label growth must not force
             # a rebuild...
@@ -202,7 +202,7 @@ class TestCrashRecovery:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
                     weak_distance, CrashBackend(), _starts(1, 3),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             # Every cancel slot was released cleared by the teardown.
             assert len(pool._free_slots) == CANCEL_SLOTS
@@ -210,7 +210,7 @@ class TestCrashRecovery:
             # The same pool serves the next round.
             outcome = run_multistart(
                 weak_distance, _backend(), _starts(5, 3),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert len(outcome.attempts) == 3
 
@@ -220,7 +220,7 @@ class TestCrashRecovery:
         with pytest.raises(RuntimeError, match="closed"):
             run_multistart(
                 _weak_distance(), _backend(), _starts(5, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
 
 
@@ -232,12 +232,12 @@ class TestChaosCrashRecovery:
     ):
         backend = _kill_once(tmp_path / "killed")
         serial = run_multistart(
-            _weak_distance(), backend, _starts(5, 6), n_workers=1,
+            _weak_distance(), backend, _starts(5, 6),
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             healed = run_multistart(
-                _weak_distance(), backend, _starts(5, 6), n_workers=1,
+                _weak_distance(), backend, _starts(5, 6),
                 early_cancel=False, pool=pool,
             )
             stats = pool.stats()
@@ -260,7 +260,7 @@ class TestChaosCrashRecovery:
         backend = _kill_once(tmp_path / "killed")
         with WorkerPool(2) as pool:
             run_multistart(
-                _weak_distance(), backend, _starts(5, 4), n_workers=1,
+                _weak_distance(), backend, _starts(5, 4),
                 early_cancel=False, pool=pool,
             )
             # Every cancel slot came back cleared and the (recreated)
@@ -269,7 +269,7 @@ class TestChaosCrashRecovery:
             assert all(flag == 0 for flag in pool._flags)
             outcome = run_multistart(
                 _weak_distance(), _backend(), _starts(6, 3),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
             )
             assert len(outcome.attempts) == 3
 
@@ -280,7 +280,7 @@ class TestChaosCrashRecovery:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
                     _weak_distance(), CrashBackend(), _starts(1, 3),
-                    n_workers=1, pool=pool, max_crash_retries=1,
+                    pool=pool, max_crash_retries=1,
                 )
             assert pool.stats()["crash_retries"] == 1
             # The aborted round released its cancel slot, cleared.
@@ -289,7 +289,7 @@ class TestChaosCrashRecovery:
             # The pool survives even budget exhaustion.
             outcome = run_multistart(
                 _weak_distance(), _backend(), _starts(5, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert len(outcome.attempts) == 2
 
@@ -312,7 +312,7 @@ class TestStopEventSalvage:
             watcher = _set_when_exists(marker, stop)
             outcome = run_multistart(
                 weak_distance, backend, _starts(3, 8),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
                 stop_event=stop,
             )
             watcher.join(timeout=60)
@@ -324,7 +324,7 @@ class TestStopEventSalvage:
             # The pool still serves the next (slotted) round.
             follow_up = run_multistart(
                 weak_distance, _backend(), _starts(5, 3),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
             )
             assert len(follow_up.attempts) == 3
             assert not follow_up.interrupted
@@ -338,14 +338,14 @@ class TestStopEventSalvage:
             # the two workers holds the program.
             run_multistart(
                 weak_distance, _backend(), _starts(1, 1),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert pool.n_rebuilds == 1
             stop = threading.Event()
             stop.set()
             outcome = run_multistart(
                 weak_distance, _backend(20_000), _starts(2, 6),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
                 stop_event=stop,
             )
             assert outcome.interrupted
@@ -360,13 +360,13 @@ class TestRacingCancellation:
         backend = RandomSearchBackend(
             n_samples=budget, sampler=uniform_sampler(1e5, 1e6)
         )
-        rngs = derive_start_rngs(3, 4)
+        rngs = derive_round_rngs(3, 0, 4)
         starts = [((7.0,), rngs[0])] + [
             ((float(1e5 + i),), rng) for i, rng in enumerate(rngs[1:])
         ]
         with WorkerPool(4) as pool:
             outcome = run_multistart(
-                weak_distance, backend, starts, n_workers=1,
+                weak_distance, backend, starts,
                 pool=pool, early_cancel=True,
             )
         assert outcome.best is not None

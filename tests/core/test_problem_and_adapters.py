@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.adapters import adapt_int_param, map_solution_back
 from repro.core.problem import AnalysisProblem
-from repro.core.result import ReductionOutcome, Verdict
 from repro.fpir.builder import FunctionBuilder, fadd, v
 from repro.fpir.interpreter import run_program
 from repro.fpir.program import Param, Program
@@ -54,14 +53,3 @@ class TestAdapters:
         prog = _int_param_program()
         assert map_solution_back(prog, (2.9, 0.5)) == (2, 0.5)
 
-
-class TestOutcome:
-    def test_bool_protocol(self):
-        found = ReductionOutcome(
-            verdict=Verdict.FOUND, x_star=(1.0,), w_star=0.0
-        )
-        missing = ReductionOutcome(
-            verdict=Verdict.NOT_FOUND, x_star=None, w_star=0.5
-        )
-        assert found and found.found
-        assert not missing

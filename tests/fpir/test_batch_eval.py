@@ -17,6 +17,7 @@ from repro.fpir.builder import (
     FunctionBuilder,
     call,
     fadd,
+    fdiv,
     fsub,
     gt,
     in_set,
@@ -334,6 +335,27 @@ def test_integer_arm_runs_only_on_its_lanes(name, program, xs, want):
         assert reference == want
     got = compile_batch(program).run(np.array([[x] for x in xs])).values
     assert_bit_equal(got, reference, name)
+
+
+def test_nan_sign_of_division_by_zero():
+    """``0/0`` and ``nan/0`` are ``+nan`` on the scalar tiers
+    (``arith.fdiv``); the hardware's ``0/0`` has its sign bit set and
+    ``nan/0`` keeps the operand's NaN, so the batch tier rewrites both
+    (a generated program's ``__hi(x / x)`` at ``x = 0`` caught it)."""
+    from repro.fpir.batch_eval import compile_batch
+    from repro.fpir.interpreter import Interpreter
+
+    fb = FunctionBuilder("f", params=["x", "y"])
+    fb.ret(call("__i2d", call("__hi", fdiv(v("x"), v("y")))))
+    program = one_function(fb)
+    nan = float("nan")
+    X = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (nan, 0.0), (-nan, -0.0),
+         (1.0, 0.0), (-1.0, 0.0), (nan, 1.0), (-nan, 2.0), (6.0, 3.0)]
+    got = compile_batch(program).run(np.array(X)).values
+    interpreter = Interpreter(program)
+    assert [float(value) for value in got] == [
+        interpreter.run(x).value for x in X
+    ]
 
 
 def test_nan_sign_from_calibrated_external():

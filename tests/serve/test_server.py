@@ -49,6 +49,18 @@ class TestRoutes:
         assert exc.value.status == 400
         assert "bogus" in exc.value.message
 
+    def test_knob_below_its_minimum_is_400_with_field_name(self, client):
+        # Each was accepted before the knob rule: rounds=-3 settled
+        # "done" with verdict not-found after 0 rounds, starts=-1 and
+        # seed=-1 failed at job time.
+        for knob, value in (("rounds", -3), ("starts", -1), ("seed", -1)):
+            payload = {"analysis": "overflow", "target": "fig2", knob: value}
+            with pytest.raises(ServeError) as exc:
+                client.submit(payload)
+            assert exc.value.status == 400
+            assert f"'{knob}' must be >=" in exc.value.message
+        assert client.jobs() == []
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError) as exc:
             client.job("j999")

@@ -59,6 +59,26 @@ class TestValidation:
         with pytest.raises(WireError):
             normalize_job_payload(bad)
 
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("seed", -1),
+            ("starts", -1),
+            ("starts", 0),
+            ("rounds", -3),
+            ("rounds", 0),
+            ("niter", 0),
+            ("max_samples", 0),
+        ],
+    )
+    def test_knob_below_its_minimum_names_the_field(self, knob, value):
+        with pytest.raises(WireError, match=f"'{knob}' must be >= "):
+            normalize_job_payload(payload(**{knob: value}))
+
+    def test_knob_minimums_are_accepted(self):
+        knobs = {"seed": 0, "starts": 1, "rounds": 1, "niter": 1, "max_samples": 1}
+        assert normalize_job_payload(payload(**knobs)) == {**payload(), **knobs}
+
     def test_unknown_field_error_names_the_field(self):
         with pytest.raises(WireError, match="bogus"):
             normalize_job_payload(payload(bogus=1))

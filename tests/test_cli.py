@@ -57,6 +57,49 @@ class TestGeneratedRun:
         assert "path" in capsys.readouterr().out
 
 
+class TestKnobRange:
+    """A budget flag below its minimum is a usage error naming the
+    flag; before the knob rule these crashed, ran a zero-work round,
+    or silently ran the default budget."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["run", "path", "fig2", "--starts", "-1"], "--starts"),
+            (["run", "path", "fig2", "--starts", "0"], "--starts"),
+            (["run", "overflow", "fig2", "--rounds", "-1"], "--rounds"),
+            (["run", "overflow", "fig2", "--rounds", "0"], "--rounds"),
+            (["run", "coverage", "fig2", "--workers", "-2"], "--workers"),
+            (["run", "coverage", "fig2", "--seed", "-1"], "--seed"),
+            (["run", "coverage", "fig2", "--niter", "0"], "--niter"),
+            (["run", "overflow", "fig2", "--retries", "0"], "--retries"),
+            (["run", "boundary", "fig2", "--samples", "0"], "--samples"),
+            # No such target or directory and an unreachable server:
+            # without the rule these fail fast, but not with usage errors.
+            (["batch", "--targets", "nope", "--workers", "0"], "--workers"),
+            (["batch", "--targets", "nope", "--rounds", "0"], "--rounds"),
+            (["scan", "no-such-dir", "--starts", "0"], "--starts"),
+            (["scan", "no-such-dir", "--seed", "-1"], "--seed"),
+            (["client", "--url", "http://127.0.0.1:1", "submit", "path", "fig2",
+              "--max-samples", "0"], "--max-samples"),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, list) else a,
+    )
+    def test_flag_below_its_minimum_exits_two(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_minimums_are_accepted(self, capsys):
+        code = main([
+            "run", "path", "fig2", "--seed", "0", "--starts", "1",
+            "--rounds", "1", "--niter", "1", "--workers", "1",
+        ])
+        assert code == 0
+        assert "path" in capsys.readouterr().out
+
+
 class TestSat:
     def test_sat_verdict(self, capsys):
         code = main([
