@@ -19,7 +19,10 @@ from repro.fpir.instrument import instrument
 from repro.fpir.interpreter import Interpreter
 from repro.gsl import airy, bessel
 from repro.libm import sin as glibc_sin
+from repro.mo.base import Objective
+from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.programs import fig2
+from repro.util.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,41 @@ def test_compiled_airy_negative_axis(benchmark, airy_program_module):
 
 def test_ulp_distance(benchmark):
     benchmark(ulp_distance, 1.0, 1.0000000001)
+
+
+# ---------------------------------------------------------------------------
+# The scalar search loop: one default-search start, with and without W
+# ---------------------------------------------------------------------------
+
+
+def _time_start(benchmark, fn, label):
+    """Time one basinhopping start (``niter=20``) from 0.5 through
+    ``MOBackend.minimize``, and print its cost per evaluation."""
+    backend = BasinhoppingBackend(niter=20)
+
+    def start():
+        objective = Objective(fn, n_dims=1, stop_at_zero=False)
+        return backend.minimize(objective, (0.5,), make_rng(1))
+
+    result = benchmark(start)
+    stats = getattr(benchmark.stats, "stats", None)
+    if stats is not None:
+        us = stats.median / result.n_evals * 1e6
+        print(f"\n{label}: {result.n_evals} evaluations, {us:.2f} µs each")
+
+
+def test_search_loop_plateau(benchmark):
+    """The loop's own cost: Nelder–Mead, basinhopping and the
+    objective's bookkeeping around a constant objective (every
+    reordering a tie)."""
+    _time_start(benchmark, lambda x: 1.0, "basinhopping start, plateau")
+
+
+def test_search_loop_fig2_overflow(benchmark):
+    """The same start on fig2's overflow W (compiled tier), which is
+    flat at DBL_MAX below about 1e292: the loop plus W."""
+    wd = WeakDistance(instrument(fig2.make_program(), overflow_spec()))
+    _time_start(benchmark, wd, "basinhopping start, fig2 overflow W")
 
 
 # ---------------------------------------------------------------------------

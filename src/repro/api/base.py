@@ -66,6 +66,13 @@ def knob_type(name: str) -> Callable[[str], int]:
     return parse
 
 
+def _budget(option: Any, configured: Any, knob: str, default: Any) -> Any:
+    """The first of ``option`` and ``configured`` that is not ``None``,
+    held to knob ``knob``'s minimum; ``default`` when both are None."""
+    value = configured if option is None else option
+    return default if value is None else check_knob(knob, int(value))
+
+
 @dataclasses.dataclass
 class RoundPlan:
     """What an analysis asks the engine to run for one round."""
@@ -202,15 +209,24 @@ class Analysis(abc.ABC):
     # -- shared helpers --------------------------------------------------------
 
     def starts_per_round(self, config, options: Dict[str, Any]) -> int:
-        """Effective starts per round: explicit option, then the
-        engine config, then the analysis default."""
-        n = options.get("n_starts") or config.n_starts
-        return int(n) if n else self.default_n_starts
+        """Effective starts per round: the first of the explicit option,
+        the engine config and the analysis default that is not
+        ``None``.  An explicit value below :data:`KNOB_MINIMUMS`'s
+        ``starts`` raises ``ValueError`` naming the knob, as the CLI
+        and the serve wire do."""
+        return _budget(
+            options.get("n_starts"), config.n_starts, "starts", self.default_n_starts
+        )
 
     def round_budget(self, config, options: Dict[str, Any]) -> Optional[int]:
-        """Effective round budget with the same precedence."""
-        rounds = options.get("max_rounds") or config.max_rounds
-        return int(rounds) if rounds else self.default_max_rounds
+        """Effective round budget with the same precedence and the
+        ``rounds`` minimum."""
+        return _budget(
+            options.get("max_rounds"),
+            config.max_rounds,
+            "rounds",
+            self.default_max_rounds,
+        )
 
     def sampler(self, config, options: Dict[str, Any]) -> StartSampler:
         """Effective starting-point sampler with the same precedence."""

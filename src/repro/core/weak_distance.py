@@ -84,6 +84,10 @@ class WeakDistance:
         self._compiled: Optional[CompiledProgram] = None
         self._interpreter: Optional[Interpreter] = None
         self._runtime = None
+        #: The compiled entry and the initial globals, bound by
+        #: :meth:`_ensure_runtime` for :meth:`__call__`.
+        self._entry = None
+        self._initial_globals: Dict[str, object] = {}
         self._batch_program = None
         self._batch_unavailable = False
         self.max_loop_steps = max_loop_steps
@@ -141,7 +145,10 @@ class WeakDistance:
 
     def _ensure_runtime(self) -> CompiledRuntime:
         if self._runtime is None:
-            self._runtime = self._ensure_compiled().new_runtime(self.max_loop_steps)
+            compiled = self._ensure_compiled()
+            self._entry = compiled.entry
+            self._initial_globals = self.program.globals
+            self._runtime = compiled.new_runtime(self.max_loop_steps)
             self._runtime.sets = self.label_sets
             # Plain evaluations count nothing; :meth:`replay` counts.
             self._runtime.counters = None
@@ -180,18 +187,19 @@ class WeakDistance:
         if self.use_compiler:
             # The hot path: :meth:`execute` without its result record.
             rt = self._runtime or self._ensure_runtime()
-            rt.g.update(self.program.globals)
+            g = rt.g
+            g.update(self._initial_globals)
             rt.loop_steps = 0
             rt.events = events = {}
             try:
-                self._compiled.entry(rt, *x)
+                self._entry(rt, *x)
             except HaltExecution:
                 pass
             except StepLimitExceeded:
                 return math.inf
             self.last_events = events
             try:
-                value = float(rt.g.get(self.w_var, math.inf))
+                value = float(g.get(self.w_var, math.inf))
             except (TypeError, ValueError, OverflowError):
                 return math.inf
             return math.inf if value != value else value

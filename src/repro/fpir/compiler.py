@@ -175,14 +175,17 @@ class _FunctionEmitter:
 
         A run never rebinds the runtime's dicts, and label sets only
         grow between runs (Algorithm 3's ``L``), never during one, so
-        binding each once per call is exact.  The ``__`` prefix cannot
-        clash with a mangled FPIR name.
+        binding each once per call is exact.  A label set is one dict
+        lookup; :meth:`CompiledRuntime.label_set` adds it only when it
+        is missing.  The ``__`` prefix cannot clash with a mangled FPIR
+        name.
         """
         lines = ["__g = _rt.g"] if self.globals_used else []
         if self.records:
             lines += ["__ev = _rt.events", "__ct = _rt.counters"]
         for name, local in self.set_locals.items():
-            lines.append(f"{local} = _rt.label_set({name!r})")
+            lines.append(f"{local} = _rt.sets.get({name!r})")
+            lines.append(f"if {local} is None: {local} = _rt.label_set({name!r})")
         return ["    " + line for line in lines]
 
     # -- expressions --------------------------------------------------------

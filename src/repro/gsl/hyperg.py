@@ -48,32 +48,62 @@ def _hyperg_U_series(a: float, b: float, x: float) -> tuple:
         U(a, b, x) ~ x^-a * Σ_k (a)_k (a-b+1)_k / (k! (-x)^k)
 
     truncated at the smallest term (standard divergent-series rule).
-    Returns (value, error-estimate); overflows quietly like C.
+    Returns (value, error-estimate); overflows quietly like C.  The
+    products and sums are Python's IEEE ``*`` and ``+``; the quotient
+    stays :func:`repro.fp.arith.fdiv`, whose divisor can be ``±0.0``.
     """
     prefactor = arith.c_pow(x, -a)
     term = 1.0
     total = 1.0
     smallest = abs(term)
     for k in range(1, 40):
-        factor = arith.fdiv(
-            arith.fmul((a + k - 1.0), (a - b + k)), arith.fmul(float(k), -x)
-        )
-        term = arith.fmul(term, factor)
+        factor = arith.fdiv((a + k - 1.0) * (a - b + k), float(k) * -x)
+        term = term * factor
         if abs(term) > smallest:
             break
         smallest = abs(term)
-        total = arith.fadd(total, term)
-    value = arith.fmul(prefactor, total)
-    err = abs(arith.fmul(prefactor, term)) + GSL_DBL_EPSILON * abs(value)
+        total = total + term
+    value = prefactor * total
+    err = abs(prefactor * term) + GSL_DBL_EPSILON * abs(value)
     return value, err
 
 
+#: The last series computed, ``(key, (value, err))``, replaced whole.
+_last_series: tuple = (None, None)
+
+
+def _series(a: float, b: float, x: float) -> tuple:
+    """:func:`_hyperg_U_series`, computed once per evaluation of W.
+
+    W calls ``__hyperg_U_val`` and then ``__hyperg_U_err`` on the same
+    ``(a, bU, xU)``, so a one-entry memo serves the second call.  The
+    key carries the three zero signs besides the values: equal doubles
+    differ only as ``0.0`` and ``-0.0``, and those can give different
+    series (``-x`` is in every term's divisor, and ``x ** -a`` keeps
+    the sign of a zero ``x`` when ``-a`` is an odd integer:
+    ``(-3.0, 1.0, ±0.0)`` has value ``±0.0``).  A NaN argument matches
+    only the same float object, whose bits are the same.  A Session's
+    jobs evaluate W concurrently on their own threads, so the memo is
+    read and replaced as one tuple: a two-step update could pair one
+    call's key with another call's value.
+    """
+    global _last_series
+    copysign = math.copysign
+    key = (a, b, x, copysign(1.0, a), copysign(1.0, b), copysign(1.0, x))
+    last_key, last = _last_series
+    if last_key == key:
+        return last
+    series = _hyperg_U_series(a, b, x)
+    _last_series = (key, series)
+    return series
+
+
 def _u_val(a: float, b: float, x: float) -> float:
-    return _hyperg_U_series(a, b, x)[0]
+    return _series(a, b, x)[0]
 
 
 def _u_err(a: float, b: float, x: float) -> float:
-    return _hyperg_U_series(a, b, x)[1]
+    return _series(a, b, x)[1]
 
 
 if not externals.is_registered("__hyperg_U_val"):

@@ -22,22 +22,26 @@ Every in-tree search speaks ask/tell: :meth:`MOBackend.steps` is a
 generator that *yields* a non-empty list of candidate points (tuples of
 Python floats), *receives* their values (Python floats, NaN already
 read as ``inf``), and returns when its search is done.  :func:`drive`
-is the one loop that runs such searches — one start alone, or every
-start of a multi-start round in lockstep (:mod:`repro.core.parallel`).
-Each step concatenates the live searches' asks.  When the wrapped
-function exposes a vectorized kernel (``fn.supports_batch``, e.g. a
+is the one loop that runs such searches.  When the wrapped function
+has no vectorized kernel (the compiled and interpreter tiers), it runs
+each search alone to its end, scoring points one by one with the
+objective's ``__call__`` bookkeeping bound once per search: the
+default search's hot loop.  Lockstep needs a kernel: when the function
+exposes one (``fn.supports_batch``, e.g. a
 :class:`repro.core.weak_distance.WeakDistance` in
-``eval_mode="vectorized"``) and the step holds at least
-:data:`BATCH_MIN_POINTS` points, one ``fn.evaluate_batch`` call scores
-them all; otherwise ``fn`` scores them one by one with the objective's
-``__call__`` bookkeeping.  A scored batch is absorbed per search by
-:meth:`Objective.absorb_batch`, which is observationally identical to
-that — same evaluation count, best-point tracking and sample recording,
-and the same stop at the same point in the sequence (a zero, the
-budget), with any later points discarded uncounted.  Because searches
-are independent and the semantics are identical either way, an
-ask/tell backend produces bit-identical trajectories in every
-``eval_mode``, alone or in lockstep with other starts.
+``eval_mode="vectorized"``), :func:`drive` steps every search together
+(every start of a multi-start round, :mod:`repro.core.parallel`), and
+each step concatenates the live searches' asks.  A step of at least
+:data:`BATCH_MIN_POINTS` points is scored by one ``fn.evaluate_batch``
+call; a narrower one point by point.  A scored batch is absorbed per
+search by :meth:`Objective.absorb_batch`, which is observationally
+identical to ``__call__`` — same evaluation count, best-point tracking
+and sample recording, and the same stop at the same point in the
+sequence (a zero, the budget), with any later points discarded
+uncounted.  Because searches are independent and the semantics are
+identical either way, an ask/tell backend produces bit-identical
+trajectories in every ``eval_mode``, alone or in lockstep with other
+starts.
 """
 
 from __future__ import annotations
@@ -210,32 +214,39 @@ class Objective:
 
 
 def drive(searches: Sequence[Tuple[Objective, Steps]]) -> None:
-    """Run ask/tell searches in lockstep until every one has ended.
+    """Run ask/tell searches until every one has ended.
 
     ``searches`` pairs each start's :class:`Objective` with its
     :meth:`MOBackend.steps` generator; every objective must wrap the
-    same function.  Each step collects the live searches' asks in start
-    order.  When the function supports batches and the step holds at
-    least :data:`BATCH_MIN_POINTS` points, one ``fn.evaluate_batch``
-    call on an ``(N, d)`` array scores them all and each search's slice
-    is absorbed in order (:meth:`Objective.absorb_batch`); otherwise
-    each point is scored by ``fn`` on its tuple and absorbed as
-    ``__call__`` absorbs it.  A search ends when its objective stops (a
-    zero, the budget, ``should_stop``) or its generator returns; the
-    points a stopped search asked for past its stop point are computed
-    in vain and never counted.  Searches are independent, so stepping
-    them together changes no search's evaluations, samples or result.
+    same function.  A search ends when its objective stops (a zero, the
+    budget, ``should_stop``) or its generator returns.  Searches are
+    independent, so how they are interleaved changes no search's
+    evaluations, samples or result:
+
+    * without a kernel (``fn.supports_batch`` false: the compiled and
+      interpreter tiers), stepping searches together buys nothing, so
+      each runs alone to its end (:func:`_run_alone`);
+    * with one, they step in lockstep.  Each step collects the live
+      searches' asks in start order.  When the step holds at least
+      :data:`BATCH_MIN_POINTS` points, one ``fn.evaluate_batch`` call
+      on an ``(N, d)`` array scores them all and each search's slice
+      is absorbed in order (:meth:`Objective.absorb_batch`); otherwise
+      each point is scored by ``fn`` on its tuple and absorbed as
+      ``__call__`` absorbs it.  The points a stopped search asked for
+      past its stop point are computed in vain and never counted.
     """
     if not searches:
         return
     fn = searches[0][0].fn
-    batch = searches[0][0].supports_batch
-    # Each live search is [its ask, objective, steps.send]; on a
-    # batch-capable W a running width (points asked for the next step)
-    # decides the kernel.
+    if not searches[0][0].supports_batch:
+        for objective, steps in searches:
+            _run_alone(fn, objective, steps)
+        return
+    # Each live search is [its ask, objective, steps.send]; a running
+    # width (points asked for the next step) decides the kernel.
     live = [[next(steps, None), o, steps.send] for o, steps in searches]
     live = [search for search in live if search[0] is not None]
-    width = sum(len(search[0]) for search in live) if batch else 0
+    width = sum(len(search[0]) for search in live)
     while live:
         values = None
         if width >= BATCH_MIN_POINTS:
@@ -252,13 +263,27 @@ def drive(searches: Sequence[Tuple[Objective, Steps]]) -> None:
                     offset += len(ask)
                     told = objective.absorb_batch(ask, chunk)
                 ask = search[0] = send(told)
-                if batch:
-                    width += len(ask)
+                width += len(ask)
             except (StopMinimization, StopIteration):
                 search[0] = None
                 ended = True
         if ended:
             live = [search for search in live if search[0] is not None]
+
+
+def _run_alone(fn, objective: Objective, steps: Steps) -> None:
+    """One search run to its end: each point scored by ``fn`` and
+    absorbed as :meth:`Objective.__call__` absorbs it.  Scoring goes
+    through ``fn``'s ``__call__`` (what a tracer of W wraps), with the
+    two per-point callables bound once."""
+    absorb = objective._absorb
+    send = steps.send
+    try:
+        ask = next(steps)
+        while True:
+            ask = send([absorb(x, float(fn(x))) for x in ask])
+    except (StopMinimization, StopIteration):
+        pass
 
 
 def _evaluate_batch(fn, points: List[Point]) -> List[float]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Generator, List, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,21 +70,56 @@ class _MagnitudeStep:
         return out
 
 
+#: The most entries :data:`_TIE_ORDERS` holds; it is cleared when
+#: full, so a long-running service's memo stays bounded.  The 40 jobs
+#: of perfbench's suite-scalar need 247.
+TIE_MEMO_CAP = 4096
+
+#: ``np.argsort`` of tied simplex values, keyed by the values followed
+#: by their signs (see :func:`_tie_order`).  A Session's job threads
+#: share it: each entry is a pure function of its key and is stored in
+#: one assignment, so a race costs at most a recomputed entry.
+_TIE_ORDERS: Dict[tuple, Tuple[int, ...]] = {}
+
+
+def _tie_order(key: tuple, values: Sequence[float]) -> Tuple[int, ...]:
+    """``np.argsort(values)``, memoized by ``key``: the values followed
+    by their signs (``math.copysign(1.0, v)``).
+
+    NumPy's default sort is not stable, so only NumPy knows how it
+    orders tied values; but it is a pure function of the doubles it
+    sorts, so serving its permutation again for the same bits is exact
+    on any platform's sort.  Equal keys mean equal bits: ``fsim`` never
+    holds NaN, and two non-NaN doubles that compare equal differ in
+    their bits only as ``0.0`` and ``-0.0``, which the signs tell
+    apart.  Ties are frequent (W is flat at ``DBL_MAX`` across most of
+    the overflow analysis's domain) and an ``np.argsort`` call on a few
+    values costs microseconds.
+    """
+    order = _TIE_ORDERS.get(key)
+    if order is None:
+        if len(_TIE_ORDERS) >= TIE_MEMO_CAP:
+            _TIE_ORDERS.clear()
+        order = _TIE_ORDERS[key] = tuple(np.argsort(values).tolist())
+    return order
+
+
 def _order(sim: list, fsim: List[float]) -> Tuple[list, List[float]]:
     """``sim``/``fsim`` reordered by ``np.argsort(fsim)``, as SciPy does.
 
     Without ties the sorting permutation is unique, so a plain sort
     finds it.  NumPy's default sort is not stable, so tied values
     (plateaus, ``inf``, ``0.0`` vs ``-0.0``) are ordered by NumPy
-    itself.  ``fsim`` never holds NaN: :class:`Objective` maps it to
-    ``inf``.
+    itself, through the memo of :func:`_tie_order`.  ``fsim`` never
+    holds NaN: :class:`Objective` maps it to ``inf``.
     """
     if all(map(operator.lt, fsim, fsim[1:])):
         return sim, fsim
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
     values = [fsim[i] for i in order]
     if any(map(operator.eq, values, values[1:])):
-        order = np.argsort(fsim).tolist()
+        signs = [math.copysign(1.0, v) for v in fsim]
+        order = _tie_order((*fsim, *signs), fsim)
         values = [fsim[i] for i in order]
     return [sim[i] for i in order], values
 
@@ -204,6 +239,8 @@ def _nelder_mead_1d(x0: List[float], maxiter: int, maxfev: int) -> Local:
     The simplex is ``(s0, f0)``, ``(s1, f1)`` with ``f0 <= f1``, the
     centroid is ``0.0 + s0``, and SciPy's "reflection beats the
     second-worst vertex" branch never runs (that vertex is the best).
+    On tied values the vertices swap when NumPy's argsort swaps them
+    (:func:`_swaps`), memoized by the values' bits as in :func:`_order`.
     """
     s0 = x0[0]
     s1 = (1 + 0.05) * s0 if s0 != 0 else 0.00025
@@ -215,7 +252,7 @@ def _nelder_mead_1d(x0: List[float], maxiter: int, maxfev: int) -> Local:
         (f1,) = yield [(s1,)]
     # SciPy orders the initial simplex twice (which matters on ties).
     for _ in range(2):
-        if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
+        if f1 < f0 or (f1 == f0 and _swaps(f0, f1)):
             s0, f0, s1, f1 = s1, f1, s0, f0
     iterations = 1
     while fcalls < maxfev and iterations < maxiter:
@@ -255,9 +292,18 @@ def _nelder_mead_1d(x0: List[float], maxiter: int, maxfev: int) -> Local:
                     fcalls += 1
                     (f1,) = yield [(s1,)]
         iterations += 1
-        if f1 < f0 or (f1 == f0 and np.argsort([f0, f1])[0]):
+        if f1 < f0 or (f1 == f0 and _swaps(f0, f1)):
             s0, f0, s1, f1 = s1, f1, s0, f0
     return [s0], f0, False
+
+
+def _swaps(f0: float, f1: float) -> bool:
+    """Whether ``np.argsort([f0, f1])`` puts ``f1`` first, for tied
+    values: :func:`_order` on a two-vertex simplex.  Most ties are
+    these pairs, so their key is built flat."""
+    copysign = math.copysign
+    key = (f0, f1, copysign(1.0, f0), copysign(1.0, f1))
+    return _tie_order(key, (f0, f1))[0] == 1
 
 
 class BasinhoppingBackend(MOBackend):

@@ -105,6 +105,30 @@ class TestSatParallelPayload:
         assert serial.detail.model == parallel.detail.model
 
 
+class TestZeroBudgets:
+    """A library caller's zero budget is refused, naming the knob, as
+    the CLI and the serve wire refuse it; it never runs the default."""
+
+    @pytest.mark.parametrize(
+        "config,analysis,options,knob",
+        [
+            ({"n_starts": 0}, "overflow", {}, "starts"),
+            ({"max_rounds": 0}, "overflow", {}, "rounds"),
+            ({}, "path", {"n_starts": 0}, "starts"),
+        ],
+    )
+    def test_zero_budget_raises(self, config, analysis, options, knob):
+        engine = Engine(EngineConfig(seed=1, **config))
+        with pytest.raises(ValueError, match=f"^'{knob}' must be >= 1, got 0$"):
+            engine.run(analysis, "fig2", **options)
+
+    def test_unset_option_falls_back_to_the_config(self):
+        report = Engine(EngineConfig(seed=1, n_starts=2)).run(
+            "path", "fig2", n_starts=None
+        )
+        assert [round.n_starts for round in report.trace] == [2]
+
+
 class TestRemovedShims:
     def test_deleted_names_are_gone(self):
         """The deprecated drivers and shims are deleted, not hidden:

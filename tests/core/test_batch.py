@@ -87,6 +87,12 @@ class TestJobRequest:
         assert result.report is None
         assert result.error.startswith("ValueError: 'rounds' cannot be combined")
 
+    def test_run_batch_reports_a_zero_budget_naming_the_knob(self):
+        job = BatchJob("overflow", "fig2", 1, (("n_starts", 0),))
+        (result,) = run_batch([job], n_workers=1)
+        assert result.report is None
+        assert result.error == "ValueError: 'starts' must be >= 1, got 0"
+
     def test_smoke_accepts_knobs_left_unset(self):
         job = BatchJob(
             "overflow",

@@ -109,6 +109,8 @@ class TestCompilerSpecifics:
         compiled = compile_program(prog)
         rt = compiled.new_runtime()
         assert compiled.run([], rt=rt).value == 0.0
+        # A set the runtime lacks is added on first use.
+        assert rt.sets == {"L": set()}
         rt.label_set("L").add("l1")
         assert compiled.run([], rt=rt).value == 1.0
 

@@ -1,6 +1,7 @@
 """The hypergeometric and trig ports."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,24 @@ from repro.gsl.machine import GSL_EDOM, GSL_SUCCESS
 @pytest.fixture(scope="module")
 def compiled_hyperg():
     return compile_program(hyperg.make_program())
+
+
+NAN = float("nan")
+
+#: Argument pairs equal as floats but not as bits, and NaN arguments.
+#: ``(-3.0, 1.0, ±0.0)`` has value ``±0.0``, so a memo keyed by float
+#: equality alone serves the wrong sign.
+SERIES_PAIRS = [
+    ((3.0, 1.0, 0.0), (3.0, 1.0, -0.0)),
+    ((-3.0, 1.0, 0.0), (-3.0, 1.0, -0.0)),
+    ((0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)),
+    ((NAN, 1.0, 2.0), (-NAN, 1.0, 2.0)),
+    ((1.5, NAN, 3.0), (1.5, 0.5, NAN)),
+]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +71,36 @@ class TestHyperg:
         g = compiled_hyperg.run([-6.2e2, -3.7e2, -1.5e2]).globals
         assert g["status"] == GSL_SUCCESS
         assert not math.isfinite(g["result_val"])
+
+    def test_signed_zero_series_differ(self):
+        value = [hyperg._hyperg_U_series(-3.0, 1.0, x)[0] for x in (0.0, -0.0)]
+        assert _bits(value[0]) != _bits(value[1])
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("pair", SERIES_PAIRS)
+    def test_externals_match_a_fresh_series(self, pair, swap):
+        """``__hyperg_U_val``/``__hyperg_U_err`` share one series per
+        evaluation; interleaved in every order, each call still returns
+        what an unmemoized series returns, bit for bit."""
+        first, second = reversed(pair) if swap else pair
+        calls = [(args, 0) for args in (first, second, first)]
+        calls += [(first, 1), (second, 1), (second, 0), (second, 1), (first, 1)]
+        calls += [(first, 0), (first, 1), (second, 0), (first, 0)]
+        for args, which in calls:
+            external = (hyperg._u_val, hyperg._u_err)[which]
+            fresh = hyperg._hyperg_U_series(*args)[which]
+            assert _bits(external(*args)) == _bits(fresh), (args, which)
+
+    def test_one_series_per_evaluation(self, compiled_hyperg, monkeypatch):
+        series = hyperg._hyperg_U_series
+        calls = []
+        monkeypatch.setattr(hyperg, "_last_series", (None, None))
+        monkeypatch.setattr(
+            hyperg, "_hyperg_U_series", lambda *a: calls.append(a) or series(*a)
+        )
+        for x in (-0.25, -0.5, -0.25):
+            compiled_hyperg.run([1.5, 0.5, x])
+        assert len(calls) == 3
 
     def test_classifier_pow_vs_mul(self):
         assert hyperg.classify_root_cause(

@@ -163,6 +163,47 @@ class TestEvaluateBatch:
             assert sum(o.n_evals for o in objectives) == width
             assert len(polls) == (width if batch_calls == 0 else n_searches)
 
+    @pytest.mark.parametrize("stop_at_zero", [False, True])
+    def test_kernel_less_searches_each_get_their_lone_result(self, stop_at_zero):
+        """Without a kernel, ``drive`` runs each search to its end; every
+        search gets the result and samples it gets alone, each point
+        through ``Objective.__call__``."""
+        fn = lambda x: abs(x[0] - 1.0) + abs(x[1])  # noqa: E731
+        searches = [
+            (BasinhoppingBackend(niter=4, local_maxiter=20), (0.5, -2.0)),
+            (PopulationBackend(n_generations=3, population=8), (3.0, 1e-3)),
+            (RandomSearchBackend(n_samples=30), (-7.0, 2.0)),
+            (BasinhoppingBackend(niter=3, local_maxiter=10), (1.0, 0.0)),
+        ]
+
+        def objective():
+            return Objective(fn, n_dims=2, record_samples=True,
+                             stop_at_zero=stop_at_zero)
+
+        alone = []
+        for k, (backend, start) in enumerate(searches):
+            o = objective()
+            steps = backend.steps(start, make_rng(k))
+            try:
+                ask = next(steps)
+                while True:
+                    ask = steps.send([o(x) for x in ask])
+            except (StopMinimization, StopIteration):
+                pass
+            alone.append((o.result(backend.name), o.samples))
+        objectives = [objective() for _ in searches]
+        drive([
+            (o, backend.steps(start, make_rng(k)))
+            for k, (o, (backend, start)) in enumerate(zip(objectives, searches))
+        ])
+        together = [
+            (o.result(backend.name), o.samples)
+            for o, (backend, _) in zip(objectives, searches)
+        ]
+        assert together == alone
+        # The last search starts at the zero, so a stop ends it at once.
+        assert (together[3][0].n_evals == 1) == stop_at_zero
+
     def test_should_stop_polled_per_point_or_per_batch(self):
         """Scored point by point, a step stops at the first point after
         which ``should_stop`` holds, as ``__call__`` does; a kernel-
