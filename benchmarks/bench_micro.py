@@ -82,7 +82,8 @@ def test_ulp_distance(benchmark):
 
 def _time_start(benchmark, fn, label):
     """Time one basinhopping start (``niter=20``) from 0.5 through
-    ``MOBackend.minimize``, and print its cost per evaluation."""
+    ``MOBackend.minimize``, and print its cost per evaluation.  Returns
+    the untimed start, for a second look at the same run."""
     backend = BasinhoppingBackend(niter=20)
 
     def start():
@@ -94,6 +95,7 @@ def _time_start(benchmark, fn, label):
     if stats is not None:
         us = stats.median / result.n_evals * 1e6
         print(f"\n{label}: {result.n_evals} evaluations, {us:.2f} µs each")
+    return start
 
 
 def test_search_loop_plateau(benchmark):
@@ -101,13 +103,28 @@ def test_search_loop_plateau(benchmark):
     objective's bookkeeping around a constant objective (every
     reordering a tie)."""
     _time_start(benchmark, lambda x: 1.0, "basinhopping start, plateau")
+    print("  a plain callable: no repeat memo, so every evaluation calls it")
 
 
-def test_search_loop_fig2_overflow(benchmark):
+def test_search_loop_fig2_overflow(benchmark, monkeypatch):
     """The same start on fig2's overflow W (compiled tier), which is
-    flat at DBL_MAX below about 1e292: the loop plus W."""
+    flat at DBL_MAX below about 1e292: the loop plus W.  W declares
+    itself repeatable, so the search executes it once per distinct
+    point.  An untimed rerun counts the executions by wrapping
+    ``WeakDistance.__call__`` on the class, so the search still sees a
+    repeatable W (a wrapping callable would not be one)."""
     wd = WeakDistance(instrument(fig2.make_program(), overflow_spec()))
-    _time_start(benchmark, wd, "basinhopping start, fig2 overflow W")
+    start = _time_start(benchmark, wd, "basinhopping start, fig2 overflow W")
+    executed = []
+    call = WeakDistance.__call__
+
+    def counting(self, x):
+        executed.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(WeakDistance, "__call__", counting)
+    result = start()
+    print(f"  {len(executed)} of its {result.n_evals} evaluations executed W")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ EVAL_MODES = ("compiled", "interpreter", "vectorized")
 class WeakDistance:
     """An executable weak distance W built from an instrumented program."""
 
+    #: W is a pure function of the point and the label sets: equal
+    #: points score equal, so a search may score each point once
+    #: (:func:`repro.mo.base._run_alone`).  That holds only while the
+    #: label sets stay fixed, so they must not change during a search;
+    #: the analyses grow them between rounds.  A served point does not
+    #: execute W, so ``last_events`` is the last executed point's:
+    #: a reader of events calls W on its point first, as overflow does.
+    repeatable = True
+
     def __init__(
         self,
         instrumented: InstrumentedProgram,

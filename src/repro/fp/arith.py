@@ -64,6 +64,12 @@ def c_pow(x: float, y: float) -> float:
             return -_INF
         return _INF
     except ValueError:
+        if x == 0.0:
+            # A zero base with a negative finite exponent: C's pole,
+            # signed like the base when the exponent is an odd integer.
+            if y == int(y) and int(y) % 2 == 1:
+                return math.copysign(_INF, x)
+            return _INF
         # Negative base with non-integer exponent.
         return _NAN
 

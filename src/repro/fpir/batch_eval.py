@@ -168,12 +168,9 @@ def _as_int(arr: np.ndarray) -> np.ndarray:
 
 
 def _v_pow(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xf = np.asarray(x, dtype=np.float64)
-    yf = np.asarray(y, dtype=np.float64)
-    out = np.power(xf, yf)
-    # math.pow raises ValueError for 0.0 ** negative-finite (c_pow maps
-    # it to NaN) where C99/np.power give ±inf.
-    return np.where((xf == 0.0) & (yf < 0) & np.isfinite(yf), np.nan, out)
+    # On float lanes, as math.pow converts its operands; np.power has
+    # C99's poles at a zero base, as c_pow does.
+    return np.power(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
 def _v_ldexp(x: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -23,6 +23,32 @@ the instrumented arithmetic plus the last-event store that analyses
 read; counting is a replay concern
 (:meth:`repro.core.weak_distance.WeakDistance.replay`).
 
+Algorithm 3's probe compiles fused.  The overflow instrumentation
+(:func:`repro.analyses.overflow.overflow_spec`) emits, after each
+labelled operation with assignee ``a``, the two statements::
+
+    w = (fabs(a) < K) ? K - fabs(a) : z;      // K = DBL_MAX, z = 0.0
+    if (w == 0.0) halt;
+
+For that exact shape (``a`` a variable, ``K`` and ``z`` float
+constants with ``z == 0.0``; :func:`_probe_parts`) the compiler emits
+one ``fabs`` call and keeps the difference in a local instead of
+reading ``w`` back::
+
+    __w = K - fabs(a)
+    if __w > 0.0: w = __w
+    else: w = z; halt
+
+The two are equal on every double ``a``.  For ``|a| < K`` both compute
+the same ``K - |a|``, and it is positive: the exact difference of two
+distinct doubles is at least 2^-1074, so it never rounds to 0.  For
+``|a| >= K``, or a NaN ``a``, the comparison is false and the
+difference is not positive, so both store ``z`` (a ``-0.0`` stays
+``-0.0``) and halt.  The two ``K`` must compare equal, so neither is
+NaN.  Any other shape compiles statement by statement.
+The interpreter and the batch tier run the probe as written; they are
+the references the compiled tier is checked against.
+
 One accounting caveat: ``max_loop_steps`` budgets loop *iterations*
 (``CompiledRuntime.check_loop`` is called once per iteration), while
 the interpreter's ``max_steps`` budgets interpreted *statements* — a
@@ -151,6 +177,60 @@ def _mangle(name: str) -> str:
     return safe
 
 
+def _is_float_const(e: Expr) -> bool:
+    return e.__class__ is Const and type(e.value) is float
+
+
+def _is_fabs_of_var(e: Expr) -> bool:
+    return (
+        e.__class__ is Call
+        and e.func == "fabs"
+        and len(e.args) == 1
+        and e.args[0].__class__ is Var
+    )
+
+
+def _probe_parts(assign: Stmt, check: Stmt) -> Optional[Tuple[Expr, Const]]:
+    """``(K - fabs(a), Const(z))`` when ``assign; check`` is an overflow
+    probe that compiles fused (see the module docstring), else None."""
+    if assign.__class__ is not Assign or check.__class__ is not If:
+        return None
+    value = assign.expr
+    if value.__class__ is not Ternary:
+        return None
+    less, difference, zero = value.cond, value.then, value.orelse
+    if not (
+        less.__class__ is Compare
+        and less.op == "lt"
+        and difference.__class__ is BinOp
+        and difference.op == "fsub"
+        and _is_fabs_of_var(less.lhs)
+        and _is_fabs_of_var(difference.rhs)
+        and less.lhs.args[0].name == difference.rhs.args[0].name
+        and _is_float_const(less.rhs)
+        and _is_float_const(difference.lhs)
+        and less.rhs.value == difference.lhs.value
+        and _is_float_const(zero)
+        and zero.value == 0.0
+    ):
+        return None
+    test = check.cond
+    halts = check.then.stmts
+    if not (
+        test.__class__ is Compare
+        and test.op == "eq"
+        and test.lhs.__class__ is Var
+        and test.lhs.name == assign.name
+        and test.rhs.__class__ is Const
+        and test.rhs.value == 0.0
+        and len(halts) == 1
+        and halts[0].__class__ is Halt
+        and not check.orelse.stmts
+    ):
+        return None
+    return difference, zero
+
+
 class _FunctionEmitter:
     """Emits one FPIR function as Python source."""
 
@@ -245,21 +325,45 @@ class _FunctionEmitter:
     # -- statements ---------------------------------------------------------
 
     def block(self, blk: Block, depth: int) -> None:
-        if not blk.stmts:
+        stmts = blk.stmts
+        if not stmts:
             self.emit("pass", depth)
             return
-        for stmt in blk.stmts:
-            self.stmt(stmt, depth)
+        i = 0
+        while i < len(stmts):
+            if i + 1 < len(stmts) and self.probe(stmts[i], stmts[i + 1], depth):
+                i += 2
+            else:
+                self.stmt(stmts[i], depth)
+                i += 1
+
+    def target(self, name: str) -> str:
+        """The Python target an assignment to ``name`` writes."""
+        if name in self.compiler.global_names:
+            return self.global_ref(name)
+        return _mangle(name)
+
+    def probe(self, assign: Stmt, check: Stmt, depth: int) -> bool:
+        """Emit ``assign; check`` as one fused overflow probe when they
+        are one (see the module docstring); False, emitting nothing,
+        when they are not."""
+        fused = _probe_parts(assign, check)
+        if fused is None:
+            return False
+        difference, zero = fused
+        target = self.target(assign.name)
+        self.emit(f"__w = {self.expr(difference)}", depth)
+        self.emit("if __w > 0.0:", depth)
+        self.emit(f"{target} = __w", depth + 1)
+        self.emit("else:", depth)
+        self.emit(f"{target} = {self.expr(zero)}", depth + 1)
+        self.emit("raise _HaltExecution()", depth + 1)
+        return True
 
     def stmt(self, s: Stmt, depth: int) -> None:
         cls = s.__class__
         if cls is Assign:
-            target = (
-                self.global_ref(s.name)
-                if s.name in self.compiler.global_names
-                else _mangle(s.name)
-            )
-            self.emit(f"{target} = {self.expr(s.expr)}", depth)
+            self.emit(f"{self.target(s.name)} = {self.expr(s.expr)}", depth)
         elif cls is If:
             self.emit(f"if {self.expr(s.cond)}:", depth)
             self.block(s.then, depth + 1)

@@ -53,6 +53,27 @@ class TestLibm:
     def test_pow_negative_base_fractional_exponent(self):
         assert math.isnan(arith.c_pow(-2.0, 0.5))
 
+    def test_pow_pole_at_zero(self):
+        """A zero base with a negative finite exponent is C's pole:
+        ``-inf`` only for ``-0.0`` to an odd integer power, ``+inf``
+        otherwise (``math.pow`` raises there)."""
+        inf = math.inf
+        table = [
+            (0.0, -3.0, inf),
+            (-0.0, -3.0, -inf),
+            (0.0, -1.0, inf),
+            (-0.0, -1.0, -inf),
+            (0.0, -2.0, inf),
+            (-0.0, -2.0, inf),
+            (0.0, -2.5, inf),
+            (-0.0, -2.5, inf),
+            (-0.0, -1e300, inf),
+            (-0.0, -5e-324, inf),
+            (-0.0, -inf, inf),
+        ]
+        for x, y, want in table:
+            assert arith.c_pow(x, y) == want, (x, y)
+
     def test_exp_overflow(self):
         assert arith.c_exp(1000.0) == math.inf
 

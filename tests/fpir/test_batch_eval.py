@@ -371,3 +371,26 @@ def test_nan_sign_from_calibrated_external():
     got = compile_batch(program).run(np.array([[-1.0]])).values
     want = Interpreter(program).run((-1.0,)).value
     assert float(got[0]) == want
+
+
+def test_pow_pole_on_every_tier():
+    """``pow(±0.0, -3.0)`` and ``pow(±0.0, -2.5)`` are C's poles on the
+    interpreter, the compiled tier and the batch tier alike."""
+    from repro.fpir.batch_eval import compile_batch
+    from repro.fpir.interpreter import Interpreter
+
+    fb = FunctionBuilder("f", params=["x"])
+    fb.let("odd", call("pow", v("x"), num(-3.0)))
+    fb.let("frac", call("pow", v("x"), num(-2.5)))
+    fb.ret(v("x"))
+    program = one_function(fb, globals_={"odd": 0.0, "frac": 0.0})
+    X = [(0.0,), (-0.0,), (2.0,), (-2.0,)]
+    batch = compile_batch(program).run(np.array(X))
+    compiled = compile_program(program)
+    interpreter = Interpreter(program)
+    for name in ("odd", "frac"):
+        want = [interpreter.run(x).globals[name] for x in X]
+        got = [compiled.run(x).globals[name] for x in X]
+        assert_bit_equal(got, want, f"compiled {name}")
+        assert_bit_equal(batch.globals[name], want, f"batch {name}")
+        assert want[:2] == ([math.inf, -math.inf] if name == "odd" else [math.inf] * 2)
